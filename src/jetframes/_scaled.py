@@ -96,32 +96,8 @@ def s_matmul(a: Mat, b: Mat) -> Mat:
             for row in ai], ad * bd
 
 
-def s_det(a: Mat) -> Fraction:
-    """Fraction-free (Bareiss) determinant."""
-    ints, den = a
-    n = len(ints)
-    m = [row[:] for row in ints]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], den ** n)
-
-
 def _int_det(m: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -146,6 +122,12 @@ def _int_det(m: list[list[int]]) -> int:
             m[r][col] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def s_det(a: Mat) -> Fraction:
+    """Determinant of ints/den: det(ints) / den^n."""
+    ints, den = a
+    return Fraction(_int_det(ints), den ** len(ints))
 
 
 def s_matinv(a: Mat) -> Mat:

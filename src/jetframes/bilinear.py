@@ -18,6 +18,7 @@ Composition with matrices comes in two flavours:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -64,21 +65,19 @@ class Bilinear:
     def is_zero(self) -> bool:
         return all(e == 0 for plane in self.coeffs for row in plane for e in row)
 
-    def __add__(self, other: "Bilinear") -> "Bilinear":
+    def _entrywise(self, other: "Bilinear", op) -> "Bilinear":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return Bilinear(self.n, tuple(
-            tuple(tuple(x + y for x, y in zip(r1, r2))
+            tuple(tuple(op(x, y) for x, y in zip(r1, r2))
                   for r1, r2 in zip(p1, p2))
             for p1, p2 in zip(self.coeffs, other.coeffs)))
 
+    def __add__(self, other: "Bilinear") -> "Bilinear":
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other: "Bilinear") -> "Bilinear":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Bilinear(self.n, tuple(
-            tuple(tuple(x - y for x, y in zip(r1, r2))
-                  for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.coeffs, other.coeffs)))
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "Bilinear":
         return Bilinear(self.n, tuple(

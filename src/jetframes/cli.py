@@ -35,6 +35,7 @@ from .frames import (
     NonHolFrame,
     SemiHolFrame,
     classify,
+    embed_hol,
     embed_semihol,
     proj_20,
     proj_21,
@@ -43,29 +44,18 @@ from .frames import (
     proj_tilde22,
 )
 from .groups import (
+    GROUPS,
     QuotClassHat,
     conj_hat2,
     coset_equal,
     decompose_hat2,
-    inv_hat2,
-    inv_t1n,
-    inv_tilde2,
-    inv_tilde21,
-    inv_tilde22,
     mu,
     mu_inv,
-    mul_hat2,
-    mul_g2,
-    mul_t1n,
-    mul_tilde2,
-    mul_tilde21,
-    mul_tilde22,
     tau,
     tau_inv,
 )
 from .jets import compose_2jets, left_act_diffeo
 from .serialize import (
-    GROUP_TAGS,
     bilinear_to_doc,
     frame_from_doc,
     frame_to_doc,
@@ -77,34 +67,7 @@ from .serialize import (
 )
 from .suites import ALL_SUITE_NAMES, run_suites
 
-GEN_KINDS = GROUP_TAGS + ("nonhol", "semihol", "hol", "map2jet")
-
-_MULS = {
-    "tilde2": mul_tilde2,
-    "hat2": mul_hat2,
-    "g2": mul_g2,
-    "tilde21": mul_tilde21,
-    "tilde22": mul_tilde22,
-    "t1n": mul_t1n,
-}
-
-_INVS = {
-    "tilde2": inv_tilde2,
-    "hat2": inv_hat2,
-    "g2": lambda x: inv_hat2(x.as_hat2()),
-    "tilde21": inv_tilde21,
-    "tilde22": inv_tilde22,
-    "t1n": inv_t1n,
-}
-
-_GEN_GROUP = {
-    "tilde2": rg.rand_tilde2,
-    "hat2": rg.rand_hat2,
-    "g2": rg.rand_g2,
-    "tilde21": rg.rand_tilde21,
-    "tilde22": rg.rand_tilde22,
-    "t1n": rg.rand_t1n,
-}
+GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
 
 _GEN_FRAME = {
     "nonhol": rg.rand_nonhol,
@@ -115,7 +78,11 @@ _GEN_FRAME = {
 
 def _read_doc(path: str) -> Any:
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
@@ -142,10 +109,10 @@ def _cmd_gen(args) -> int:
         raise ParseError("--n must be >= 1")
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
     origin = (Fraction(0),) * args.n
-    if args.kind in _GEN_GROUP:
+    if args.kind in GROUPS:
         if args.origin:
             raise ParseError("--origin only applies to frames and jets")
-        _emit(group_to_doc(_GEN_GROUP[args.kind](rng, args.n)))
+        _emit(group_to_doc(rg.GROUP_GENERATORS[args.kind](rng, args.n)))
     elif args.kind in _GEN_FRAME:
         frame = _GEN_FRAME[args.kind](rng, args.n)
         if args.origin:
@@ -161,25 +128,19 @@ def _cmd_gen(args) -> int:
 
 def _cmd_op(args) -> int:
     op = args.operation
-    if op == "mul":
+    if op in ("mul", "inv"):
         if args.group is None:
-            raise GroupMismatchError("op mul requires --group")
+            raise GroupMismatchError(f"op {op} requires --group")
+        group = GROUPS[args.group]
         x = _tagged(args.inputs[0], args.group)
-        y = _tagged(args.inputs[1], args.group)
-        _emit(group_to_doc(_MULS[args.group](x, y)))
-    elif op == "inv":
-        if args.group is None:
-            raise GroupMismatchError("op inv requires --group")
-        x = _tagged(args.inputs[0], args.group)
-        _emit(group_to_doc(_INVS[args.group](x)))
+        if op == "mul":
+            _emit(group_to_doc(group.mul(x, _tagged(args.inputs[1], args.group))))
+        else:
+            _emit(group_to_doc(group.inv(x)))
     elif op == "conj":
         outer = _tagged(args.inputs[0], "hat2")
         inner = _tagged(args.inputs[1], "hat2")
         _emit(group_to_doc(conj_hat2(outer, inner)))
-    elif op == "decompose":
-        x = _tagged(args.inputs[0], "hat2")
-        sym_el, skew = decompose_hat2(x)
-        _emit({"g2": group_to_doc(sym_el), "skew": bilinear_to_doc(skew)})
     elif op == "mu":
         x = _tagged(args.inputs[0], "hat2")
         _emit(group_to_doc(mu(QuotClassHat.of(x))))
@@ -204,20 +165,16 @@ def _cmd_op(args) -> int:
 def _cmd_project(args) -> int:
     frame = frame_from_doc(_read_doc(args.frame))
     level = args.level
-    if level == "pi":
+    if level in ("pi", "tilde22"):
         if not isinstance(frame, NonHolFrame):
-            raise KindMismatchError("project pi needs a nonhol frame")
-        _emit(frame_to_doc(proj_pi(frame)))
+            raise KindMismatchError(f"project {level} needs a nonhol frame")
+        _emit(frame_to_doc((proj_pi if level == "pi" else proj_tilde22)(frame)))
     elif level == "hat22":
         if isinstance(frame, HolFrame):
-            frame = SemiHolFrame(frame.x, frame.a, frame.f)
+            frame = embed_hol(frame)
         if not isinstance(frame, SemiHolFrame):
             raise KindMismatchError("project hat22 needs a semihol (or hol) frame")
         _emit(frame_to_doc(proj_hat22(frame)))
-    elif level == "tilde22":
-        if not isinstance(frame, NonHolFrame):
-            raise KindMismatchError("project tilde22 needs a nonhol frame")
-        _emit(frame_to_doc(proj_tilde22(frame)))
     elif level == "21":
         if not isinstance(frame, (NonHolFrame, SemiHolFrame, HolFrame)):
             raise KindMismatchError("project 21 needs a second-order frame")
@@ -231,10 +188,10 @@ def _cmd_project(args) -> int:
 
 def _cmd_classify(args) -> int:
     frame = frame_from_doc(_read_doc(args.frame))
+    if isinstance(frame, HolFrame):
+        frame = embed_hol(frame)
     if isinstance(frame, SemiHolFrame):
         frame = embed_semihol(frame)
-    elif isinstance(frame, HolFrame):
-        frame = embed_semihol(SemiHolFrame(frame.x, frame.a, frame.f))
     if not isinstance(frame, NonHolFrame):
         raise KindMismatchError("classify needs a second-order frame")
     _emit({"class": classify(frame)})
@@ -265,10 +222,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    chosen = args.suite_flag if args.suite_flag is not None else args.suite
-    if chosen is None:
-        raise ParseError("verify needs a suite name (positional or --suite)")
-    names = ALL_SUITE_NAMES if chosen == "all" else (chosen,)
+    names = ALL_SUITE_NAMES if args.suite == "all" else (args.suite,)
     if args.trials < 1:
         raise ParseError("--trials must be >= 1")
     ns = tuple(args.n) if args.n else (1, 2, 3, 4)
@@ -313,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_op = sub.add_parser("op", help="apply a group operation")
     p_op.add_argument("operation",
-                      choices=("mul", "inv", "conj", "decompose", "mu",
-                               "mu-inv", "tau", "tau-inv", "coset-equal"))
+                      choices=("mul", "inv", "conj", "mu", "mu-inv", "tau",
+                               "tau-inv", "coset-equal"))
     p_op.add_argument("inputs", nargs="+", help="JSON files ('-' for stdin)")
-    p_op.add_argument("--group", choices=GROUP_TAGS)
+    p_op.add_argument("--group", choices=tuple(GROUPS))
     p_op.set_defaults(fn=_cmd_op)
 
     p_proj = sub.add_parser("project", help="apply a bundle projection")
@@ -339,11 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", nargs="?",
-                          choices=ALL_SUITE_NAMES + ("all",))
-    p_verify.add_argument("--suite", dest="suite_flag",
-                          choices=ALL_SUITE_NAMES + ("all",),
-                          help="suite name (alternative to the positional)")
+    p_verify.add_argument("suite", choices=ALL_SUITE_NAMES + ("all",))
     p_verify.add_argument("--n", type=int, action="append",
                           help="dimension to test (repeatable; default 1-4)")
     p_verify.add_argument("--trials", type=int, default=200)

@@ -24,34 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _scaled as sc
 from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
-from .errors import SingularMatrixError
-from .groups import G2, GHat2, GTilde2, GTilde22, inv_g2, mul_hat2
-from .matrices import SquareMatrix, det
+from .groups import (
+    G2,
+    GHat2,
+    GTilde2,
+    GTilde22,
+    contract_second,
+    inv_g2,
+    law_hat2,
+    law_tilde2,
+    mul_hat2,
+    skew_factor,
+)
+from .matrices import SquareMatrix, require_invertible
 
 Point = tuple[Fraction, ...]
-
-
-def _m(x: SquareMatrix) -> sc.Mat:
-    return sc.smat(x.entries)
-
-
-def _b(x: Bilinear) -> sc.Bil:
-    return sc.sbil(x.coeffs)
-
-
-def _mat(n: int, s: sc.Mat) -> SquareMatrix:
-    return SquareMatrix(n, sc.mat_entries(s))
-
-
-def _bil(n: int, s: sc.Bil) -> Bilinear:
-    return Bilinear(n, sc.bil_coeffs(s))
-
-
-def _require_invertible(m: SquareMatrix, what: str) -> None:
-    if det(m) == 0:
-        raise SingularMatrixError(f"{what} must be invertible")
 
 
 def _check_point(x: Point, n: int) -> None:
@@ -71,8 +59,8 @@ class NonHolFrame:
         _check_point(self.x, n)
         if not (self.b.n == n == self.f.n):
             raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "frame part a")
-        _require_invertible(self.b, "frame part b")
+        require_invertible(self.a, "frame part a")
+        require_invertible(self.b, "frame part b")
 
     @property
     def n(self) -> int:
@@ -80,17 +68,25 @@ class NonHolFrame:
 
 
 @dataclass(frozen=True, slots=True)
-class SemiHolFrame:
+class _PairFrame:
+    """The body shared by the (x, a, f) frame kinds.
+
+    A kind whose bilinear part must be symmetric sets ``_symmetric_error``.
+    """
+
     x: Point
     a: SquareMatrix
     f: Bilinear
+    _symmetric_error = None
 
     def __post_init__(self) -> None:
         n = self.a.n
         _check_point(self.x, n)
         if self.f.n != n:
             raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "frame part a")
+        require_invertible(self.a, "frame part a")
+        if self._symmetric_error is not None and not is_symmetric(self.f):
+            raise ValueError(self._symmetric_error)
 
     @property
     def n(self) -> int:
@@ -98,23 +94,13 @@ class SemiHolFrame:
 
 
 @dataclass(frozen=True, slots=True)
-class HolFrame:
-    x: Point
-    a: SquareMatrix
-    f: Bilinear
+class SemiHolFrame(_PairFrame):
+    pass
 
-    def __post_init__(self) -> None:
-        n = self.a.n
-        _check_point(self.x, n)
-        if self.f.n != n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "frame part a")
-        if not is_symmetric(self.f):
-            raise ValueError("holonomic frame needs a symmetric bilinear part")
 
-    @property
-    def n(self) -> int:
-        return self.a.n
+@dataclass(frozen=True, slots=True)
+class HolFrame(_PairFrame):
+    _symmetric_error = "holonomic frame needs a symmetric bilinear part"
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +110,7 @@ class LinFrame:
 
     def __post_init__(self) -> None:
         _check_point(self.x, self.a.n)
-        _require_invertible(self.a, "frame part a")
+        require_invertible(self.a, "frame part a")
 
     @property
     def n(self) -> int:
@@ -160,30 +146,21 @@ def classify(q: NonHolFrame) -> str:
 
 
 def act_nonhol(q: NonHolFrame, g: GTilde2) -> NonHolFrame:
-    n = q.n
-    a1, b1, f1 = _m(q.a), _m(q.b), _b(q.f)
-    a2, b2, f2 = _m(g.a), _m(g.b), _b(g.f)
-    bilinear = sc.s_add(sc.s_post(a1, f2), sc.s_pre(f1, a2, b2))
-    return NonHolFrame(q.x, _mat(n, sc.s_matmul(a1, a2)),
-                       _mat(n, sc.s_matmul(b1, b2)), _bil(n, bilinear))
+    return NonHolFrame(q.x, *law_tilde2(q.a, q.b, q.f, g.a, g.b, g.f))
 
 
 def act_semihol(q: SemiHolFrame, g: GHat2 | G2) -> SemiHolFrame:
-    n = q.n
-    a1, f1 = _m(q.a), _b(q.f)
-    a2, f2 = _m(g.a), _b(g.f)
-    bilinear = sc.s_add(sc.s_post(a1, f2), sc.s_pre(f1, a2, a2))
-    return SemiHolFrame(q.x, _mat(n, sc.s_matmul(a1, a2)), _bil(n, bilinear))
+    return SemiHolFrame(q.x, *law_hat2(q.a, q.f, g.a, g.f))
 
 
 def act_hol(q: HolFrame, g: G2) -> HolFrame:
-    moved = act_semihol(SemiHolFrame(q.x, q.a, q.f), g)
-    return HolFrame(moved.x, moved.a, moved.f)
+    return HolFrame(q.x, *law_hat2(q.a, q.f, g.a, g.f))
 
 
 def act_tilde22(q: NonHolFrame, g: GTilde22) -> NonHolFrame:
     """Right action (x, a, b, f)(I, l, h) = (x, a, bl, a o h + f(I, l))."""
-    return act_nonhol(q, GTilde2(SquareMatrix.identity(q.n), g.l, g.h))
+    eye = SquareMatrix.identity(q.n)
+    return NonHolFrame(q.x, *law_tilde2(q.a, q.b, q.f, eye, g.l, g.h))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +169,7 @@ def act_tilde22(q: NonHolFrame, g: GTilde22) -> NonHolFrame:
 
 def proj_pi(q: NonHolFrame) -> SemiHolFrame:
     """Drop b and contract: (x, a, b, f) -> (x, a, f(I, a))."""
-    return SemiHolFrame(q.x, q.a, _bil(q.n, sc.s_pre_right(_b(q.f), _m(q.a))))
+    return SemiHolFrame(q.x, q.a, contract_second(q.f, q.a))
 
 
 def proj_hat22(q: SemiHolFrame) -> HolFrame:
@@ -262,9 +239,7 @@ def theta(c: ExtClass) -> SemiHolFrame:
 
 def theta_inv(q: SemiHolFrame) -> ExtClass:
     p = HolFrame(q.x, q.a, sym_part(q.f))
-    k = GHat2.from_bilinear(
-        _bil(q.n, sc.s_post(sc.s_matinv(_m(q.a)), sc.s_skew(_b(q.f)))))
-    return ExtClass(p, k)
+    return ExtClass(p, GHat2.from_bilinear(skew_factor(q.a, q.f)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,4 +257,4 @@ def sigma(p: SemiHolFrame) -> Bilinear:
     Defined by (a, f) = (a, sym_part(f)) * (I, sigma(p)) in GHat2, which
     solves to a^-1 o skew_part(f).
     """
-    return _bil(p.n, sc.s_post(sc.s_matinv(_m(p.a)), sc.s_skew(_b(p.f))))
+    return skew_factor(p.a, p.f)

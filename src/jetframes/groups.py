@@ -1,9 +1,11 @@
 """The second-order jet group structures and the maps between them.
 
 Every group element pairs one or two invertible matrices with a bilinear map;
-what differs between the groups is only the multiplication law, so each law
-gets its own element type and the laws never share code paths.  Products,
-inverses and conjugations are all exact.
+what differs between the groups is only the multiplication law.  Each law is
+written once, on components (``law_tilde2``, ``law_hat2``, ``law_tilde21``),
+and both the products here and the frame actions in ``frames`` call it.
+Each group still gets its own element type, so elements of different groups
+never mix.  Products, inverses and conjugations are all exact.
 
 The element types:
 
@@ -21,6 +23,9 @@ The element types:
 * ``T1nL1n``   -- pairs (a, f); law (aa', f(a', I) + a o f'(I, a^-1)),
   isomorphic to ``GHat2`` through ``tau``.
 
+``GROUPS`` declares, once for each group tag, the element type, the product
+and the inverse; serialization, the CLI and the suites read it.
+
 ``QuotClassHat`` represents a class of ``GHat2`` modulo the skew maps; the
 canonical representative keeps the unique symmetric bilinear part, which
 makes class equality plain equality.
@@ -29,16 +34,15 @@ makes class equality plain equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import _scaled as sc
 from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
-from .errors import SingularMatrixError
-from .matrices import SquareMatrix, det, mat_inv, mat_mul
+from .matrices import SquareMatrix, mat_inv, mat_mul, require_invertible
 
-
-def _require_invertible(m: SquareMatrix, what: str) -> None:
-    if det(m) == 0:
-        raise SingularMatrixError(f"{what} must be invertible")
+# A (matrix, bilinear) pair: the components of a pair element, and the
+# elements of the two alternative laws.
+Pair = tuple[SquareMatrix, Bilinear]
 
 
 def _m(x: SquareMatrix) -> sc.Mat:
@@ -66,8 +70,13 @@ class GTilde2:
     def __post_init__(self) -> None:
         if not (self.a.n == self.b.n == self.f.n):
             raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "first matrix part")
-        _require_invertible(self.b, "second matrix part")
+        require_invertible(self.a, "first matrix part")
+        require_invertible(self.b, "second matrix part")
+
+    @property
+    def parts(self) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
+        """The components in document order."""
+        return self.a, self.b, self.f
 
     @property
     def n(self) -> int:
@@ -79,23 +88,46 @@ class GTilde2:
         return cls(eye, eye, Bilinear.zero(n))
 
 
-@dataclass(frozen=True, slots=True)
-class GHat2:
-    a: SquareMatrix
-    f: Bilinear
+class _PairElement:
+    """The body shared by the (matrix, bilinear) element types.
+
+    A subclass is a frozen dataclass with two fields: the matrix part, which
+    must be invertible, then the bilinear part.  The field names differ
+    between types (``GTilde22`` has (l, h)), so the parts are read through
+    the dataclass's ``__match_args__``, which lists the fields in order.  A
+    type whose bilinear part must be symmetric sets ``_symmetric_error``.
+    """
+
+    __slots__ = ()
+    _symmetric_error: str | None = None
 
     def __post_init__(self) -> None:
-        if self.a.n != self.f.n:
+        m, f = self.parts
+        if m.n != f.n:
             raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "matrix part")
+        require_invertible(m, "matrix part")
+        if self._symmetric_error is not None and not is_symmetric(f):
+            raise ValueError(self._symmetric_error)
+
+    @property
+    def parts(self) -> Pair:
+        """The components in document order: matrix part, bilinear part."""
+        m, f = self.__match_args__
+        return getattr(self, m), getattr(self, f)
 
     @property
     def n(self) -> int:
-        return self.a.n
+        return self.parts[0].n
 
     @classmethod
-    def identity(cls, n: int) -> "GHat2":
+    def identity(cls, n: int):
         return cls(SquareMatrix.identity(n), Bilinear.zero(n))
+
+
+@dataclass(frozen=True, slots=True)
+class GHat2(_PairElement):
+    a: SquareMatrix
+    f: Bilinear
 
     @classmethod
     def from_bilinear(cls, h: Bilinear) -> "GHat2":
@@ -104,128 +136,87 @@ class GHat2:
 
 
 @dataclass(frozen=True, slots=True)
-class G2:
+class G2(_PairElement):
     a: SquareMatrix
     f: Bilinear
-
-    def __post_init__(self) -> None:
-        if self.a.n != self.f.n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "matrix part")
-        if not is_symmetric(self.f):
-            raise ValueError("bilinear part must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-    @classmethod
-    def identity(cls, n: int) -> "G2":
-        return cls(SquareMatrix.identity(n), Bilinear.zero(n))
+    _symmetric_error = "bilinear part must be symmetric"
 
     def as_hat2(self) -> GHat2:
         return GHat2(self.a, self.f)
 
 
 @dataclass(frozen=True, slots=True)
-class GTilde21:
+class GTilde21(_PairElement):
     a: SquareMatrix
     f: Bilinear
 
-    def __post_init__(self) -> None:
-        if self.a.n != self.f.n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "matrix part")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-    @classmethod
-    def identity(cls, n: int) -> "GTilde21":
-        return cls(SquareMatrix.identity(n), Bilinear.zero(n))
-
 
 @dataclass(frozen=True, slots=True)
-class GTilde22:
+class GTilde22(_PairElement):
     l: SquareMatrix
     h: Bilinear
-
-    def __post_init__(self) -> None:
-        if self.l.n != self.h.n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.l, "matrix part")
-
-    @property
-    def n(self) -> int:
-        return self.l.n
 
     def is_canonical(self) -> bool:
         return is_skew(self.h)
 
-    @classmethod
-    def identity(cls, n: int) -> "GTilde22":
-        return cls(SquareMatrix.identity(n), Bilinear.zero(n))
-
 
 @dataclass(frozen=True, slots=True)
-class T1nL1n:
+class T1nL1n(_PairElement):
     a: SquareMatrix
     f: Bilinear
 
-    def __post_init__(self) -> None:
-        if self.a.n != self.f.n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "matrix part")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-    @classmethod
-    def identity(cls, n: int) -> "T1nL1n":
-        return cls(SquareMatrix.identity(n), Bilinear.zero(n))
-
 
 # ---------------------------------------------------------------------------
-# multiplication laws
+# multiplication laws, on components
+
+
+def law_tilde2(
+    a1: SquareMatrix, b1: SquareMatrix, f1: Bilinear,
+    a2: SquareMatrix, b2: SquareMatrix, f2: Bilinear,
+) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
+    """(a1, b1, f1)(a2, b2, f2) = (a1 a2, b1 b2, a1 o f2 + f1(a2, b2))."""
+    n = a1.n
+    sa1, sa2, sb2 = _m(a1), _m(a2), _m(b2)
+    bilinear = sc.s_add(sc.s_post(sa1, _b(f2)), sc.s_pre(_b(f1), sa2, sb2))
+    return (_mat(n, sc.s_matmul(sa1, sa2)), _mat(n, sc.s_matmul(_m(b1), sb2)),
+            _bil(n, bilinear))
+
+
+def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
+    """(a1, f1)(a2, f2) = (a1 a2, a1 o f2 + f1(a2, a2))."""
+    n = a1.n
+    sa1, sa2 = _m(a1), _m(a2)
+    bilinear = sc.s_add(sc.s_post(sa1, _b(f2)), sc.s_pre(_b(f1), sa2, sa2))
+    return _mat(n, sc.s_matmul(sa1, sa2)), _bil(n, bilinear)
+
+
+def law_tilde21(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
+    """(a1, f1)(a2, f2) = (a1 a2, f2 + f1(I, a2))."""
+    n = a1.n
+    sa2 = _m(a2)
+    bilinear = sc.s_add(_b(f2), sc.s_pre_right(_b(f1), sa2))
+    return _mat(n, sc.s_matmul(_m(a1), sa2)), _bil(n, bilinear)
 
 
 def mul_tilde2(x: GTilde2, y: GTilde2) -> GTilde2:
-    n = x.n
-    a1, b1, f1 = _m(x.a), _m(x.b), _b(x.f)
-    a2, b2, f2 = _m(y.a), _m(y.b), _b(y.f)
-    bilinear = sc.s_add(sc.s_post(a1, f2), sc.s_pre(f1, a2, b2))
-    return GTilde2(_mat(n, sc.s_matmul(a1, a2)), _mat(n, sc.s_matmul(b1, b2)),
-                   _bil(n, bilinear))
+    return GTilde2(*law_tilde2(x.a, x.b, x.f, y.a, y.b, y.f))
 
 
 def mul_hat2(x: GHat2 | G2, y: GHat2 | G2) -> GHat2:
-    n = x.n
-    a1, f1 = _m(x.a), _b(x.f)
-    a2, f2 = _m(y.a), _b(y.f)
-    bilinear = sc.s_add(sc.s_post(a1, f2), sc.s_pre(f1, a2, a2))
-    return GHat2(_mat(n, sc.s_matmul(a1, a2)), _bil(n, bilinear))
+    return GHat2(*law_hat2(x.a, x.f, y.a, y.f))
 
 
 def mul_g2(x: G2, y: G2) -> G2:
     """The same law as ``mul_hat2``, statically closed on symmetric parts."""
-    z = mul_hat2(x, y)
-    return G2(z.a, z.f)
+    return G2(*law_hat2(x.a, x.f, y.a, y.f))
 
 
 def mul_tilde21(x: GTilde21, y: GTilde21) -> GTilde21:
-    n = x.n
-    a2 = _m(y.a)
-    bilinear = sc.s_add(_b(y.f), sc.s_pre_right(_b(x.f), a2))
-    return GTilde21(_mat(n, sc.s_matmul(_m(x.a), a2)), _bil(n, bilinear))
+    return GTilde21(*law_tilde21(x.a, x.f, y.a, y.f))
 
 
 def mul_tilde22(x: GTilde22, y: GTilde22) -> GTilde22:
-    n = x.n
-    l2 = _m(y.l)
-    bilinear = sc.s_add(_b(y.h), sc.s_pre_right(_b(x.h), l2))
-    return GTilde22(_mat(n, sc.s_matmul(_m(x.l), l2)), _bil(n, bilinear))
+    return GTilde22(*law_tilde21(x.l, x.h, y.l, y.h))
 
 
 def mul_t1n(x: T1nL1n, y: T1nL1n) -> T1nL1n:
@@ -266,9 +257,7 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
     return T1nL1n(mat_mul(x.a, y.a), Bilinear(n, coeffs))
 
 
-def mul_deleon_1(
-    x: tuple[SquareMatrix, Bilinear], y: tuple[SquareMatrix, Bilinear]
-) -> tuple[SquareMatrix, Bilinear]:
+def mul_deleon_1(x: Pair, y: Pair) -> Pair:
     """First alternative law on (a, f): (aa', a'^-1 o f(a', a') + f')."""
     a, f = x
     a2, f2 = y
@@ -279,9 +268,7 @@ def mul_deleon_1(
     return _mat(n, sc.s_matmul(sa, sa2)), _bil(n, bilinear)
 
 
-def mul_deleon_2(
-    x: tuple[SquareMatrix, Bilinear], y: tuple[SquareMatrix, Bilinear]
-) -> tuple[SquareMatrix, Bilinear]:
+def mul_deleon_2(x: Pair, y: Pair) -> Pair:
     """Second alternative law on (a, f): (aa', f + a o f'(a^-1, a^-1))."""
     a, f = x
     a2, f2 = y
@@ -297,16 +284,25 @@ def mul_deleon_2(
 # inverses
 
 
+def _inverse_hat2(a: SquareMatrix, f: Bilinear) -> Pair:
+    """(a, f)^-1 = (a^-1, -a^-1 o f(a^-1, a^-1)) under the ``GHat2`` law."""
+    a_inv = sc.s_matinv(_m(a))
+    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(_b(f), a_inv, a_inv)))
+    return _mat(a.n, a_inv), _bil(a.n, bilinear)
+
+
+def _inverse_tilde21(a: SquareMatrix, f: Bilinear) -> Pair:
+    """(a, f)^-1 = (a^-1, -f(I, a^-1)) under the ``GTilde21`` law."""
+    a_inv = sc.s_matinv(_m(a))
+    return _mat(a.n, a_inv), _bil(a.n, sc.s_neg(sc.s_pre_right(_b(f), a_inv)))
+
+
 def inv_hat2(x: GHat2) -> GHat2:
-    n = x.n
-    a_inv = sc.s_matinv(_m(x.a))
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(_b(x.f), a_inv, a_inv)))
-    return GHat2(_mat(n, a_inv), _bil(n, bilinear))
+    return GHat2(*_inverse_hat2(x.a, x.f))
 
 
 def inv_g2(x: G2) -> G2:
-    z = inv_hat2(x.as_hat2())
-    return G2(z.a, z.f)
+    return G2(*_inverse_hat2(x.a, x.f))
 
 
 def inv_tilde2(x: GTilde2) -> GTilde2:
@@ -318,24 +314,18 @@ def inv_tilde2(x: GTilde2) -> GTilde2:
 
 
 def inv_tilde21(x: GTilde21) -> GTilde21:
-    n = x.n
-    a_inv = sc.s_matinv(_m(x.a))
-    return GTilde21(_mat(n, a_inv),
-                    _bil(n, sc.s_neg(sc.s_pre_right(_b(x.f), a_inv))))
+    return GTilde21(*_inverse_tilde21(x.a, x.f))
 
 
 def inv_tilde22(x: GTilde22) -> GTilde22:
-    n = x.n
-    l_inv = sc.s_matinv(_m(x.l))
-    return GTilde22(_mat(n, l_inv),
-                    _bil(n, sc.s_neg(sc.s_pre_right(_b(x.h), l_inv))))
+    return GTilde22(*_inverse_tilde21(x.l, x.h))
 
 
 def inv_t1n(x: T1nL1n) -> T1nL1n:
     return tau_inv(inv_hat2(tau(x)))
 
 
-def inv_deleon_1(x: tuple[SquareMatrix, Bilinear]) -> tuple[SquareMatrix, Bilinear]:
+def inv_deleon_1(x: Pair) -> Pair:
     a, f = x
     n = a.n
     sa = _m(a)
@@ -344,7 +334,7 @@ def inv_deleon_1(x: tuple[SquareMatrix, Bilinear]) -> tuple[SquareMatrix, Biline
     return _mat(n, a_inv), _bil(n, bilinear)
 
 
-def inv_deleon_2(x: tuple[SquareMatrix, Bilinear]) -> tuple[SquareMatrix, Bilinear]:
+def inv_deleon_2(x: Pair) -> Pair:
     a, f = x
     n = a.n
     sa = _m(a)
@@ -373,11 +363,19 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
     return GHat2(_mat(n, aba), _bil(n, bilinear))
 
 
+def skew_factor(a: SquareMatrix, f: Bilinear) -> Bilinear:
+    """a^-1 o skew_part(f): the skew h with (a, f) = (a, sym_part(f)) * (I, h)."""
+    return _bil(a.n, sc.s_post(sc.s_matinv(_m(a)), sc.s_skew(_b(f))))
+
+
+def contract_second(f: Bilinear, m: SquareMatrix) -> Bilinear:
+    """f(I, m): feed the second argument slot of f through m."""
+    return _bil(f.n, sc.s_pre_right(_b(f), _m(m)))
+
+
 def decompose_hat2(x: GHat2) -> tuple[G2, Bilinear]:
     """Split (a, f) = (a, f_s) * (I, a^-1 o f_a); the pair is unique."""
-    sym = G2(x.a, sym_part(x.f))
-    skew = _bil(x.n, sc.s_post(sc.s_matinv(_m(x.a)), sc.s_skew(_b(x.f))))
-    return sym, skew
+    return G2(x.a, sym_part(x.f)), skew_factor(x.a, x.f)
 
 
 def in_g2(x: GHat2) -> bool:
@@ -393,7 +391,7 @@ def in_g1_x_a2(x: GHat2) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class QuotClassHat:
+class QuotClassHat(_PairElement):
     """A class of GHat2 elements that differ by a right factor (I, skew).
 
     Stored by its canonical representative: the unique member whose bilinear
@@ -403,17 +401,7 @@ class QuotClassHat:
 
     a: SquareMatrix
     f_sym: Bilinear
-
-    def __post_init__(self) -> None:
-        if self.a.n != self.f_sym.n:
-            raise ValueError("dimension mismatch between components")
-        _require_invertible(self.a, "matrix part")
-        if not is_symmetric(self.f_sym):
-            raise ValueError("canonical representative must be symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
+    _symmetric_error = "canonical representative must be symmetric"
 
     @classmethod
     def of(cls, x: GHat2) -> "QuotClassHat":
@@ -425,7 +413,8 @@ class QuotClassHat:
 
 def mul_quot(x: QuotClassHat, y: QuotClassHat) -> QuotClassHat:
     """Class product: multiply representatives, then re-canonicalize."""
-    return QuotClassHat.of(mul_hat2(x.representative(), y.representative()))
+    a, f = law_hat2(x.a, x.f_sym, y.a, y.f_sym)
+    return QuotClassHat(a, sym_part(f))
 
 
 def coset_equal(x: GHat2, y: GHat2) -> bool:
@@ -445,8 +434,31 @@ def mu_inv(g: G2) -> QuotClassHat:
 
 
 def tau(x: T1nL1n) -> GHat2:
-    return GHat2(x.a, _bil(x.n, sc.s_pre_right(_b(x.f), _m(x.a))))
+    return GHat2(x.a, contract_second(x.f, x.a))
 
 
 def tau_inv(y: GHat2) -> T1nL1n:
     return T1nL1n(y.a, _bil(y.n, sc.s_pre_right(_b(y.f), sc.s_matinv(_m(y.a)))))
+
+
+# ---------------------------------------------------------------------------
+# the group tags
+
+
+@dataclass(frozen=True, slots=True)
+class Group:
+    """What a group tag stands for: the element type, its product, its inverse."""
+
+    type: type
+    mul: Callable[[Any, Any], Any]
+    inv: Callable[[Any], Any]
+
+
+GROUPS: dict[str, Group] = {
+    "tilde2": Group(GTilde2, mul_tilde2, inv_tilde2),
+    "hat2": Group(GHat2, mul_hat2, inv_hat2),
+    "g2": Group(G2, mul_g2, inv_g2),
+    "tilde21": Group(GTilde21, mul_tilde21, inv_tilde21),
+    "tilde22": Group(GTilde22, mul_tilde22, inv_tilde22),
+    "t1n": Group(T1nL1n, mul_t1n, inv_t1n),
+}

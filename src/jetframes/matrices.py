@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _scaled as sc
+from .errors import SingularMatrixError
 
 _FR_ZERO = Fraction(0)
 _FR_ONE = Fraction(1)
@@ -75,3 +76,9 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
 
 def is_invertible(a: SquareMatrix) -> bool:
     return det(a) != 0
+
+
+def require_invertible(a: SquareMatrix, what: str) -> None:
+    """Raise ``SingularMatrixError`` naming ``what`` when ``a`` is singular."""
+    if det(a) == 0:
+        raise SingularMatrixError(f"{what} must be invertible")

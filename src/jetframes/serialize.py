@@ -20,7 +20,7 @@ from typing import Any
 from .bilinear import Bilinear
 from .errors import ParseError, SingularMatrixError
 from .frames import HolFrame, LinFrame, NonHolFrame, Point, SemiHolFrame
-from .groups import G2, GHat2, GTilde2, GTilde21, GTilde22, T1nL1n
+from .groups import GROUPS, G2, GHat2, GTilde2, GTilde21, GTilde22, Pair, T1nL1n
 from .jets import Map2Jet
 from .matrices import SquareMatrix
 from .rational import rat_from_str, rat_to_str
@@ -28,8 +28,11 @@ from .rational import rat_from_str, rat_to_str
 GroupElement = GTilde2 | GHat2 | G2 | GTilde21 | GTilde22 | T1nL1n
 Frame = NonHolFrame | SemiHolFrame | HolFrame | LinFrame
 
-GROUP_TAGS = ("tilde2", "hat2", "g2", "tilde21", "tilde22", "t1n")
-FRAME_KINDS = ("nonhol", "semihol", "hol", "lin")
+_FRAMES = {"nonhol": NonHolFrame, "semihol": SemiHolFrame, "hol": HolFrame,
+           "lin": LinFrame}
+
+_GROUP_TAG = {group.type: tag for tag, group in GROUPS.items()}
+_FRAME_KIND = {cls: kind for kind, cls in _FRAMES.items()}
 
 
 def vector_to_doc(x: Point) -> list[str]:
@@ -67,19 +70,14 @@ def bilinear_to_doc(f: Bilinear) -> dict[str, Any]:
 def bilinear_from_doc(doc: Any) -> Bilinear:
     if not isinstance(doc, dict) or "coeffs" not in doc or "n" not in doc:
         raise ParseError("bilinear must be an object with 'n' and 'coeffs'")
-    coeffs = doc["coeffs"]
-    try:
-        data = tuple(tuple(tuple(rat_from_str(e) for e in row) for row in plane)
-                     for plane in coeffs)
-        f = Bilinear(len(data), data)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed bilinear coefficients: {exc}") from exc
-    if f.n != doc["n"]:
-        raise ParseError("bilinear 'n' field disagrees with coefficient shape")
-    return f
+    return _coeffs_only_from_doc(
+        doc["coeffs"], doc["n"], "bilinear 'n' field disagrees with coefficient shape")
 
 
-def _coeffs_only_from_doc(doc: Any, n: int) -> Bilinear:
+def _coeffs_only_from_doc(
+    doc: Any, n: Any,
+    mismatch: str = "bilinear shape disagrees with the document's 'n'",
+) -> Bilinear:
     try:
         data = tuple(tuple(tuple(rat_from_str(e) for e in row) for row in plane)
                      for plane in doc)
@@ -87,37 +85,26 @@ def _coeffs_only_from_doc(doc: Any, n: int) -> Bilinear:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed bilinear coefficients: {exc}") from exc
     if f.n != n:
-        raise ParseError("bilinear shape disagrees with the document's 'n'")
+        raise ParseError(mismatch)
     return f
 
 
 def group_to_doc(el: GroupElement) -> dict[str, Any]:
-    if isinstance(el, GTilde2):
-        return {"group": "tilde2", "n": el.n, "a": matrix_to_doc(el.a),
-                "b": matrix_to_doc(el.b),
-                "f": bilinear_to_doc(el.f)["coeffs"]}
-    if isinstance(el, G2):
-        tag = "g2"
-    elif isinstance(el, GHat2):
-        tag = "hat2"
-    elif isinstance(el, GTilde21):
-        tag = "tilde21"
-    elif isinstance(el, GTilde22):
-        return {"group": "tilde22", "n": el.n, "a": matrix_to_doc(el.l),
-                "f": bilinear_to_doc(el.h)["coeffs"]}
-    elif isinstance(el, T1nL1n):
-        tag = "t1n"
-    else:
+    tag = _GROUP_TAG.get(type(el))
+    if tag is None:
         raise ParseError(f"not a group element: {type(el).__name__}")
-    return {"group": tag, "n": el.n, "a": matrix_to_doc(el.a),
-            "f": bilinear_to_doc(el.f)["coeffs"]}
+    *mats, f = el.parts
+    doc: dict[str, Any] = {"group": tag, "n": el.n}
+    doc.update(zip(("a", "b"), map(matrix_to_doc, mats)))
+    doc["f"] = bilinear_to_doc(f)["coeffs"]
+    return doc
 
 
 def group_from_doc(doc: Any) -> GroupElement:
     if not isinstance(doc, dict):
         raise ParseError("group element must be a JSON object")
     tag = doc.get("group")
-    if tag not in GROUP_TAGS:
+    if tag not in GROUPS:
         raise ParseError(f"unknown group tag {tag!r}")
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
@@ -130,18 +117,8 @@ def group_from_doc(doc: Any) -> GroupElement:
     if a.n != n:
         raise ParseError("matrix shape disagrees with the document's 'n'")
     try:
-        if tag == "tilde2":
-            b = matrix_from_doc(doc["b"])
-            return GTilde2(a, b, f)
-        if tag == "hat2":
-            return GHat2(a, f)
-        if tag == "g2":
-            return G2(a, f)
-        if tag == "tilde21":
-            return GTilde21(a, f)
-        if tag == "tilde22":
-            return GTilde22(a, f)
-        return T1nL1n(a, f)
+        mats = (a, matrix_from_doc(doc["b"])) if tag == "tilde2" else (a,)
+        return GROUPS[tag].type(*mats, f)
     except KeyError as exc:
         raise ParseError(f"group element missing field {exc}") from exc
     except (ValueError, SingularMatrixError) as exc:
@@ -149,28 +126,22 @@ def group_from_doc(doc: Any) -> GroupElement:
 
 
 def frame_to_doc(q: Frame) -> dict[str, Any]:
-    if isinstance(q, NonHolFrame):
-        return {"kind": "nonhol", "n": q.n, "x": vector_to_doc(q.x),
-                "a": matrix_to_doc(q.a), "b": matrix_to_doc(q.b),
-                "f": bilinear_to_doc(q.f)["coeffs"]}
-    if isinstance(q, SemiHolFrame):
-        kind = "semihol"
-    elif isinstance(q, HolFrame):
-        kind = "hol"
-    elif isinstance(q, LinFrame):
-        return {"kind": "lin", "n": q.n, "x": vector_to_doc(q.x),
-                "a": matrix_to_doc(q.a)}
-    else:
+    kind = _FRAME_KIND.get(type(q))
+    if kind is None:
         raise ParseError(f"not a frame: {type(q).__name__}")
-    return {"kind": kind, "n": q.n, "x": vector_to_doc(q.x),
-            "a": matrix_to_doc(q.a), "f": bilinear_to_doc(q.f)["coeffs"]}
+    doc = {"kind": kind, "n": q.n, "x": vector_to_doc(q.x), "a": matrix_to_doc(q.a)}
+    if kind == "nonhol":
+        doc["b"] = matrix_to_doc(q.b)
+    if kind != "lin":
+        doc["f"] = bilinear_to_doc(q.f)["coeffs"]
+    return doc
 
 
 def frame_from_doc(doc: Any) -> Frame:
     if not isinstance(doc, dict):
         raise ParseError("frame must be a JSON object")
     kind = doc.get("kind")
-    if kind not in FRAME_KINDS:
+    if kind not in _FRAMES:
         raise ParseError(f"unknown frame kind {kind!r}")
     n = doc.get("n")
     if not isinstance(n, int) or n < 1:
@@ -182,11 +153,8 @@ def frame_from_doc(doc: Any) -> Frame:
             return LinFrame(x, a)
         f = _coeffs_only_from_doc(doc["f"], n)
         if kind == "nonhol":
-            b = matrix_from_doc(doc["b"])
-            return NonHolFrame(x, a, b, f)
-        if kind == "semihol":
-            return SemiHolFrame(x, a, f)
-        return HolFrame(x, a, f)
+            return NonHolFrame(x, a, matrix_from_doc(doc["b"]), f)
+        return _FRAMES[kind](x, a, f)
     except KeyError as exc:
         raise ParseError(f"frame missing field {exc}") from exc
     except (ValueError, SingularMatrixError) as exc:
@@ -213,3 +181,23 @@ def jet_from_doc(doc: Any) -> Map2Jet:
         return Map2Jet(base, value, jac, hess)
     except (ValueError, SingularMatrixError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def pair_to_doc(x: Pair) -> dict[str, Any]:
+    """A (matrix, bilinear) pair, the elements of the alternative laws."""
+    return {"a": matrix_to_doc(x[0]), "f": bilinear_to_doc(x[1])}
+
+
+_TO_DOC = {
+    SquareMatrix: matrix_to_doc,
+    Bilinear: bilinear_to_doc,
+    tuple: pair_to_doc,
+    Map2Jet: jet_to_doc,
+    **dict.fromkeys(_GROUP_TAG, group_to_doc),
+    **dict.fromkeys(_FRAME_KIND, frame_to_doc),
+}
+
+
+def to_doc(obj: Any) -> Any:
+    """The document of any value above, chosen by its type."""
+    return _TO_DOC[type(obj)](obj)

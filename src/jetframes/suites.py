@@ -15,7 +15,7 @@ anywhere.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from . import randgen as rg
@@ -53,12 +53,13 @@ from .frames import (
     theta_inv,
 )
 from .groups import (
+    GROUPS,
     G2,
     GHat2,
     GTilde2,
     GTilde21,
     GTilde22,
-    T1nL1n,
+    Group,
     conj_hat2,
     coset_equal,
     decompose_hat2,
@@ -66,10 +67,6 @@ from .groups import (
     inv_deleon_2,
     inv_g2,
     inv_hat2,
-    inv_t1n,
-    inv_tilde2,
-    inv_tilde21,
-    inv_tilde22,
     mu,
     mu_inv,
     mul_deleon_1,
@@ -79,7 +76,6 @@ from .groups import (
     mul_quot,
     mul_t1n,
     mul_t1n_coordinate,
-    mul_tilde2,
     mul_tilde21,
     mul_tilde22,
     tau,
@@ -88,13 +84,7 @@ from .groups import (
 from .jets import Map2Jet, compose_2jets, g2_law_via_jets, left_act_diffeo
 from .matrices import SquareMatrix, mat_inv, mat_mul
 from .randgen import SplitMix64, stream
-from .serialize import (
-    bilinear_to_doc,
-    frame_to_doc,
-    group_to_doc,
-    jet_to_doc,
-    matrix_to_doc,
-)
+from .serialize import to_doc
 
 PropertyFn = Callable[[int, SplitMix64], dict | None]
 
@@ -121,13 +111,7 @@ class PropertyResult:
     counterexample: dict | None
 
     def to_doc(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials_run": self.trials_run,
-            "failures": self.failures,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -155,38 +139,32 @@ class SuiteReport:
         }
 
 
-def _pair_doc(x: tuple[SquareMatrix, Bilinear]) -> dict[str, Any]:
-    return {"a": matrix_to_doc(x[0]), "f": bilinear_to_doc(x[1])}
+def _witness(**objs: Any) -> dict[str, Any]:
+    """A counterexample payload: values become their documents, while
+    strings (reasons) and lists (check results) are kept as they are."""
+    return {key: value if isinstance(value, (str, list)) else to_doc(value)
+            for key, value in objs.items()}
 
 
 # ---------------------------------------------------------------------------
 # core algebra identities
 
 
-def _prel_post_transpose(n, rng):
-    a = rg.rand_invertible(rng, n)
-    f = rg.rand_bilinear(rng, n)
-    ok = (
-        transpose(post_compose(a, f)) == post_compose(a, transpose(f))
-        and sym_part(post_compose(a, f)) == post_compose(a, sym_part(f))
-        and skew_part(post_compose(a, f)) == post_compose(a, skew_part(f))
-    )
-    if ok:
-        return None
-    return {"a": matrix_to_doc(a), "f": bilinear_to_doc(f)}
+def _parts_commute(post: bool) -> PropertyFn:
+    """transpose, sym_part and skew_part commute with a o f (``post``) or
+    with the diagonal pre-composition f(a, a)."""
+    def prop(n, rng):
+        a = rg.rand_invertible(rng, n)
+        f = rg.rand_bilinear(rng, n)
 
+        def compose(g):
+            return post_compose(a, g) if post else pre_compose(g, a, a)
 
-def _prel_pre_transpose(n, rng):
-    a = rg.rand_invertible(rng, n)
-    f = rg.rand_bilinear(rng, n)
-    ok = (
-        transpose(pre_compose(f, a, a)) == pre_compose(transpose(f), a, a)
-        and sym_part(pre_compose(f, a, a)) == pre_compose(sym_part(f), a, a)
-        and skew_part(pre_compose(f, a, a)) == pre_compose(skew_part(f), a, a)
-    )
-    if ok:
-        return None
-    return {"a": matrix_to_doc(a), "f": bilinear_to_doc(f)}
+        if all(part(compose(f)) == compose(part(f))
+               for part in (transpose, sym_part, skew_part)):
+            return None
+        return _witness(a=a, f=f)
+    return prop
 
 
 def _prel_split(n, rng):
@@ -201,7 +179,7 @@ def _prel_split(n, rng):
     )
     if ok:
         return None
-    return {"f": bilinear_to_doc(f)}
+    return _witness(f=f)
 
 
 def _prel_two_sided(n, rng):
@@ -211,22 +189,11 @@ def _prel_two_sided(n, rng):
     f = rg.rand_bilinear(rng, n)
     if pre_compose(post_compose(a, f), b, c) == post_compose(a, pre_compose(f, b, c)):
         return None
-    return {"a": matrix_to_doc(a), "b": matrix_to_doc(b), "c": matrix_to_doc(c),
-            "f": bilinear_to_doc(f)}
+    return _witness(a=a, b=b, c=c, f=f)
 
 
 # ---------------------------------------------------------------------------
 # group law axioms
-
-
-@dataclass(frozen=True)
-class _Law:
-    tag: str
-    gen: Callable[[SplitMix64, int], Any]
-    mul: Callable[[Any, Any], Any]
-    inv: Callable[[Any], Any]
-    identity: Callable[[int], Any]
-    doc: Callable[[Any], dict]
 
 
 def _deleon_gen(rng, n):
@@ -237,62 +204,63 @@ def _deleon_identity(n):
     return (SquareMatrix.identity(n), Bilinear.zero(n))
 
 
-_LAWS = {
-    "tilde2": _Law("tilde2", rg.rand_tilde2, mul_tilde2, inv_tilde2,
-                   GTilde2.identity, group_to_doc),
-    "hat2": _Law("hat2", rg.rand_hat2, mul_hat2, inv_hat2,
-                 GHat2.identity, group_to_doc),
-    "g2": _Law("g2", rg.rand_g2, mul_g2, inv_g2, G2.identity, group_to_doc),
-    "tilde21": _Law("tilde21", rg.rand_tilde21, mul_tilde21, inv_tilde21,
-                    GTilde21.identity, group_to_doc),
-    "tilde22": _Law("tilde22", rg.rand_tilde22, mul_tilde22, inv_tilde22,
-                    GTilde22.identity, group_to_doc),
-    "t1n": _Law("t1n", rg.rand_t1n, mul_t1n, inv_t1n,
-                T1nL1n.identity, group_to_doc),
-    "deleon1": _Law("deleon1", _deleon_gen, mul_deleon_1, inv_deleon_1,
-                    _deleon_identity, _pair_doc),
-    "deleon2": _Law("deleon2", _deleon_gen, mul_deleon_2, inv_deleon_2,
-                    _deleon_identity, _pair_doc),
+# The alternative laws act on plain (matrix, bilinear) tuples; they have no
+# element type or group tag of their own.
+_DELEON = {
+    "deleon1": Group(tuple, mul_deleon_1, inv_deleon_1),
+    "deleon2": Group(tuple, mul_deleon_2, inv_deleon_2),
 }
 
 
-def _law_associative(law: _Law) -> PropertyFn:
+def _law(tag: str):
+    """Generator, product, inverse and identity of a law, read from the tables
+    when a trial runs so that a function replaced there is the one called."""
+    if tag in GROUPS:
+        group = GROUPS[tag]
+        return rg.GROUP_GENERATORS[tag], group.mul, group.inv, group.type.identity
+    law = _DELEON[tag]
+    return _deleon_gen, law.mul, law.inv, _deleon_identity
+
+
+def _law_associative(tag: str) -> PropertyFn:
     def prop(n, rng):
-        x, y, z = law.gen(rng, n), law.gen(rng, n), law.gen(rng, n)
-        if law.mul(law.mul(x, y), z) == law.mul(x, law.mul(y, z)):
+        gen, mul, _, _ = _law(tag)
+        x, y, z = gen(rng, n), gen(rng, n), gen(rng, n)
+        if mul(mul(x, y), z) == mul(x, mul(y, z)):
             return None
-        return {"x": law.doc(x), "y": law.doc(y), "z": law.doc(z)}
+        return _witness(x=x, y=y, z=z)
     return prop
 
 
-def _law_identity(law: _Law) -> PropertyFn:
+def _law_identity(tag: str) -> PropertyFn:
     def prop(n, rng):
-        x = law.gen(rng, n)
-        e = law.identity(n)
-        if law.mul(x, e) == x and law.mul(e, x) == x:
+        gen, mul, _, identity = _law(tag)
+        x = gen(rng, n)
+        e = identity(n)
+        if mul(x, e) == x and mul(e, x) == x:
             return None
-        return {"x": law.doc(x)}
+        return _witness(x=x)
     return prop
 
 
-def _law_inverse(law: _Law) -> PropertyFn:
+def _law_inverse(tag: str) -> PropertyFn:
     def prop(n, rng):
-        x = law.gen(rng, n)
-        e = law.identity(n)
-        xi = law.inv(x)
-        if law.mul(x, xi) == e and law.mul(xi, x) == e:
+        gen, mul, inv, identity = _law(tag)
+        x = gen(rng, n)
+        e = identity(n)
+        xi = inv(x)
+        if mul(x, xi) == e and mul(xi, x) == e:
             return None
-        return {"x": law.doc(x), "x_inv": law.doc(xi)}
+        return _witness(x=x, x_inv=xi)
     return prop
 
 
 def _axiom_properties(tags) -> tuple[Property, ...]:
     props = []
     for tag in tags:
-        law = _LAWS[tag]
-        props.append(Property(f"{tag}_associative", _law_associative(law)))
-        props.append(Property(f"{tag}_identity", _law_identity(law)))
-        props.append(Property(f"{tag}_inverse", _law_inverse(law)))
+        props.append(Property(f"{tag}_associative", _law_associative(tag)))
+        props.append(Property(f"{tag}_identity", _law_identity(tag)))
+        props.append(Property(f"{tag}_inverse", _law_inverse(tag)))
     return tuple(props)
 
 
@@ -300,22 +268,19 @@ def _axiom_properties(tags) -> tuple[Property, ...]:
 # conjugation, decomposition, normality
 
 
-def _grol1_conj_sym(n, rng):
-    x = rg.rand_hat2(rng, n)
-    h = rg.rand_symmetric(rng, n)
-    c = conj_hat2(x, GHat2.from_bilinear(h))
-    if c.a.is_identity() and is_symmetric(c.f):
-        return None
-    return {"x": group_to_doc(x), "h": bilinear_to_doc(h), "conj": group_to_doc(c)}
+def _conj_keeps_part(symmetric: bool, key: str) -> PropertyFn:
+    """Conjugating (I, h) gives (I, h') with h' symmetric (or skew) as h is.
 
-
-def _grol1_conj_skew(n, rng):
-    x = rg.rand_hat2(rng, n)
-    h = rg.rand_skew(rng, n)
-    c = conj_hat2(x, GHat2.from_bilinear(h))
-    if c.a.is_identity() and is_skew(c.f):
-        return None
-    return {"x": group_to_doc(x), "h": bilinear_to_doc(h), "conj": group_to_doc(c)}
+    ``key`` names h in the counterexample.
+    """
+    def prop(n, rng):
+        x = rg.rand_hat2(rng, n)
+        h = rg.rand_symmetric(rng, n) if symmetric else rg.rand_skew(rng, n)
+        c = conj_hat2(x, GHat2.from_bilinear(h))
+        if c.a.is_identity() and (is_symmetric(c.f) if symmetric else is_skew(c.f)):
+            return None
+        return _witness(x=x, **{key: h}, conj=c)
+    return prop
 
 
 def _grol1_conj_closed_form(n, rng):
@@ -325,8 +290,7 @@ def _grol1_conj_closed_form(n, rng):
     explicit = mul_hat2(mul_hat2(x, y), inv_hat2(x))
     if direct == explicit:
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y),
-            "closed_form": group_to_doc(direct), "triple": group_to_doc(explicit)}
+    return _witness(x=x, y=y, closed_form=direct, triple=explicit)
 
 
 def _grol1_decompose_recompose(n, rng):
@@ -338,8 +302,7 @@ def _grol1_decompose_recompose(n, rng):
     )
     if ok:
         return None
-    return {"x": group_to_doc(x), "sym": group_to_doc(sym_el),
-            "skew": bilinear_to_doc(skew)}
+    return _witness(x=x, sym=sym_el, skew=skew)
 
 
 def _grol1_decompose_unique(n, rng):
@@ -348,32 +311,14 @@ def _grol1_decompose_unique(n, rng):
     delta = rg.rand_nonzero_skew(rng, n)
     if delta is not None:
         if mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew + delta)) == x:
-            return {"x": group_to_doc(x), "perturbation": bilinear_to_doc(delta),
-                    "reason": "skew perturbation also recomposes"}
+            return _witness(x=x, perturbation=delta,
+                            reason="skew perturbation also recomposes")
     bump = rg.rand_nonzero_symmetric(rng, n)
     other = GHat2(sym_el.a, sym_el.f + bump)
     if mul_hat2(other, GHat2.from_bilinear(skew)) == x:
-        return {"x": group_to_doc(x), "perturbation": bilinear_to_doc(bump),
-                "reason": "symmetric perturbation also recomposes"}
+        return _witness(x=x, perturbation=bump,
+                        reason="symmetric perturbation also recomposes")
     return None
-
-
-def _grol3_sym_normal(n, rng):
-    x = rg.rand_hat2(rng, n)
-    s = rg.rand_symmetric(rng, n)
-    c = conj_hat2(x, GHat2.from_bilinear(s))
-    if c.a.is_identity() and is_symmetric(c.f):
-        return None
-    return {"x": group_to_doc(x), "s": bilinear_to_doc(s), "conj": group_to_doc(c)}
-
-
-def _grol3_skew_normal(n, rng):
-    x = rg.rand_hat2(rng, n)
-    h = rg.rand_skew(rng, n)
-    c = conj_hat2(x, GHat2.from_bilinear(h))
-    if c.a.is_identity() and is_skew(c.f):
-        return None
-    return {"x": group_to_doc(x), "h": bilinear_to_doc(h), "conj": group_to_doc(c)}
 
 
 def _grol3_conj_ignores_f(n, rng):
@@ -385,7 +330,7 @@ def _grol3_conj_ignores_f(n, rng):
     without_f = conj_hat2(GHat2(a, Bilinear.zero(n)), inner)
     if with_f == without_f:
         return None
-    return {"a": matrix_to_doc(a), "f": bilinear_to_doc(f), "g": bilinear_to_doc(g)}
+    return _witness(a=a, f=f, g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +344,8 @@ def _grop1_homomorphism(n, rng):
     rhs = mul_g2(mu(c1), mu(c2))
     if lhs == rhs:
         return None
-    return {"c1": group_to_doc(c1.representative()),
-            "c2": group_to_doc(c2.representative()),
-            "mu_of_product": group_to_doc(lhs), "product_of_mu": group_to_doc(rhs)}
+    return _witness(c1=c1.representative(), c2=c2.representative(), mu_of_product=lhs,
+                    product_of_mu=rhs)
 
 
 def _grop1_injective(n, rng):
@@ -411,22 +355,21 @@ def _grop1_injective(n, rng):
         return None
     if mu(c1) != mu(c2):
         return None
-    return {"c1": group_to_doc(c1.representative()),
-            "c2": group_to_doc(c2.representative())}
+    return _witness(c1=c1.representative(), c2=c2.representative())
 
 
 def _grop1_surjective(n, rng):
     g = rg.rand_g2(rng, n)
     if mu(mu_inv(g)) == g:
         return None
-    return {"g": group_to_doc(g)}
+    return _witness(g=g)
 
 
 def _grop1_roundtrip(n, rng):
     c = rg.rand_quot_class(rng, n)
     if mu_inv(mu(c)) == c:
         return None
-    return {"c": group_to_doc(c.representative())}
+    return _witness(c=c.representative())
 
 
 def _grop1_coset_equal(n, rng):
@@ -434,14 +377,13 @@ def _grop1_coset_equal(n, rng):
     h = rg.rand_skew(rng, n)
     same = mul_hat2(x, GHat2.from_bilinear(h))
     if not coset_equal(x, same):
-        return {"x": group_to_doc(x), "h": bilinear_to_doc(h),
-                "reason": "skew right factor left the class"}
+        return _witness(x=x, h=h, reason="skew right factor left the class")
     if not coset_equal(x, GHat2(x.a, sym_part(x.f))):
-        return {"x": group_to_doc(x), "reason": "symmetric part left the class"}
+        return _witness(x=x, reason="symmetric part left the class")
     y = rg.rand_hat2(rng, n)
     want = x.a == y.a and sym_part(x.f) == sym_part(y.f)
     if coset_equal(x, y) != want:
-        return {"x": group_to_doc(x), "y": group_to_doc(y)}
+        return _witness(x=x, y=y)
     return None
 
 
@@ -454,7 +396,7 @@ def _grol4_coordinate(n, rng):
     y = rg.rand_t1n(rng, n)
     if mul_t1n(x, y) == mul_t1n_coordinate(x, y):
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y)}
+    return _witness(x=x, y=y)
 
 
 def _grol4_tau_homomorphism(n, rng):
@@ -462,7 +404,7 @@ def _grol4_tau_homomorphism(n, rng):
     y = rg.rand_t1n(rng, n)
     if tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y)):
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y)}
+    return _witness(x=x, y=y)
 
 
 def _grol4_tau_roundtrip(n, rng):
@@ -470,7 +412,7 @@ def _grol4_tau_roundtrip(n, rng):
     y = rg.rand_hat2(rng, n)
     if tau_inv(tau(x)) == x and tau(tau_inv(y)) == y:
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y)}
+    return _witness(x=x, y=y)
 
 
 def _grol4_law_recovered(n, rng):
@@ -479,17 +421,7 @@ def _grol4_law_recovered(n, rng):
     recovered = tau_inv(mul_hat2(tau(x), tau(y)))
     if recovered == mul_t1n(x, y):
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y),
-            "recovered": group_to_doc(recovered)}
-
-
-def _grol4_inverse_via_tau(n, rng):
-    x = rg.rand_t1n(rng, n)
-    e = T1nL1n.identity(n)
-    xi = inv_t1n(x)
-    if mul_t1n(x, xi) == e and mul_t1n(xi, x) == e:
-        return None
-    return {"x": group_to_doc(x), "x_inv": group_to_doc(xi)}
+    return _witness(x=x, y=y, recovered=recovered)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +435,7 @@ def _rbsp1_group_level(n, rng):
     symmetrized = mul_hat2(g.as_hat2(), GHat2(k.a, sym_part(k.f)))
     if symmetrized == GHat2(product.a, sym_part(product.f)):
         return None
-    return {"g": group_to_doc(g), "k": group_to_doc(k),
-            "product": group_to_doc(product)}
+    return _witness(g=g, k=k, product=product)
 
 
 def _rbsp1_frame_level(n, rng):
@@ -514,7 +445,7 @@ def _rbsp1_frame_level(n, rng):
     direct = act_hol(p, G2(k.a, sym_part(k.f)))
     if proj_hat22(moved) == direct:
         return None
-    return {"p": frame_to_doc(p), "k": group_to_doc(k)}
+    return _witness(p=p, k=k)
 
 
 def _rbsp1_well_defined(n, rng):
@@ -526,49 +457,43 @@ def _rbsp1_well_defined(n, rng):
     q1 = act_semihol(embed_hol(p), k)
     q2 = act_semihol(embed_hol(p2), k2)
     if q1 != q2:
-        return {"p": frame_to_doc(p), "k": group_to_doc(k),
-                "alpha": group_to_doc(alpha),
-                "reason": "the two factorizations name different frames"}
+        return _witness(p=p, k=k, alpha=alpha,
+                        reason="the two factorizations name different frames")
     via1 = act_hol(p, G2(k.a, sym_part(k.f)))
     via2 = act_hol(p2, G2(k2.a, sym_part(k2.f)))
     if via1 == via2 == proj_hat22(q1):
         return None
-    return {"p": frame_to_doc(p), "k": group_to_doc(k), "alpha": group_to_doc(alpha),
-            "via_first": frame_to_doc(via1), "via_second": frame_to_doc(via2)}
+    return _witness(p=p, k=k, alpha=alpha, via_first=via1, via_second=via2)
 
 
 # ---------------------------------------------------------------------------
 # level compatibility and the fiber description
 
 
-def _rbsl1_base(n, rng):
-    p = rg.rand_semihol(rng, n)
-    if proj_20(p) == proj_20(proj_hat22(p)):
-        return None
-    return {"p": frame_to_doc(p)}
-
-
-def _rbsl3_linear(n, rng):
-    p = rg.rand_semihol(rng, n)
-    if proj_21(p) == proj_21(proj_hat22(p)):
-        return None
-    return {"p": frame_to_doc(p)}
+def _hat22_keeps(linear: bool) -> PropertyFn:
+    """proj_hat22 keeps the base point, or with ``linear`` the linear frame."""
+    def prop(n, rng):
+        p = rg.rand_semihol(rng, n)
+        lower = proj_21 if linear else proj_20
+        if lower(p) == lower(proj_hat22(p)):
+            return None
+        return _witness(p=p)
+    return prop
 
 
 def _rbsl2_fiber_iff(n, rng):
     p = rg.rand_semihol(rng, n)
     q = rg.rand_hol(rng, n)
     if fiber_hat22_contains(q, p) != (proj_hat22(p) == q):
-        return {"q": frame_to_doc(q), "p": frame_to_doc(p)}
+        return _witness(q=q, p=p)
     own = proj_hat22(p)
     if not fiber_hat22_contains(own, p):
-        return {"q": frame_to_doc(own), "p": frame_to_doc(p),
-                "reason": "frame missing from its own fiber"}
+        return _witness(q=own, p=p, reason="frame missing from its own fiber")
     # near miss: same base point and linear part, independent bilinear part
     probe = SemiHolFrame(q.x, q.a, rg.rand_bilinear(rng, n))
     if fiber_hat22_contains(q, probe) != (proj_hat22(probe) == q):
-        return {"q": frame_to_doc(q), "p": frame_to_doc(probe),
-                "reason": "membership disagrees with projection on a probe"}
+        return _witness(q=q, p=probe,
+                        reason="membership disagrees with projection on a probe")
     return None
 
 
@@ -578,7 +503,7 @@ def _rbsl2_orbit_in_fiber(n, rng):
     moved = act_semihol(embed_hol(q), GHat2.from_bilinear(h))
     if proj_hat22(moved) == q and fiber_hat22_contains(q, moved):
         return None
-    return {"q": frame_to_doc(q), "h": bilinear_to_doc(h)}
+    return _witness(q=q, h=h)
 
 
 def _rbsl2_rejects_other_linear_part(n, rng):
@@ -587,7 +512,7 @@ def _rbsl2_rejects_other_linear_part(n, rng):
     if p.a == q.a:
         return None
     if fiber_hat22_contains(q, p):
-        return {"q": frame_to_doc(q), "p": frame_to_doc(p)}
+        return _witness(q=q, p=p)
     return None
 
 
@@ -602,7 +527,7 @@ def _rbst1_free(n, rng):
         return None
     if act_semihol(q, GHat2.from_bilinear(h)) != q:
         return None
-    return {"q": frame_to_doc(q), "h": bilinear_to_doc(h)}
+    return _witness(q=q, h=h)
 
 
 def _rbst1_omega_well_defined(n, rng):
@@ -613,8 +538,7 @@ def _rbst1_omega_well_defined(n, rng):
     m2 = act_semihol(q, GHat2.from_bilinear(h2))
     if omega(m1) == omega(m2) == omega(q):
         return None
-    return {"q": frame_to_doc(q), "h1": bilinear_to_doc(h1),
-            "h2": bilinear_to_doc(h2)}
+    return _witness(q=q, h1=h1, h2=h2)
 
 
 def _rbst1_omega_injective(n, rng):
@@ -629,11 +553,10 @@ def _rbst1_omega_injective(n, rng):
             continue
         diff = post_compose(mat_inv(qa.a), qb.f - qa.f)
         if not is_skew(diff):
-            return {"q1": frame_to_doc(qa), "q2": frame_to_doc(qb),
-                    "reason": "connecting element is not skew"}
+            return _witness(q1=qa, q2=qb, reason="connecting element is not skew")
         if act_semihol(qa, GHat2.from_bilinear(diff)) != qb:
-            return {"q1": frame_to_doc(qa), "q2": frame_to_doc(qb),
-                    "reason": "connecting element does not map q1 to q2"}
+            return _witness(q1=qa, q2=qb,
+                            reason="connecting element does not map q1 to q2")
     return None
 
 
@@ -643,7 +566,7 @@ def _rbst1_sigma_equation(n, rng):
     lhs = mul_hat2(GHat2(p.a, sym_part(p.f)), GHat2.from_bilinear(s))
     if is_skew(s) and lhs == GHat2(p.a, p.f):
         return None
-    return {"p": frame_to_doc(p), "sigma": bilinear_to_doc(s)}
+    return _witness(p=p, sigma=s)
 
 
 def _rbst1_sigma_reconstruction(n, rng):
@@ -651,7 +574,7 @@ def _rbst1_sigma_reconstruction(n, rng):
     quotient = mul_hat2(inv_hat2(GHat2(p.a, sym_part(p.f))), GHat2(p.a, p.f))
     if quotient == GHat2.from_bilinear(sigma(p)):
         return None
-    return {"p": frame_to_doc(p), "quotient": group_to_doc(quotient)}
+    return _witness(p=p, quotient=quotient)
 
 
 def _rbst1_sigma_equivariance(n, rng):
@@ -659,20 +582,20 @@ def _rbst1_sigma_equivariance(n, rng):
     h = rg.rand_skew(rng, n)
     if sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h:
         return None
-    return {"p": frame_to_doc(p), "h": bilinear_to_doc(h)}
+    return _witness(p=p, h=h)
 
 
 def _rbst1_extension_roundtrip(n, rng):
     q = rg.rand_semihol(rng, n)
     c = theta_inv(q)
     if theta(c) != q:
-        return {"q": frame_to_doc(q), "reason": "theta(theta_inv(q)) != q"}
+        return _witness(q=q, reason="theta(theta_inv(q)) != q")
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     c2 = ext_class(p, k)
     if theta_inv(theta(c2)) != c2:
-        return {"p": frame_to_doc(p), "k": group_to_doc(k),
-                "reason": "theta_inv(theta(c)) != c on a canonical class"}
+        return _witness(p=p, k=k,
+                        reason="theta_inv(theta(c)) != c on a canonical class")
     return None
 
 
@@ -683,7 +606,7 @@ def _rbst1_extension_invariant(n, rng):
     shifted = ext_class(act_hol(p, alpha), mul_hat2(inv_g2(alpha).as_hat2(), k))
     if ext_class(p, k) == shifted:
         return None
-    return {"p": frame_to_doc(p), "k": group_to_doc(k), "alpha": group_to_doc(alpha)}
+    return _witness(p=p, k=k, alpha=alpha)
 
 
 def _rbst1_theta_equivariant(n, rng):
@@ -694,7 +617,7 @@ def _rbst1_theta_equivariant(n, rng):
     rhs = theta(ext_class(p, mul_hat2(k, k2)))
     if lhs == rhs:
         return None
-    return {"p": frame_to_doc(p), "k": group_to_doc(k), "k2": group_to_doc(k2)}
+    return _witness(p=p, k=k, k2=k2)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +631,14 @@ def _rbst2_free(n, rng):
         return None
     if act_tilde22(q, g) != q:
         return None
-    return {"q": frame_to_doc(q), "g": group_to_doc(g)}
+    return _witness(q=q, g=g)
 
 
 def _rbst2_composite(n, rng):
     q = rg.rand_nonhol(rng, n)
     if proj_tilde22(q) == proj_hat22(proj_pi(q)):
         return None
-    return {"q": frame_to_doc(q)}
+    return _witness(q=q)
 
 
 def _rbst2_staged(n, rng):
@@ -728,7 +651,7 @@ def _rbst2_staged(n, rng):
     )
     if act_tilde22(q, g) == staged:
         return None
-    return {"q": frame_to_doc(q), "g": group_to_doc(g)}
+    return _witness(q=q, g=g)
 
 
 def _rbst2_law_matches_tilde21(n, rng):
@@ -738,7 +661,7 @@ def _rbst2_law_matches_tilde21(n, rng):
     w = mul_tilde21(GTilde21(x.l, x.h), GTilde21(y.l, y.h))
     if z.l == w.a and z.h == w.f:
         return None
-    return {"x": group_to_doc(x), "y": group_to_doc(y)}
+    return _witness(x=x, y=y)
 
 
 def _rbst2_projection_invariant(n, rng):
@@ -746,9 +669,8 @@ def _rbst2_projection_invariant(n, rng):
     g = rg.rand_tilde22(rng, n)
     if proj_tilde22(act_tilde22(q, g)) == proj_tilde22(q):
         return None
-    return {"q": frame_to_doc(q), "g": group_to_doc(g),
-            "projected": frame_to_doc(proj_tilde22(q)),
-            "projected_after_action": frame_to_doc(proj_tilde22(act_tilde22(q, g)))}
+    return _witness(q=q, g=g, projected=proj_tilde22(q),
+                    projected_after_action=proj_tilde22(act_tilde22(q, g)))
 
 
 def _rbst2_surjective(n, rng):
@@ -758,7 +680,7 @@ def _rbst2_surjective(n, rng):
     preimage = NonHolFrame(target.x, target.a, target.a, preimage_f)
     if proj_tilde22(preimage) == target:
         return None
-    return {"target": frame_to_doc(target), "preimage": frame_to_doc(preimage)}
+    return _witness(target=target, preimage=preimage)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +699,7 @@ def _diagram_nonhol(n, rng):
     )
     if all(checks):
         return None
-    return {"q": frame_to_doc(q), "checks": list(checks)}
+    return _witness(q=q, checks=list(checks))
 
 
 def _diagram_semihol(n, rng):
@@ -789,7 +711,7 @@ def _diagram_semihol(n, rng):
     )
     if all(checks):
         return None
-    return {"p": frame_to_doc(p), "checks": list(checks)}
+    return _witness(p=p, checks=list(checks))
 
 
 def _diagram_hol(n, rng):
@@ -801,7 +723,7 @@ def _diagram_hol(n, rng):
     )
     if all(checks):
         return None
-    return {"t": frame_to_doc(t), "checks": list(checks)}
+    return _witness(t=t, checks=list(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +737,7 @@ def _oracle_group_law(n, rng):
     via_law = mul_g2(p, q)
     if via_jets == via_law:
         return None
-    return {"p": group_to_doc(p), "q": group_to_doc(q),
-            "via_jets": group_to_doc(via_jets), "via_law": group_to_doc(via_law)}
+    return _witness(p=p, q=q, via_jets=via_jets, via_law=via_law)
 
 
 def _oracle_associative(n, rng):
@@ -829,7 +750,7 @@ def _oracle_associative(n, rng):
     h = rg.rand_map2jet(rng, n, base=x2, value=x3)
     if compose_2jets(compose_2jets(h, g), f) == compose_2jets(h, compose_2jets(g, f)):
         return None
-    return {"f": jet_to_doc(f), "g": jet_to_doc(g), "h": jet_to_doc(h)}
+    return _witness(f=f, g=g, h=h)
 
 
 def _oracle_identity(n, rng):
@@ -838,7 +759,7 @@ def _oracle_identity(n, rng):
     right = compose_2jets(f, Map2Jet.identity(f.base))
     if left == f and right == f:
         return None
-    return {"f": jet_to_doc(f)}
+    return _witness(f=f)
 
 
 def _oracle_functorial(n, rng):
@@ -849,7 +770,7 @@ def _oracle_functorial(n, rng):
     F = rg.rand_map2jet(rng, n, base=mid, value=end)
     if left_act_diffeo(compose_2jets(F, G), q) == left_act_diffeo(F, left_act_diffeo(G, q)):
         return None
-    return {"q": frame_to_doc(q), "F": jet_to_doc(F), "G": jet_to_doc(G)}
+    return _witness(q=q, F=F, G=G)
 
 
 def _oracle_class_preserved(n, rng):
@@ -861,9 +782,8 @@ def _oracle_class_preserved(n, rng):
     for q in frames:
         F = rg.rand_map2jet(rng, n, base=q.x)
         if classify(left_act_diffeo(F, q)) != classify(q):
-            return {"q": frame_to_doc(q), "F": jet_to_doc(F),
-                    "before": classify(q),
-                    "after": classify(left_act_diffeo(F, q))}
+            return _witness(q=q, F=F, before=classify(q),
+                            after=classify(left_act_diffeo(F, q)))
     return None
 
 
@@ -874,7 +794,7 @@ def _oracle_linear_part(n, rng):
     lin = proj_21(moved)
     if lin.x == F.value and lin.a == mat_mul(F.jac, q.a):
         return None
-    return {"q": frame_to_doc(q), "F": jet_to_doc(F)}
+    return _witness(q=q, F=F)
 
 
 # ---------------------------------------------------------------------------
@@ -900,15 +820,18 @@ SUITES: dict[str, Suite] = {
         _suite("prel1",
                "transpose/symmetric/skew parts against post- and diagonal "
                "pre-composition",
-               [Property("post_compose_respects_parts", _prel_post_transpose),
-                Property("diag_pre_compose_respects_parts", _prel_pre_transpose),
+               [Property("post_compose_respects_parts", _parts_commute(post=True)),
+                Property("diag_pre_compose_respects_parts",
+                         _parts_commute(post=False)),
                 Property("sym_plus_skew_recovers", _prel_split),
                 Property("post_and_pre_commute", _prel_two_sided)]),
         _suite("grol1",
                "conjugation preserves the symmetric and skew subsets; unique "
                "symmetric-times-skew factorization",
-               [Property("conjugation_preserves_symmetric", _grol1_conj_sym),
-                Property("conjugation_preserves_skew", _grol1_conj_skew),
+               [Property("conjugation_preserves_symmetric",
+                         _conj_keeps_part(symmetric=True, key="h")),
+                Property("conjugation_preserves_skew",
+                         _conj_keeps_part(symmetric=False, key="h")),
                 Property("conjugation_closed_form", _grol1_conj_closed_form),
                 Property("decompose_recompose", _grol1_decompose_recompose),
                 Property("decompose_unique", _grol1_decompose_unique)]),
@@ -916,8 +839,10 @@ SUITES: dict[str, Suite] = {
                "normality of the symmetric and skew additive subgroups; "
                "conjugation of pure bilinear elements ignores the outer "
                "bilinear part",
-               [Property("symmetric_subgroup_normal", _grol3_sym_normal),
-                Property("skew_subgroup_normal", _grol3_skew_normal),
+               [Property("symmetric_subgroup_normal",
+                         _conj_keeps_part(symmetric=True, key="s")),
+                Property("skew_subgroup_normal",
+                         _conj_keeps_part(symmetric=False, key="h")),
                 Property("conjugation_ignores_outer_bilinear",
                          _grol3_conj_ignores_f)]),
         _suite("grop1",
@@ -935,7 +860,7 @@ SUITES: dict[str, Suite] = {
                 Property("tau_homomorphism", _grol4_tau_homomorphism),
                 Property("tau_roundtrip", _grol4_tau_roundtrip),
                 Property("law_recovered_through_tau", _grol4_law_recovered),
-                Property("inverse_via_tau", _grol4_inverse_via_tau)]),
+                Property("inverse_via_tau", _law_inverse("t1n"))]),
         _suite("rbsp1",
                "multiplying by a symmetric pair commutes with symmetrizing "
                "the bilinear part; the symmetrizing projection is "
@@ -945,7 +870,7 @@ SUITES: dict[str, Suite] = {
                 Property("projection_well_defined", _rbsp1_well_defined)]),
         _suite("rbsl1",
                "the symmetrizing projection preserves the base point",
-               [Property("base_point_preserved", _rbsl1_base)]),
+               [Property("base_point_preserved", _hat22_keeps(linear=False))]),
         _suite("rbsl2",
                "fibers of the symmetrizing projection are exactly the skew "
                "orbits",
@@ -955,7 +880,7 @@ SUITES: dict[str, Suite] = {
                          _rbsl2_rejects_other_linear_part)]),
         _suite("rbsl3",
                "the symmetrizing projection preserves the linear frame",
-               [Property("linear_frame_preserved", _rbsl3_linear)]),
+               [Property("linear_frame_preserved", _hat22_keeps(linear=True))]),
         _suite("rbst1",
                "principal structure of the symmetrizing projection: free skew "
                "action, orbit bijection, trivialization fiber coordinate",

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -12,6 +14,7 @@ from jetframes.serialize import (
     group_to_doc,
     jet_to_doc,
 )
+from jetframes import groups
 from jetframes.frames import proj_hat22, proj_pi
 from jetframes.groups import GHat2, mul_t1n_coordinate
 from jetframes.randgen import rand_hol, rand_map2jet, rand_nonhol, rand_t1n, stream
@@ -98,6 +101,51 @@ def test_op_mul_t1n_cross_checked(capsys, tmp_path):
     py = write_doc(tmp_path, "y.json", group_to_doc(y))
     result = run_json(capsys, "op", "mul", "--group", "t1n", px, py)
     assert group_from_doc(result) == mul_t1n_coordinate(x, y)
+
+
+# Written out per tag rather than read from ``groups.GROUPS``, so a wrong
+# entry in that table shows here.
+_EXPECTED_OPS = {
+    "tilde2": (groups.mul_tilde2, groups.inv_tilde2),
+    "hat2": (groups.mul_hat2, groups.inv_hat2),
+    "g2": (groups.mul_g2, groups.inv_g2),
+    "tilde21": (groups.mul_tilde21, groups.inv_tilde21),
+    "tilde22": (groups.mul_tilde22, groups.inv_tilde22),
+    "t1n": (groups.mul_t1n, groups.inv_t1n),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_EXPECTED_OPS))
+def test_op_mul_and_inv_keep_the_group_tag(capsys, tmp_path, tag):
+    mul, inv = _EXPECTED_OPS[tag]
+    x_doc = run_json(capsys, "gen", tag, "--n", "2", "--seed", "21")
+    y_doc = run_json(capsys, "gen", tag, "--n", "2", "--seed", "22")
+    x, y = group_from_doc(x_doc), group_from_doc(y_doc)
+    px = write_doc(tmp_path, "x.json", x_doc)
+    py = write_doc(tmp_path, "y.json", y_doc)
+    product = run_json(capsys, "op", "mul", "--group", tag, px, py)
+    inverse = run_json(capsys, "op", "inv", "--group", tag, px)
+    assert product["group"] == inverse["group"] == tag
+    assert product == group_to_doc(mul(x, y))
+    assert inverse == group_to_doc(inv(x))
+
+
+def test_input_files_are_closed(capsys, tmp_path):
+    doc = run_json(capsys, "gen", "hat2", "--n", "2", "--seed", "4")
+    path = write_doc(tmp_path, "x.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run_cli(capsys, "op", "inv", "--group", "hat2", path)[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("argv", [("op", "decompose", "x.json"),
+                                  ("verify", "--suite", "prel1")])
+def test_duplicate_spellings_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_op_mu_symmetrizes(capsys, tmp_path):

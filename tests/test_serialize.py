@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from jetframes import ParseError
+from jetframes import ParseError, proj_21
+from jetframes.groups import GROUPS
 from jetframes.randgen import (
+    GROUP_GENERATORS,
     rand_bilinear,
     rand_g2,
     rand_hat2,
@@ -29,6 +31,8 @@ from jetframes.serialize import (
     jet_to_doc,
     matrix_from_doc,
     matrix_to_doc,
+    pair_to_doc,
+    to_doc,
 )
 
 GROUP_GENS = (rand_tilde2, rand_hat2, rand_g2, rand_tilde21, rand_tilde22,
@@ -60,6 +64,27 @@ def test_group_roundtrip(gen):
         el = gen(rng, n)
         doc = _through_json(group_to_doc(el))
         assert group_from_doc(doc) == el
+
+
+def test_every_group_tag_has_a_generator_of_its_type():
+    assert list(GROUP_GENERATORS) == list(GROUPS)
+    for tag, group in GROUPS.items():
+        el = GROUP_GENERATORS[tag](stream(205, tag), 2)
+        assert type(el) is group.type
+        assert group_to_doc(el)["group"] == tag
+
+
+def test_to_doc_dispatches_on_the_value_type():
+    rng = stream(206, "to_doc")
+    a, f = rand_invertible(rng, 2), rand_bilinear(rng, 2)
+    q = rand_nonhol(rng, 2)
+    cases = [(a, matrix_to_doc), (f, bilinear_to_doc), ((a, f), pair_to_doc),
+             (rand_map2jet(rng, 2), jet_to_doc), (proj_21(q), frame_to_doc),
+             (q, frame_to_doc)]
+    cases += [(gen(rng, 2), group_to_doc) for gen in GROUP_GENS]
+    for value, specific in cases:
+        assert to_doc(value) == specific(value)
+    assert pair_to_doc((a, f)) == {"a": matrix_to_doc(a), "f": bilinear_to_doc(f)}
 
 
 @pytest.mark.parametrize("gen", (rand_nonhol, rand_semihol, rand_hol),

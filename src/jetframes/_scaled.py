@@ -6,12 +6,19 @@ in plain integer arithmetic (exact at any size) and results are materialized
 back to normalized ``Fraction`` tuples once, at the end of each public
 operation.  Nothing here is approximate; this layer exists only to avoid
 per-entry rational normalization inside inner loops.
+
+Determinant and inverse share one fraction-free (Bareiss) elimination: the
+determinant by forward elimination, the inverse by Gauss-Jordan on
+``[ints | I]``, both O(n^3) multiplies on integers whose size stays bounded
+by the minors of the input.  Contractions transpose an operand once and take
+each inner product as ``sum(map(mul, row, col))``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import SingularMatrixError
 
@@ -89,68 +96,80 @@ def bil_coeffs(f: Bil) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
 def s_matmul(a: Mat, b: Mat) -> Mat:
     ai, ad = a
     bi, bd = b
-    n = len(ai)
-    rng = range(n)
-    cols = [[bi[k][j] for k in rng] for j in rng]
-    return [[sum(row[k] * col[k] for k in rng) for col in cols]
-            for row in ai], ad * bd
+    cols = list(zip(*bi))
+    return [[sum(map(mul, row, col)) for col in cols] for row in ai], ad * bd
 
 
-def _int_det(m: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+def _eliminate(m: list[list[int]], jordan: bool) -> int:
+    """Fraction-free (Bareiss) elimination of the leading n columns of ``m``.
+
+    ``m`` has n rows and is changed in place.  Forward elimination clears
+    the entries below each pivot; with ``jordan`` the entries above it are
+    cleared too, so the leading n x n block ends as ``p*I`` with ``p`` the
+    last pivot, ``m[n-1][n-1]``, and every row operation was applied to the
+    trailing columns as well.  Each update divides exactly by the previous
+    pivot (Sylvester's identity), so all entries stay integers.  Entries left
+    of the pivot column are not updated and must not be read afterwards.
+
+    Returns the determinant of the leading block: 0 when it is singular,
+    otherwise the last pivot times the sign of the row swaps.
+    """
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    m = [row[:] for row in m]
+    width = len(m[0])
     sign = 1
     prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
+    for k in range(n):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * pivot - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        cols = range(k + 1, width)
+        for r in range(n) if jordan else range(k + 1, n):
+            if r == k:
+                continue
+            row = m[r]
+            c = row[k]
+            for j in cols:
+                row[j] = (row[j] * pivot - c * pivot_row[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def s_det(a: Mat) -> Fraction:
     """Determinant of ints/den: det(ints) / den^n."""
     ints, den = a
-    return Fraction(_int_det(ints), den ** len(ints))
+    n = len(ints)
+    if n == 1:
+        d = ints[0][0]
+    elif n == 2:
+        d = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0]
+    else:
+        d = _eliminate([row[:] for row in ints], jordan=False)
+    return Fraction(d, den ** n)
 
 
 def s_matinv(a: Mat) -> Mat:
-    """Inverse via the adjugate: exact, integer-only until the final scale."""
+    """Inverse by fraction-free Gauss-Jordan on ``[ints | I]``.
+
+    Elimination turns the left block into ``p*I`` and the right block into
+    ``p * ints^-1``, so ``inv(ints/den) = den * right / p``.
+    """
     ints, den = a
     n = len(ints)
-    d = _int_det(ints)
-    if d == 0:
+    m = [row + [1 if i == j else 0 for j in range(n)]
+         for i, row in enumerate(ints)]
+    if _eliminate(m, jordan=True) == 0:
         raise SingularMatrixError("matrix is not invertible")
-    if n == 1:
-        adj = [[1]]
-    else:
-        adj = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [[ints[r][c] for c in range(n) if c != i]
-                         for r in range(n) if r != j]
-                adj[i][j] = (-1) ** (i + j) * _int_det(minor)
-    # inv(ints/den) = den * adj / det
-    if d < 0:
-        d = -d
-        adj = [[-e for e in row] for row in adj]
-    return [[den * e for e in row] for row in adj], d
+    p = m[n - 1][n - 1]
+    if p < 0:
+        p, den = -p, -den
+    return [[den * e for e in row[n:]] for row in m], p
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +179,9 @@ def s_matinv(a: Mat) -> Mat:
 def s_post(a: Mat, f: Bil) -> Bil:
     ai, ad = a
     fi, fd = f
-    n = len(ai)
-    rng = range(n)
-    out = [[[sum(arow[k] * fi[k][i][j] for k in rng) for j in rng] for i in rng]
+    # fibers[i][j] = (f[0][i][j], ..., f[n-1][i][j]): the slot a contracts
+    fibers = [list(zip(*planes)) for planes in zip(*fi)]
+    out = [[[sum(map(mul, arow, fib)) for fib in fib_i] for fib_i in fibers]
            for arow in ai]
     return out, ad * fd
 
@@ -171,13 +190,13 @@ def s_pre(f: Bil, a: Mat, b: Mat) -> Bil:
     fi, fd = f
     ai, ad = a
     bi, bd = b
-    n = len(fi)
-    rng = range(n)
+    acols = list(zip(*ai))
+    bcols = list(zip(*bi))
     out = []
-    for k in rng:
-        fk = fi[k]
-        tmp = [[sum(fk[p][q] * ai[p][i] for p in rng) for q in rng] for i in rng]
-        out.append([[sum(trow[q] * bi[q][j] for q in rng) for j in rng]
+    for fk in fi:
+        fcols = list(zip(*fk))
+        tmp = [[sum(map(mul, acol, fcol)) for fcol in fcols] for acol in acols]
+        out.append([[sum(map(mul, trow, bcol)) for bcol in bcols]
                     for trow in tmp])
     return out, fd * ad * bd
 
@@ -186,10 +205,12 @@ def s_pre_left(f: Bil, a: Mat) -> Bil:
     """f(a, I): contract only the first argument slot."""
     fi, fd = f
     ai, ad = a
-    n = len(fi)
-    rng = range(n)
-    out = [[[sum(fk[p][j] * ai[p][i] for p in rng) for j in rng] for i in rng]
-           for fk in fi]
+    acols = list(zip(*ai))
+    out = []
+    for fk in fi:
+        fcols = list(zip(*fk))
+        out.append([[sum(map(mul, acol, fcol)) for fcol in fcols]
+                    for acol in acols])
     return out, fd * ad
 
 
@@ -197,9 +218,8 @@ def s_pre_right(f: Bil, b: Mat) -> Bil:
     """f(I, b): contract only the second argument slot."""
     fi, fd = f
     bi, bd = b
-    n = len(fi)
-    rng = range(n)
-    out = [[[sum(frow[q] * bi[q][j] for q in rng) for j in rng] for frow in fk]
+    bcols = list(zip(*bi))
+    out = [[[sum(map(mul, frow, bcol)) for bcol in bcols] for frow in fk]
            for fk in fi]
     return out, fd * bd
 

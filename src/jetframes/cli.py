@@ -69,6 +69,10 @@ from .suites import ALL_SUITE_NAMES, run_suites
 
 GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
 
+# operation -> number of input documents it takes
+_OP_ARITY = {"mul": 2, "inv": 1, "conj": 2, "mu": 1, "mu-inv": 1, "tau": 1,
+             "tau-inv": 1, "coset-equal": 2}
+
 _GEN_FRAME = {
     "nonhol": rg.rand_nonhol,
     "semihol": rg.rand_semihol,
@@ -83,7 +87,7 @@ def _read_doc(path: str) -> Any:
         else:
             with open(path) as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -128,6 +132,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_op(args) -> int:
     op = args.operation
+    arity = _OP_ARITY[op]
+    if len(args.inputs) != arity:
+        raise ParseError(f"op {op} takes {arity} input document(s), "
+                         f"got {len(args.inputs)}")
     if op in ("mul", "inv"):
         if args.group is None:
             raise GroupMismatchError(f"op {op} requires --group")
@@ -266,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_op = sub.add_parser("op", help="apply a group operation")
-    p_op.add_argument("operation",
-                      choices=("mul", "inv", "conj", "mu", "mu-inv", "tau",
-                               "tau-inv", "coset-equal"))
+    p_op.add_argument("operation", choices=tuple(_OP_ARITY))
     p_op.add_argument("inputs", nargs="+", help="JSON files ('-' for stdin)")
     p_op.add_argument("--group", choices=tuple(GROUPS))
     p_op.set_defaults(fn=_cmd_op)

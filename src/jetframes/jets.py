@@ -128,10 +128,12 @@ def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:
     common = lcm(den1, den2)
     m1 = common // den1
     m2 = common // den2
+    # sum_{p,q} gh[k][p][q] fj[p][i] fj[q][j], contracted one slot at a time
+    ghf = [[[sum(gh[k][p][q] * fj[q][j] for q in rng) for j in rng]
+            for p in rng] for k in rng]
     hess = _fr3(
         [[[m1 * sum(gj[k][m] * fh[m][i][j] for m in rng)
-           + m2 * sum(gh[k][p][q] * fj[p][i] * fj[q][j]
-                      for p in rng for q in rng)
+           + m2 * sum(fj[p][i] * ghf[k][p][j] for p in rng)
            for j in rng] for i in rng] for k in rng],
         common)
     return Map2Jet(f.base, g.value, SquareMatrix(n, jac), Bilinear(n, hess))
@@ -189,9 +191,12 @@ def left_act_diffeo(F: Map2Jet, q: NonHolFrame) -> NonHolFrame:
     common = lcm(den1, den2)
     m1 = common // den1
     m2 = common // den2
+    # sum_{m,p} H[k][m][p] A[m][l] B[p][j], contracted one slot at a time
+    HB = [[[sum(H[k][m][p] * B[p][j] for p in rng) for j in rng]
+           for m in rng] for k in rng]
     f_new = _fr3(
         [[[m1 * sum(J[k][m] * f[m][l][j] for m in rng)
-           + m2 * sum(H[k][m][p] * A[m][l] * B[p][j] for m in rng for p in rng)
+           + m2 * sum(A[m][l] * HB[k][m][j] for m in rng)
            for j in rng] for l in rng] for k in rng],
         common)
     return NonHolFrame(F.value, SquareMatrix(n, a_new), SquareMatrix(n, b_new),

@@ -66,7 +66,8 @@ def det(a: SquareMatrix) -> Fraction:
 
 
 def mat_inv(a: SquareMatrix) -> SquareMatrix:
-    """Exact inverse (adjugate over cleared denominators).
+    """Exact inverse (fraction-free Bareiss Gauss-Jordan over cleared
+    denominators, O(n^3)).
 
     Raises ``SingularMatrixError`` when the determinant vanishes.
     """

@@ -8,11 +8,14 @@ arithmetic.  This module adds the string form used by every JSON document:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
 
 Rational = Fraction
+
+_RAT_TEXT = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 
 
 def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
@@ -29,17 +32,21 @@ def rat_to_str(value: Fraction) -> str:
 
 
 def rat_from_str(text: str) -> Fraction:
+    """Parse ``"p"`` or ``"p/q"`` in the grammar
+    ``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``, ASCII digits only.
+
+    Signs other than a leading ``-``, whitespace, underscores, non-ASCII
+    digits and leading zeros are rejected.  A fraction that is not in lowest
+    terms, such as ``"10/4"``, is accepted and normalized (to 5/2), so the
+    parse is exact but ``rat_to_str`` gives back the canonical text only.
+    """
     if not isinstance(text, str):
         raise ParseError(f"rational must be a string, got {type(text).__name__}")
-    parts = text.split("/")
+    match = _RAT_TEXT.fullmatch(text)
+    if match is None:
+        raise ParseError(f"malformed rational {text!r}")
+    num, den = match.groups()
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den <= 0:
-                raise ParseError(f"denominator must be positive in {text!r}")
-            return Fraction(num, den)
-    except ValueError as exc:
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ValueError as exc:  # beyond the interpreter's digit limit
         raise ParseError(f"malformed rational {text!r}") from exc
-    raise ParseError(f"malformed rational {text!r}")

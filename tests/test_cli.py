@@ -180,6 +180,28 @@ def test_op_malformed_json_exits_nonzero(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_op_non_utf8_file_exits_nonzero(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "op", "inv", "--group", "hat2", str(path))
+    assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("mul", "--group", "hat2"), 1),
+    (("mul", "--group", "hat2"), 3),
+    (("conj",), 1),
+    (("conj",), 3),
+    (("inv", "--group", "hat2"), 2),
+])
+def test_op_input_count_is_checked(capsys, tmp_path, argv, count):
+    doc = run_json(capsys, "gen", "hat2", "--n", "2", "--seed", "3")
+    paths = [write_doc(tmp_path, f"x{i}.json", doc) for i in range(count)]
+    code, out, err = run_cli(capsys, "op", *argv, *paths)
+    assert code == 2 and out == ""
+    assert f"got {count}" in err
+
+
 # ---------------------------------------------------------------------------
 # project / classify / decompose
 

@@ -31,6 +31,18 @@ def test_parse_rejects_garbage():
             rat_from_str(bad)
 
 
+@pytest.mark.parametrize("text", [" 3", "3 ", "1_000", "+3", "3/ 4", "\u0663",
+                                  "007", "-", "1/", "/2", "1/02", "3\n"])
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ParseError):
+        rat_from_str(text)
+
+
+def test_parse_normalizes_non_reduced_fractions():
+    assert rat_from_str("10/4") == Fraction(5, 2)
+    assert rat_to_str(rat_from_str("-6/3")) == "-2"
+
+
 def test_arithmetic_is_exact():
     third = rat(1, 3)
     assert third + third + third == 1

@@ -1,11 +1,18 @@
 """Private integer-scaled kernels behind the exact public operations.
 
-A scaled value is ``(nested int lists, positive int denominator)``: the
-rational array equals ints/den entrywise.  Operations contract and combine
-in plain integer arithmetic (exact at any size) and results are materialized
-back to normalized ``Fraction`` tuples once, at the end of each public
-operation.  Nothing here is approximate; this layer exists only to avoid
-per-entry rational normalization inside inner loops.
+A scaled value is ``(nested ints, positive int denominator)``: the rational
+array equals ints/den entrywise.  ``SquareMatrix`` and ``Bilinear`` store
+their values in this form, canonical (gcd(all ints, den) = 1), so the
+public operations hand their stored ints to these kernels and build the
+result from the kernel output with ``reduce_mat``/``reduce_bil``, one gcd
+pass; no ``Fraction`` is made on the way.  Kernels read nested tuples or
+lists and return nested lists.  Nothing here is approximate.
+
+Conversions between ``Fraction`` arrays and the scaled form happen only at
+the edges: ``smat``/``sbil`` when a value is built from rationals (the public
+constructors, hence the parsers), ``mat_entries``/``bil_coeffs`` when the
+``entries``/``coeffs`` views are read (documents, the plain-fraction
+cross-checks).
 
 Determinant and inverse share one fraction-free (Bareiss) elimination: the
 determinant by forward elimination, the inverse by Gauss-Jordan on
@@ -19,11 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .errors import SingularMatrixError
 
-Mat = tuple[list[list[int]], int]
-Bil = tuple[list[list[list[int]]], int]
+# (ints, den); the ints are nested lists or nested tuples
+Mat = tuple[Sequence[Sequence[int]], int]
+Bil = tuple[Sequence[Sequence[Sequence[int]]], int]
 
 
 # ---------------------------------------------------------------------------
@@ -31,60 +40,52 @@ Bil = tuple[list[list[list[int]]], int]
 
 
 def smat(entries) -> Mat:
-    den = 1
-    for row in entries:
-        for e in row:
-            den = lcm(den, e.denominator)
+    den = lcm(*{e.denominator for row in entries for e in row})
     return [[e.numerator * (den // e.denominator) for e in row]
             for row in entries], den
 
 
 def sbil(coeffs) -> Bil:
-    den = 1
-    for plane in coeffs:
-        for row in plane:
-            for e in row:
-                den = lcm(den, e.denominator)
+    den = lcm(*{e.denominator for plane in coeffs for row in plane for e in row})
     return [[[e.numerator * (den // e.denominator) for e in row]
              for row in plane] for plane in coeffs], den
 
 
-def seye(n: int) -> Mat:
-    return [[1 if i == j else 0 for i in range(n)] for j in range(n)], 1
+def _common(den: int, rows) -> int:
+    """gcd of ``den`` and every int in ``rows``, stopping once it is 1."""
+    for row in rows:
+        den = gcd(den, *row)
+        if den == 1:
+            break
+    return den
+
+
+def reduce_mat(m: Mat) -> Mat:
+    """Canonical form of a scaled matrix: nested tuples, gcd(ints, den) = 1."""
+    ints, den = m
+    g = _common(den, ints)
+    if g == 1:
+        return tuple(map(tuple, ints)), den
+    return tuple(tuple(e // g for e in row) for row in ints), den // g
+
+
+def reduce_bil(f: Bil) -> Bil:
+    """Canonical form of a scaled bilinear map, as ``reduce_mat``."""
+    ints, den = f
+    g = _common(den, (row for plane in ints for row in plane))
+    if g == 1:
+        return tuple(tuple(map(tuple, plane)) for plane in ints), den
+    return (tuple(tuple(tuple(e // g for e in row) for row in plane)
+                  for plane in ints), den // g)
 
 
 def mat_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
-    ints, den = m
-    g = den
-    for row in ints:
-        for e in row:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        ints = [[e // g for e in row] for row in ints]
+    ints, den = reduce_mat(m)
     return tuple(tuple(Fraction(e, den) for e in row) for row in ints)
 
 
 def bil_coeffs(f: Bil) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    ints, den = f
-    g = den
-    for plane in ints:
-        for row in plane:
-            for e in row:
-                g = gcd(g, e)
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        ints = [[[e // g for e in row] for row in plane] for plane in ints]
+    ints, den = reduce_bil(f)
     return tuple(tuple(tuple(Fraction(e, den) for e in row) for row in plane)
                  for plane in ints)
 
@@ -150,7 +151,7 @@ def s_det(a: Mat) -> Fraction:
     elif n == 2:
         d = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0]
     else:
-        d = _eliminate([row[:] for row in ints], jordan=False)
+        d = _eliminate([list(row) for row in ints], jordan=False)
     return Fraction(d, den ** n)
 
 
@@ -162,7 +163,7 @@ def s_matinv(a: Mat) -> Mat:
     """
     ints, den = a
     n = len(ints)
-    m = [row + [1 if i == j else 0 for j in range(n)]
+    m = [[*row, *(1 if i == j else 0 for j in range(n))]
          for i, row in enumerate(ints)]
     if _eliminate(m, jordan=True) == 0:
         raise SingularMatrixError("matrix is not invertible")

@@ -14,34 +14,47 @@ Composition with matrices comes in two flavours:
 * ``post_compose(a, f)`` is ``a o f``: apply ``a`` to the value slot.
 * ``pre_compose(f, a, b)`` is ``f(a, b)``: feed the first argument through
   ``a`` and the second through ``b``.
+
+Storage is the canonical scaled form of ``matrices``: ``ints[k][i][j]``
+over ``den``, den > 0, gcd(all ints, den) = 1.  ``Bilinear(n, coeffs)``
+converts rationals once; compositions and parts run on the stored ints
+(``_scaled`` kernels) and build their result with the private ``_of``;
+``coeffs`` is the ``Fraction`` view, built on first access and kept.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import _scaled as sc
-from .matrices import SquareMatrix
-
-_FR_ZERO = Fraction(0)
+from .matrices import Scaled, SquareMatrix
 
 
-@dataclass(frozen=True, slots=True)
-class Bilinear:
+@dataclass(frozen=True, slots=True, init=False)
+class Bilinear(Scaled):
     n: int
-    coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    ints: tuple[tuple[tuple[int, ...], ...], ...]
+    den: int
+    _view: tuple | None = field(default=None, repr=False, compare=False)
+    _reduce = staticmethod(sc.reduce_bil)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, coeffs: Sequence[Sequence[Sequence[Fraction]]]) -> None:
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if len(self.coeffs) != self.n or any(
-            len(plane) != self.n or any(len(row) != self.n for row in plane)
-            for plane in self.coeffs
+        if len(coeffs) != n or any(
+            len(plane) != n or any(len(row) != n for row in plane)
+            for plane in coeffs
         ):
-            raise ValueError(f"coeffs must form an {self.n}^3 array")
+            raise ValueError(f"coeffs must form an {n}^3 array")
+        # reduced fractions scale to a canonical form already
+        ints, den = sc.sbil(coeffs)
+        self._set(n, tuple(tuple(map(tuple, plane)) for plane in ints), den)
+
+    @property
+    def coeffs(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        return self._fractions(sc.bil_coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable) -> "Bilinear":
@@ -51,81 +64,66 @@ class Bilinear:
 
     @classmethod
     def zero(cls, n: int) -> "Bilinear":
-        return cls(n, tuple(tuple((_FR_ZERO,) * n for _ in range(n)) for _ in range(n)))
+        return cls._of(([[[0] * n for _ in range(n)] for _ in range(n)], 1))
 
     @classmethod
     def single(cls, n: int, k: int, i: int, j: int, value=1) -> "Bilinear":
         """Map with one nonzero coefficient; handy in tests and examples."""
         val = Fraction(value)
-        return cls(n, tuple(
-            tuple(tuple(val if (kk, ii, jj) == (k, i, j) else _FR_ZERO
-                        for jj in range(n)) for ii in range(n))
-            for kk in range(n)))
+        return cls._of(([[[val.numerator if (kk, ii, jj) == (k, i, j) else 0
+                           for jj in range(n)] for ii in range(n)]
+                         for kk in range(n)], val.denominator))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for plane in self.coeffs for row in plane for e in row)
+        return not any(any(map(any, plane)) for plane in self.ints)
 
-    def _entrywise(self, other: "Bilinear", op) -> "Bilinear":
+    def _check_same_n(self, other: "Bilinear") -> None:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return Bilinear(self.n, tuple(
-            tuple(tuple(op(x, y) for x, y in zip(r1, r2))
-                  for r1, r2 in zip(p1, p2))
-            for p1, p2 in zip(self.coeffs, other.coeffs)))
 
     def __add__(self, other: "Bilinear") -> "Bilinear":
-        return self._entrywise(other, operator.add)
+        self._check_same_n(other)
+        return Bilinear._of(sc.s_add(self.scaled, other.scaled))
 
     def __sub__(self, other: "Bilinear") -> "Bilinear":
-        return self._entrywise(other, operator.sub)
+        self._check_same_n(other)
+        return Bilinear._of(sc.s_add(self.scaled, sc.s_neg(other.scaled)))
 
     def __neg__(self) -> "Bilinear":
-        return Bilinear(self.n, tuple(
-            tuple(tuple(-x for x in row) for row in plane) for plane in self.coeffs))
+        return Bilinear._of(sc.s_neg(self.scaled))
 
 
 def transpose(f: Bilinear) -> Bilinear:
     """Swap the two argument slots: result[k][i][j] = f[k][j][i]."""
-    n = f.n
-    c = f.coeffs
-    return Bilinear(n, tuple(
-        tuple(tuple(c[k][j][i] for j in range(n)) for i in range(n))
-        for k in range(n)))
+    return Bilinear._of(([list(zip(*plane)) for plane in f.ints], f.den))
 
 
 def sym_part(f: Bilinear) -> Bilinear:
-    return Bilinear(f.n, sc.bil_coeffs(sc.s_sym(sc.sbil(f.coeffs))))
+    return Bilinear._of(sc.s_sym(f.scaled))
 
 
 def skew_part(f: Bilinear) -> Bilinear:
-    return Bilinear(f.n, sc.bil_coeffs(sc.s_skew(sc.sbil(f.coeffs))))
+    return Bilinear._of(sc.s_skew(f.scaled))
 
 
 def is_symmetric(f: Bilinear) -> bool:
-    c = f.coeffs
-    n = f.n
-    return all(c[k][i][j] == c[k][j][i]
-               for k in range(n) for i in range(n) for j in range(i + 1, n))
+    return all(plane == tuple(zip(*plane)) for plane in f.ints)
 
 
 def is_skew(f: Bilinear) -> bool:
-    c = f.coeffs
-    n = f.n
-    return all(c[k][i][j] == -c[k][j][i]
-               for k in range(n) for i in range(n) for j in range(i, n))
+    return all(x == -y for plane in f.ints
+               for row, col in zip(plane, zip(*plane)) for x, y in zip(row, col))
 
 
 def post_compose(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a o f: result[l][i][j] = sum_k a[l][k] * f[k][i][j]."""
     if a.n != f.n:
         raise ValueError("dimension mismatch")
-    out = sc.s_post(sc.smat(a.entries), sc.sbil(f.coeffs))
-    return Bilinear(f.n, sc.bil_coeffs(out))
+    return Bilinear._of(sc.s_post(a.scaled, f.scaled))
 
 
 def pre_compose(f: Bilinear, a: SquareMatrix, b: SquareMatrix) -> Bilinear:
     """f(a, b): result[k][i][j] = sum_{p,q} f[k][p][q] * a[p][i] * b[q][j]."""
     if not (f.n == a.n == b.n):
         raise ValueError("dimension mismatch")
-    out = sc.s_pre(sc.sbil(f.coeffs), sc.smat(a.entries), sc.smat(b.entries))
-    return Bilinear(f.n, sc.bil_coeffs(out))
+    return Bilinear._of(sc.s_pre(f.scaled, a.scaled, b.scaled))

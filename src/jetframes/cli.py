@@ -12,6 +12,9 @@ Subcommands:
                                         only when every property passed
 
 Documents are read from file paths ("-" for stdin) and written to stdout.
+Dimensions (``--n``, document ``n``) are capped at ``serialize.MAX_N`` and
+``--trials`` at ``MAX_TRIALS``; larger values, like every malformed input,
+end in a ``ParseError`` and exit code 2.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .groups import (
 )
 from .jets import compose_2jets, left_act_diffeo
 from .serialize import (
+    MAX_N,
     bilinear_to_doc,
     frame_from_doc,
     frame_to_doc,
@@ -68,6 +72,9 @@ from .serialize import (
 from .suites import ALL_SUITE_NAMES, run_suites
 
 GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
+
+#: Largest ``verify --trials``: runs stay bounded (the acceptance scale is 200).
+MAX_TRIALS = 100_000
 
 # operation -> number of input documents it takes
 _OP_ARITY = {"mul": 2, "inv": 1, "conj": 2, "mu": 1, "mu-inv": 1, "tau": 1,
@@ -93,6 +100,13 @@ def _read_doc(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ParseError(f"--n must be between 1 and {MAX_N}, got {n}")
 
 
 def _emit(doc: Any) -> None:
@@ -109,8 +123,7 @@ def _tagged(path: str, tag: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ParseError("--n must be >= 1")
+    _check_n(args.n)
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
     origin = (Fraction(0),) * args.n
     if args.kind in GROUPS:
@@ -231,11 +244,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = ALL_SUITE_NAMES if args.suite == "all" else (args.suite,)
-    if args.trials < 1:
-        raise ParseError("--trials must be >= 1")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ParseError(f"--trials must be between 1 and {MAX_TRIALS}, "
+                         f"got {args.trials}")
     ns = tuple(args.n) if args.n else (1, 2, 3, 4)
-    if any(n < 1 for n in ns):
-        raise ParseError("--n must be >= 1")
+    for n in ns:
+        _check_n(n)
     reports = run_suites(names, ns, args.trials, args.seed)
     if args.json:
         _emit([r.to_doc() for r in reports])

@@ -37,7 +37,7 @@ from .groups import (
     mul_hat2,
     skew_factor,
 )
-from .matrices import SquareMatrix, require_invertible
+from .matrices import Checked, SquareMatrix, require_invertible
 
 Point = tuple[Fraction, ...]
 
@@ -48,7 +48,7 @@ def _check_point(x: Point, n: int) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class NonHolFrame:
+class NonHolFrame(Checked):
     x: Point
     a: SquareMatrix
     b: SquareMatrix
@@ -68,7 +68,7 @@ class NonHolFrame:
 
 
 @dataclass(frozen=True, slots=True)
-class _PairFrame:
+class _PairFrame(Checked):
     """The body shared by the (x, a, f) frame kinds.
 
     A kind whose bilinear part must be symmetric sets ``_symmetric_error``.
@@ -104,7 +104,7 @@ class HolFrame(_PairFrame):
 
 
 @dataclass(frozen=True, slots=True)
-class LinFrame:
+class LinFrame(Checked):
     x: Point
     a: SquareMatrix
 
@@ -125,11 +125,11 @@ AnySecondOrderFrame = NonHolFrame | SemiHolFrame | HolFrame
 
 
 def embed_hol(q: HolFrame) -> SemiHolFrame:
-    return SemiHolFrame(q.x, q.a, q.f)
+    return SemiHolFrame._trusted(q.x, q.a, q.f)
 
 
 def embed_semihol(q: SemiHolFrame) -> NonHolFrame:
-    return NonHolFrame(q.x, q.a, q.a, q.f)
+    return NonHolFrame._trusted(q.x, q.a, q.a, q.f)
 
 
 def classify(q: NonHolFrame) -> str:
@@ -146,21 +146,21 @@ def classify(q: NonHolFrame) -> str:
 
 
 def act_nonhol(q: NonHolFrame, g: GTilde2) -> NonHolFrame:
-    return NonHolFrame(q.x, *law_tilde2(q.a, q.b, q.f, g.a, g.b, g.f))
+    return NonHolFrame._trusted(q.x, *law_tilde2(q.a, q.b, q.f, g.a, g.b, g.f))
 
 
 def act_semihol(q: SemiHolFrame, g: GHat2 | G2) -> SemiHolFrame:
-    return SemiHolFrame(q.x, *law_hat2(q.a, q.f, g.a, g.f))
+    return SemiHolFrame._trusted(q.x, *law_hat2(q.a, q.f, g.a, g.f))
 
 
 def act_hol(q: HolFrame, g: G2) -> HolFrame:
-    return HolFrame(q.x, *law_hat2(q.a, q.f, g.a, g.f))
+    return HolFrame._trusted(q.x, *law_hat2(q.a, q.f, g.a, g.f))
 
 
 def act_tilde22(q: NonHolFrame, g: GTilde22) -> NonHolFrame:
     """Right action (x, a, b, f)(I, l, h) = (x, a, bl, a o h + f(I, l))."""
     eye = SquareMatrix.identity(q.n)
-    return NonHolFrame(q.x, *law_tilde2(q.a, q.b, q.f, eye, g.l, g.h))
+    return NonHolFrame._trusted(q.x, *law_tilde2(q.a, q.b, q.f, eye, g.l, g.h))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,12 @@ def act_tilde22(q: NonHolFrame, g: GTilde22) -> NonHolFrame:
 
 def proj_pi(q: NonHolFrame) -> SemiHolFrame:
     """Drop b and contract: (x, a, b, f) -> (x, a, f(I, a))."""
-    return SemiHolFrame(q.x, q.a, contract_second(q.f, q.a))
+    return SemiHolFrame._trusted(q.x, q.a, contract_second(q.f, q.a))
 
 
 def proj_hat22(q: SemiHolFrame) -> HolFrame:
     """Symmetrize the bilinear part: (x, a, f) -> (x, a, sym_part(f))."""
-    return HolFrame(q.x, q.a, sym_part(q.f))
+    return HolFrame._trusted(q.x, q.a, sym_part(q.f))
 
 
 def proj_tilde22(q: NonHolFrame) -> HolFrame:
@@ -182,7 +182,7 @@ def proj_tilde22(q: NonHolFrame) -> HolFrame:
 
 
 def proj_21(q: AnySecondOrderFrame) -> LinFrame:
-    return LinFrame(q.x, q.a)
+    return LinFrame._trusted(q.x, q.a)
 
 
 def proj_20(q: AnySecondOrderFrame) -> Point:
@@ -203,7 +203,7 @@ def fiber_hat22_contains(q: HolFrame, p: SemiHolFrame) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class ExtClass:
+class ExtClass(Checked):
     """A class [(p, k)] with p holonomic and k a GHat2 element.
 
     (p, k) and (p auto, auto^-1 k) are identified for every symmetric-group
@@ -226,10 +226,10 @@ class ExtClass:
 
 def ext_class(p: HolFrame, k: GHat2) -> ExtClass:
     """Canonicalize (p, k): absorb (k.a, sym k.f) into p, leaving (I, skew)."""
-    alpha = G2(k.a, sym_part(k.f))
+    alpha = G2._trusted(k.a, sym_part(k.f))
     p_new = act_hol(p, alpha)
     k_new = mul_hat2(inv_g2(alpha), k)
-    return ExtClass(p_new, k_new)
+    return ExtClass._trusted(p_new, k_new)
 
 
 def theta(c: ExtClass) -> SemiHolFrame:
@@ -238,8 +238,8 @@ def theta(c: ExtClass) -> SemiHolFrame:
 
 
 def theta_inv(q: SemiHolFrame) -> ExtClass:
-    p = HolFrame(q.x, q.a, sym_part(q.f))
-    return ExtClass(p, GHat2.from_bilinear(skew_factor(q.a, q.f)))
+    p = HolFrame._trusted(q.x, q.a, sym_part(q.f))
+    return ExtClass._trusted(p, GHat2.from_bilinear(skew_factor(q.a, q.f)))
 
 
 # ---------------------------------------------------------------------------

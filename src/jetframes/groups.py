@@ -38,31 +38,14 @@ from typing import Any, Callable
 
 from . import _scaled as sc
 from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
-from .matrices import SquareMatrix, mat_inv, mat_mul, require_invertible
+from .matrices import Checked, SquareMatrix, mat_inv, mat_mul, require_invertible
 
 # A (matrix, bilinear) pair: the components of a pair element, and the
 # elements of the two alternative laws.
 Pair = tuple[SquareMatrix, Bilinear]
 
-
-def _m(x: SquareMatrix) -> sc.Mat:
-    return sc.smat(x.entries)
-
-
-def _b(x: Bilinear) -> sc.Bil:
-    return sc.sbil(x.coeffs)
-
-
-def _mat(n: int, s: sc.Mat) -> SquareMatrix:
-    return SquareMatrix(n, sc.mat_entries(s))
-
-
-def _bil(n: int, s: sc.Bil) -> Bilinear:
-    return Bilinear(n, sc.bil_coeffs(s))
-
-
 @dataclass(frozen=True, slots=True)
-class GTilde2:
+class GTilde2(Checked):
     a: SquareMatrix
     b: SquareMatrix
     f: Bilinear
@@ -85,10 +68,10 @@ class GTilde2:
     @classmethod
     def identity(cls, n: int) -> "GTilde2":
         eye = SquareMatrix.identity(n)
-        return cls(eye, eye, Bilinear.zero(n))
+        return cls._trusted(eye, eye, Bilinear.zero(n))
 
 
-class _PairElement:
+class _PairElement(Checked):
     """The body shared by the (matrix, bilinear) element types.
 
     A subclass is a frozen dataclass with two fields: the matrix part, which
@@ -121,7 +104,7 @@ class _PairElement:
 
     @classmethod
     def identity(cls, n: int):
-        return cls(SquareMatrix.identity(n), Bilinear.zero(n))
+        return cls._trusted(SquareMatrix.identity(n), Bilinear.zero(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +115,7 @@ class GHat2(_PairElement):
     @classmethod
     def from_bilinear(cls, h: Bilinear) -> "GHat2":
         """Embed a bilinear map as (I, h)."""
-        return cls(SquareMatrix.identity(h.n), h)
+        return cls._trusted(SquareMatrix.identity(h.n), h)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,7 +125,7 @@ class G2(_PairElement):
     _symmetric_error = "bilinear part must be symmetric"
 
     def as_hat2(self) -> GHat2:
-        return GHat2(self.a, self.f)
+        return GHat2._trusted(self.a, self.f)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,58 +158,55 @@ def law_tilde2(
     a2: SquareMatrix, b2: SquareMatrix, f2: Bilinear,
 ) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
     """(a1, b1, f1)(a2, b2, f2) = (a1 a2, b1 b2, a1 o f2 + f1(a2, b2))."""
-    n = a1.n
-    sa1, sa2, sb2 = _m(a1), _m(a2), _m(b2)
-    bilinear = sc.s_add(sc.s_post(sa1, _b(f2)), sc.s_pre(_b(f1), sa2, sb2))
-    return (_mat(n, sc.s_matmul(sa1, sa2)), _mat(n, sc.s_matmul(_m(b1), sb2)),
-            _bil(n, bilinear))
+    sa1, sa2, sb2 = a1.scaled, a2.scaled, b2.scaled
+    bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sb2))
+    return (SquareMatrix._of(sc.s_matmul(sa1, sa2)),
+            SquareMatrix._of(sc.s_matmul(b1.scaled, sb2)), Bilinear._of(bilinear))
 
 
 def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, a1 o f2 + f1(a2, a2))."""
-    n = a1.n
-    sa1, sa2 = _m(a1), _m(a2)
-    bilinear = sc.s_add(sc.s_post(sa1, _b(f2)), sc.s_pre(_b(f1), sa2, sa2))
-    return _mat(n, sc.s_matmul(sa1, sa2)), _bil(n, bilinear)
+    sa1, sa2 = a1.scaled, a2.scaled
+    bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sa2))
+    return SquareMatrix._of(sc.s_matmul(sa1, sa2)), Bilinear._of(bilinear)
 
 
 def law_tilde21(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, f2 + f1(I, a2))."""
-    n = a1.n
-    sa2 = _m(a2)
-    bilinear = sc.s_add(_b(f2), sc.s_pre_right(_b(f1), sa2))
-    return _mat(n, sc.s_matmul(_m(a1), sa2)), _bil(n, bilinear)
+    sa2 = a2.scaled
+    bilinear = sc.s_add(f2.scaled, sc.s_pre_right(f1.scaled, sa2))
+    return SquareMatrix._of(sc.s_matmul(a1.scaled, sa2)), Bilinear._of(bilinear)
 
 
 def mul_tilde2(x: GTilde2, y: GTilde2) -> GTilde2:
-    return GTilde2(*law_tilde2(x.a, x.b, x.f, y.a, y.b, y.f))
+    return GTilde2._trusted(*law_tilde2(x.a, x.b, x.f, y.a, y.b, y.f))
 
 
 def mul_hat2(x: GHat2 | G2, y: GHat2 | G2) -> GHat2:
-    return GHat2(*law_hat2(x.a, x.f, y.a, y.f))
+    return GHat2._trusted(*law_hat2(x.a, x.f, y.a, y.f))
 
 
 def mul_g2(x: G2, y: G2) -> G2:
     """The same law as ``mul_hat2``, statically closed on symmetric parts."""
-    return G2(*law_hat2(x.a, x.f, y.a, y.f))
+    return G2._trusted(*law_hat2(x.a, x.f, y.a, y.f))
 
 
 def mul_tilde21(x: GTilde21, y: GTilde21) -> GTilde21:
-    return GTilde21(*law_tilde21(x.a, x.f, y.a, y.f))
+    return GTilde21._trusted(*law_tilde21(x.a, x.f, y.a, y.f))
 
 
 def mul_tilde22(x: GTilde22, y: GTilde22) -> GTilde22:
-    return GTilde22(*law_tilde21(x.l, x.h, y.l, y.h))
+    return GTilde22._trusted(*law_tilde21(x.l, x.h, y.l, y.h))
 
 
 def mul_t1n(x: T1nL1n, y: T1nL1n) -> T1nL1n:
-    n = x.n
-    a1, f1 = _m(x.a), _b(x.f)
-    a2, f2 = _m(y.a), _b(y.f)
+    a1, f1 = x.a.scaled, x.f.scaled
+    a2, f2 = y.a.scaled, y.f.scaled
     a1_inv = sc.s_matinv(a1)
     bilinear = sc.s_add(sc.s_pre_left(f1, a2),
                         sc.s_post(a1, sc.s_pre_right(f2, a1_inv)))
-    return T1nL1n(_mat(n, sc.s_matmul(a1, a2)), _bil(n, bilinear))
+    return T1nL1n._trusted(SquareMatrix._of(sc.s_matmul(a1, a2)),
+                           Bilinear._of(bilinear))
 
 
 def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
@@ -238,8 +218,9 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
         M[i][j][k] = sum_l F[i][l][k] C[l][j]
                    + sum_{l,m} A[i][l] G[l][j][m] B[m][k]
 
-    written here as explicit loops so the structural form above can be
-    cross-checked against an independent computation.
+    written here as explicit loops over the ``Fraction`` views so the
+    structural form above can be cross-checked against an independent
+    computation.
     """
     n = x.n
     A = x.a.entries
@@ -259,25 +240,20 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
 
 def mul_deleon_1(x: Pair, y: Pair) -> Pair:
     """First alternative law on (a, f): (aa', a'^-1 o f(a', a') + f')."""
-    a, f = x
-    a2, f2 = y
-    n = a.n
-    sa, sf = _m(a), _b(f)
-    sa2, sf2 = _m(a2), _b(f2)
-    bilinear = sc.s_add(sc.s_post(sc.s_matinv(sa2), sc.s_pre(sf, sa2, sa2)), sf2)
-    return _mat(n, sc.s_matmul(sa, sa2)), _bil(n, bilinear)
+    (a, f), (a2, f2) = x, y
+    sa2 = a2.scaled
+    bilinear = sc.s_add(sc.s_post(sc.s_matinv(sa2), sc.s_pre(f.scaled, sa2, sa2)),
+                        f2.scaled)
+    return SquareMatrix._of(sc.s_matmul(a.scaled, sa2)), Bilinear._of(bilinear)
 
 
 def mul_deleon_2(x: Pair, y: Pair) -> Pair:
     """Second alternative law on (a, f): (aa', f + a o f'(a^-1, a^-1))."""
-    a, f = x
-    a2, f2 = y
-    n = a.n
-    sa, sf = _m(a), _b(f)
-    sa2, sf2 = _m(a2), _b(f2)
+    (a, f), (a2, f2) = x, y
+    sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_add(sf, sc.s_post(sa, sc.s_pre(sf2, a_inv, a_inv)))
-    return _mat(n, sc.s_matmul(sa, sa2)), _bil(n, bilinear)
+    bilinear = sc.s_add(f.scaled, sc.s_post(sa, sc.s_pre(f2.scaled, a_inv, a_inv)))
+    return SquareMatrix._of(sc.s_matmul(sa, a2.scaled)), Bilinear._of(bilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +262,40 @@ def mul_deleon_2(x: Pair, y: Pair) -> Pair:
 
 def _inverse_hat2(a: SquareMatrix, f: Bilinear) -> Pair:
     """(a, f)^-1 = (a^-1, -a^-1 o f(a^-1, a^-1)) under the ``GHat2`` law."""
-    a_inv = sc.s_matinv(_m(a))
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(_b(f), a_inv, a_inv)))
-    return _mat(a.n, a_inv), _bil(a.n, bilinear)
+    a_inv = sc.s_matinv(a.scaled)
+    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(f.scaled, a_inv, a_inv)))
+    return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
 def _inverse_tilde21(a: SquareMatrix, f: Bilinear) -> Pair:
     """(a, f)^-1 = (a^-1, -f(I, a^-1)) under the ``GTilde21`` law."""
-    a_inv = sc.s_matinv(_m(a))
-    return _mat(a.n, a_inv), _bil(a.n, sc.s_neg(sc.s_pre_right(_b(f), a_inv)))
+    a_inv = sc.s_matinv(a.scaled)
+    return (SquareMatrix._of(a_inv),
+            Bilinear._of(sc.s_neg(sc.s_pre_right(f.scaled, a_inv))))
 
 
 def inv_hat2(x: GHat2) -> GHat2:
-    return GHat2(*_inverse_hat2(x.a, x.f))
+    return GHat2._trusted(*_inverse_hat2(x.a, x.f))
 
 
 def inv_g2(x: G2) -> G2:
-    return G2(*_inverse_hat2(x.a, x.f))
+    return G2._trusted(*_inverse_hat2(x.a, x.f))
 
 
 def inv_tilde2(x: GTilde2) -> GTilde2:
-    n = x.n
-    a_inv = sc.s_matinv(_m(x.a))
-    b_inv = sc.s_matinv(_m(x.b))
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(_b(x.f), a_inv, b_inv)))
-    return GTilde2(_mat(n, a_inv), _mat(n, b_inv), _bil(n, bilinear))
+    a_inv = sc.s_matinv(x.a.scaled)
+    b_inv = sc.s_matinv(x.b.scaled)
+    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(x.f.scaled, a_inv, b_inv)))
+    return GTilde2._trusted(SquareMatrix._of(a_inv), SquareMatrix._of(b_inv),
+                            Bilinear._of(bilinear))
 
 
 def inv_tilde21(x: GTilde21) -> GTilde21:
-    return GTilde21(*_inverse_tilde21(x.a, x.f))
+    return GTilde21._trusted(*_inverse_tilde21(x.a, x.f))
 
 
 def inv_tilde22(x: GTilde22) -> GTilde22:
-    return GTilde22(*_inverse_tilde21(x.l, x.h))
+    return GTilde22._trusted(*_inverse_tilde21(x.l, x.h))
 
 
 def inv_t1n(x: T1nL1n) -> T1nL1n:
@@ -327,20 +304,18 @@ def inv_t1n(x: T1nL1n) -> T1nL1n:
 
 def inv_deleon_1(x: Pair) -> Pair:
     a, f = x
-    n = a.n
-    sa = _m(a)
+    sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_neg(sc.s_post(sa, sc.s_pre(_b(f), a_inv, a_inv)))
-    return _mat(n, a_inv), _bil(n, bilinear)
+    bilinear = sc.s_neg(sc.s_post(sa, sc.s_pre(f.scaled, a_inv, a_inv)))
+    return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
 def inv_deleon_2(x: Pair) -> Pair:
     a, f = x
-    n = a.n
-    sa = _m(a)
+    sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(_b(f), sa, sa)))
-    return _mat(n, a_inv), _bil(n, bilinear)
+    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(f.scaled, sa, sa)))
+    return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +324,8 @@ def inv_deleon_2(x: Pair) -> Pair:
 
 def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
     """outer * inner * outer^-1 in closed form."""
-    n = outer.n
-    a, f = _m(outer.a), _b(outer.f)
-    b, g = _m(inner.a), _b(inner.f)
+    a, f = outer.a.scaled, outer.f.scaled
+    b, g = inner.a.scaled, inner.f.scaled
     a_inv = sc.s_matinv(a)
     aba = sc.s_matmul(sc.s_matmul(a, b), a_inv)
     ba = sc.s_matmul(b, a_inv)
@@ -360,22 +334,22 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
         sc.s_post(a, sc.s_pre(g, a_inv, a_inv)),
         sc.s_pre(f, ba, ba),
     )
-    return GHat2(_mat(n, aba), _bil(n, bilinear))
+    return GHat2._trusted(SquareMatrix._of(aba), Bilinear._of(bilinear))
 
 
 def skew_factor(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a^-1 o skew_part(f): the skew h with (a, f) = (a, sym_part(f)) * (I, h)."""
-    return _bil(a.n, sc.s_post(sc.s_matinv(_m(a)), sc.s_skew(_b(f))))
+    return Bilinear._of(sc.s_post(sc.s_matinv(a.scaled), sc.s_skew(f.scaled)))
 
 
 def contract_second(f: Bilinear, m: SquareMatrix) -> Bilinear:
     """f(I, m): feed the second argument slot of f through m."""
-    return _bil(f.n, sc.s_pre_right(_b(f), _m(m)))
+    return Bilinear._of(sc.s_pre_right(f.scaled, m.scaled))
 
 
 def decompose_hat2(x: GHat2) -> tuple[G2, Bilinear]:
     """Split (a, f) = (a, f_s) * (I, a^-1 o f_a); the pair is unique."""
-    return G2(x.a, sym_part(x.f)), skew_factor(x.a, x.f)
+    return G2._trusted(x.a, sym_part(x.f)), skew_factor(x.a, x.f)
 
 
 def in_g2(x: GHat2) -> bool:
@@ -405,16 +379,16 @@ class QuotClassHat(_PairElement):
 
     @classmethod
     def of(cls, x: GHat2) -> "QuotClassHat":
-        return cls(x.a, sym_part(x.f))
+        return cls._trusted(x.a, sym_part(x.f))
 
     def representative(self) -> GHat2:
-        return GHat2(self.a, self.f_sym)
+        return GHat2._trusted(self.a, self.f_sym)
 
 
 def mul_quot(x: QuotClassHat, y: QuotClassHat) -> QuotClassHat:
     """Class product: multiply representatives, then re-canonicalize."""
     a, f = law_hat2(x.a, x.f_sym, y.a, y.f_sym)
-    return QuotClassHat(a, sym_part(f))
+    return QuotClassHat._trusted(a, sym_part(f))
 
 
 def coset_equal(x: GHat2, y: GHat2) -> bool:
@@ -422,11 +396,11 @@ def coset_equal(x: GHat2, y: GHat2) -> bool:
 
 
 def mu(c: QuotClassHat) -> G2:
-    return G2(c.a, c.f_sym)
+    return G2._trusted(c.a, c.f_sym)
 
 
 def mu_inv(g: G2) -> QuotClassHat:
-    return QuotClassHat(g.a, g.f)
+    return QuotClassHat._trusted(g.a, g.f)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +408,12 @@ def mu_inv(g: G2) -> QuotClassHat:
 
 
 def tau(x: T1nL1n) -> GHat2:
-    return GHat2(x.a, contract_second(x.f, x.a))
+    return GHat2._trusted(x.a, contract_second(x.f, x.a))
 
 
 def tau_inv(y: GHat2) -> T1nL1n:
-    return T1nL1n(y.a, _bil(y.n, sc.s_pre_right(_b(y.f), sc.s_matinv(_m(y.a)))))
+    return T1nL1n._trusted(y.a, Bilinear._of(
+        sc.s_pre_right(y.f.scaled, sc.s_matinv(y.a.scaled))))
 
 
 # ---------------------------------------------------------------------------

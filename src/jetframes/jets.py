@@ -12,7 +12,8 @@ extra factor: the 1/2 lives in the evaluation above, not in the stored
 tensor.
 
 Everything here re-derives compositions and frame actions from the chain
-rule with its own index loops.  It intentionally does not call the
+rule with its own index loops over the stored integers (``ints``/``den``)
+of matrices and bilinear maps.  It intentionally does not call the
 contraction kernels of the core algebra, so agreement between this module
 and the group laws is a genuine cross-check of two implementations.
 """
@@ -28,35 +29,6 @@ from .errors import CompositionDomainError, NotAFrameError
 from .frames import NonHolFrame, Point
 from .groups import G2
 from .matrices import SquareMatrix, det
-
-
-def _ints2(entries) -> tuple[list[list[int]], int]:
-    """Clear denominators of a matrix; local twin of the core helper."""
-    den = 1
-    for row in entries:
-        for e in row:
-            den = lcm(den, e.denominator)
-    return [[e.numerator * (den // e.denominator) for e in row]
-            for row in entries], den
-
-
-def _ints3(coeffs) -> tuple[list[list[list[int]]], int]:
-    den = 1
-    for plane in coeffs:
-        for row in plane:
-            for e in row:
-                den = lcm(den, e.denominator)
-    return [[[e.numerator * (den // e.denominator) for e in row]
-             for row in plane] for plane in coeffs], den
-
-
-def _fr2(ints, den) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(e, den) for e in row) for row in ints)
-
-
-def _fr3(ints, den) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    return tuple(tuple(tuple(Fraction(e, den) for e in row) for row in plane)
-                 for plane in ints)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,13 +87,13 @@ def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:
     if g.base != f.value:
         raise CompositionDomainError("outer jet is not based at the inner value")
     n = g.n
-    gj, gjd = _ints2(g.jac.entries)
-    fj, fjd = _ints2(f.jac.entries)
-    gh, ghd = _ints3(g.hess.coeffs)
-    fh, fhd = _ints3(f.hess.coeffs)
+    gj, gjd = g.jac.ints, g.jac.den
+    fj, fjd = f.jac.ints, f.jac.den
+    gh, ghd = g.hess.ints, g.hess.den
+    fh, fhd = f.hess.ints, f.hess.den
     rng = range(n)
-    jac = _fr2([[sum(gj[k][m] * fj[m][i] for m in rng) for i in rng]
-                for k in rng], gjd * fjd)
+    jac = SquareMatrix._of(([[sum(gj[k][m] * fj[m][i] for m in rng) for i in rng]
+                             for k in rng], gjd * fjd))
     # common denominator for gj.fh (gjd*fhd) and gh.fj.fj (ghd*fjd*fjd)
     den1 = gjd * fhd
     den2 = ghd * fjd * fjd
@@ -131,12 +103,12 @@ def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:
     # sum_{p,q} gh[k][p][q] fj[p][i] fj[q][j], contracted one slot at a time
     ghf = [[[sum(gh[k][p][q] * fj[q][j] for q in rng) for j in rng]
             for p in rng] for k in rng]
-    hess = _fr3(
+    hess = Bilinear._of((
         [[[m1 * sum(gj[k][m] * fh[m][i][j] for m in rng)
            + m2 * sum(fj[p][i] * ghf[k][p][j] for p in rng)
            for j in rng] for i in rng] for k in rng],
-        common)
-    return Map2Jet(f.base, g.value, SquareMatrix(n, jac), Bilinear(n, hess))
+        common))
+    return Map2Jet(f.base, g.value, jac, hess)
 
 
 def _jet_of_pair(a: SquareMatrix, f: Bilinear) -> Map2Jet:
@@ -176,16 +148,16 @@ def left_act_diffeo(F: Map2Jet, q: NonHolFrame) -> NonHolFrame:
     if det(F.jac) == 0:
         raise NotAFrameError("jet is not a local diffeomorphism")
     n = q.n
-    J, Jd = _ints2(F.jac.entries)
-    H, Hd = _ints3(F.hess.coeffs)
-    A, Ad = _ints2(q.a.entries)
-    B, Bd = _ints2(q.b.entries)
-    f, fd = _ints3(q.f.coeffs)
+    J, Jd = F.jac.ints, F.jac.den
+    H, Hd = F.hess.ints, F.hess.den
+    A, Ad = q.a.ints, q.a.den
+    B, Bd = q.b.ints, q.b.den
+    f, fd = q.f.ints, q.f.den
     rng = range(n)
-    a_new = _fr2([[sum(J[k][m] * A[m][i] for m in rng) for i in rng]
-                  for k in rng], Jd * Ad)
-    b_new = _fr2([[sum(J[k][m] * B[m][i] for m in rng) for i in rng]
-                  for k in rng], Jd * Bd)
+    a_new = SquareMatrix._of(([[sum(J[k][m] * A[m][i] for m in rng) for i in rng]
+                               for k in rng], Jd * Ad))
+    b_new = SquareMatrix._of(([[sum(J[k][m] * B[m][i] for m in rng) for i in rng]
+                               for k in rng], Jd * Bd))
     den1 = Jd * fd
     den2 = Hd * Ad * Bd
     common = lcm(den1, den2)
@@ -194,10 +166,10 @@ def left_act_diffeo(F: Map2Jet, q: NonHolFrame) -> NonHolFrame:
     # sum_{m,p} H[k][m][p] A[m][l] B[p][j], contracted one slot at a time
     HB = [[[sum(H[k][m][p] * B[p][j] for p in rng) for j in rng]
            for m in rng] for k in rng]
-    f_new = _fr3(
+    f_new = Bilinear._of((
         [[[m1 * sum(J[k][m] * f[m][l][j] for m in rng)
            + m2 * sum(A[m][l] * HB[k][m][j] for m in rng)
            for j in rng] for l in rng] for k in rng],
-        common)
-    return NonHolFrame(F.value, SquareMatrix(n, a_new), SquareMatrix(n, b_new),
-                       Bilinear(n, f_new))
+        common))
+    # DF(x) is invertible (checked above), so a' and b' are
+    return NonHolFrame._trusted(F.value, a_new, b_new, f_new)

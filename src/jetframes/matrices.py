@@ -4,33 +4,88 @@ Entry convention: ``entries[j][i]`` is the coefficient of ``E_j`` in the image
 of the basis vector ``E_i``, so rows index values and columns index arguments
 and matrix-vector action is the usual ``(a v)^j = sum_i entries[j][i] v^i``.
 
-Multiplication, determinant and inversion are exact; they clear denominators
-and work in plain integers (see ``_scaled``), so no rounding happens anywhere.
+A matrix is stored in canonical scaled form: integers ``ints`` (nested
+tuples) and a denominator ``den`` with den > 0 and gcd(all ints, den) = 1,
+so the value is ints/den entrywise.  The form is unique, so equality and
+hashing compare the stored ints.  ``SquareMatrix(n, entries)`` converts
+rationals into this form once; operations hand ``scaled`` to the integer
+kernels of ``_scaled`` and build their result with the private ``_of``,
+which only reduces by the common gcd.  ``entries`` is the ``Fraction`` view,
+built on first access and then kept (documents and the plain-fraction
+cross-checks read it; values whose view is never read never hold one).
+
+``Checked`` gives the value types whose constructors check invariants a
+trusted builder for results that satisfy them by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _scaled as sc
 from .errors import SingularMatrixError
 
-_FR_ZERO = Fraction(0)
-_FR_ONE = Fraction(1)
+
+class Scaled:
+    """The storage shared by ``SquareMatrix`` and ``Bilinear``.
+
+    A subclass is a frozen dataclass with the fields ``n``, ``ints``, ``den``
+    and the cache ``_view``, and names the ``_scaled`` function that reduces
+    its kernel output to canonical form in ``_reduce``.
+    """
+
+    __slots__ = ()
+    _reduce: Callable
+
+    def _set(self, n: int, ints, den: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_view", None)
+
+    @classmethod
+    def _of(cls, s):
+        """The value of kernel output ``(ints, den)``, den > 0, reduced to
+        canonical form; the shape is the kernel's, so it is not checked."""
+        ints, den = cls._reduce(s)
+        obj = object.__new__(cls)
+        obj._set(len(ints), ints, den)
+        return obj
+
+    @property
+    def scaled(self):
+        """The stored ``(ints, den)``, as the kernels take it."""
+        return self.ints, self.den
+
+    def _fractions(self, convert):
+        """The ``Fraction`` view, built by ``convert`` on first access."""
+        if self._view is None:
+            object.__setattr__(self, "_view", convert(self.scaled))
+        return self._view
 
 
-@dataclass(frozen=True, slots=True)
-class SquareMatrix:
+@dataclass(frozen=True, slots=True, init=False)
+class SquareMatrix(Scaled):
     n: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    ints: tuple[tuple[int, ...], ...]
+    den: int
+    _view: tuple | None = field(default=None, repr=False, compare=False)
+    _reduce = staticmethod(sc.reduce_mat)
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, entries: Sequence[Sequence[Fraction]]) -> None:
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError(f"entries must form an {self.n}x{self.n} array")
+        if len(entries) != n or any(len(r) != n for r in entries):
+            raise ValueError(f"entries must form an {n}x{n} array")
+        # reduced fractions scale to a canonical form already
+        ints, den = sc.smat(entries)
+        self._set(n, tuple(map(tuple, ints)), den)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._fractions(sc.mat_entries)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SquareMatrix":
@@ -39,16 +94,15 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls(n, tuple(tuple(_FR_ONE if i == j else _FR_ZERO for i in range(n))
-                            for j in range(n)))
+        return cls._of(([[int(i == j) for i in range(n)] for j in range(n)], 1))
 
     @classmethod
     def zero(cls, n: int) -> "SquareMatrix":
-        return cls(n, tuple((_FR_ZERO,) * n for _ in range(n)))
+        return cls._of(([[0] * n for _ in range(n)], 1))
 
     def is_identity(self) -> bool:
-        return all(e == (1 if i == j else 0)
-                   for j, row in enumerate(self.entries) for i, e in enumerate(row))
+        return self.den == 1 and all(
+            e == (i == j) for j, row in enumerate(self.ints) for i, e in enumerate(row))
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         return mat_mul(self, other)
@@ -57,22 +111,20 @@ class SquareMatrix:
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    product = sc.s_matmul(sc.smat(a.entries), sc.smat(b.entries))
-    return SquareMatrix(a.n, sc.mat_entries(product))
+    return SquareMatrix._of(sc.s_matmul(a.scaled, b.scaled))
 
 
 def det(a: SquareMatrix) -> Fraction:
-    return sc.s_det(sc.smat(a.entries))
+    return sc.s_det(a.scaled)
 
 
 def mat_inv(a: SquareMatrix) -> SquareMatrix:
-    """Exact inverse (fraction-free Bareiss Gauss-Jordan over cleared
-    denominators, O(n^3)).
+    """Exact inverse (fraction-free Bareiss Gauss-Jordan on the stored ints,
+    O(n^3)).
 
     Raises ``SingularMatrixError`` when the determinant vanishes.
     """
-    inverse = sc.s_matinv(sc.smat(a.entries))
-    return SquareMatrix(a.n, sc.mat_entries(inverse))
+    return SquareMatrix._of(sc.s_matinv(a.scaled))
 
 
 def is_invertible(a: SquareMatrix) -> bool:
@@ -83,3 +135,25 @@ def require_invertible(a: SquareMatrix, what: str) -> None:
     """Raise ``SingularMatrixError`` naming ``what`` when ``a`` is singular."""
     if det(a) == 0:
         raise SingularMatrixError(f"{what} must be invertible")
+
+
+class Checked:
+    """Base of the value types whose constructor checks invariants.
+
+    The constructor (a dataclass ``__post_init__``) checks what data entering
+    the system must satisfy: invertible matrix parts, symmetric or skew
+    bilinear parts.  Results of a law, an inverse or a projection satisfy
+    these by construction (det is multiplicative, the laws are closed), so
+    they are built with ``_trusted``, which skips the checks.  Pointing
+    ``_trusted`` at the constructor re-checks every such result.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *parts):
+        """An instance with fields ``parts``, in field order, unchecked."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, parts):
+            object.__setattr__(obj, name, value)
+        return obj

@@ -84,8 +84,8 @@ def rand_point(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
 
 
 def rand_matrix(rng: SplitMix64, n: int) -> SquareMatrix:
-    return SquareMatrix(n, tuple(
-        tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)))
+    return SquareMatrix._of(
+        ([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], 1))
 
 
 def rand_invertible(rng: SplitMix64, n: int) -> SquareMatrix:
@@ -96,10 +96,10 @@ def rand_invertible(rng: SplitMix64, n: int) -> SquareMatrix:
 
 
 def rand_bilinear(rng: SplitMix64, n: int) -> Bilinear:
-    return Bilinear(n, tuple(
-        tuple(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-                    for _ in range(n)) for _ in range(n))
-        for _ in range(n)))
+    # numerator, then denominator in {1, 2}, scaled to the denominator 2
+    return Bilinear._of(([[[rng.randint(-4, 4) * (2 // rng.choice((1, 2)))
+                            for _ in range(n)] for _ in range(n)]
+                          for _ in range(n)], 2))
 
 
 def rand_symmetric(rng: SplitMix64, n: int) -> Bilinear:

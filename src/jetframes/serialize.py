@@ -11,6 +11,9 @@ so round-trips are bit-exact.  Schemas:
 * frame: {"kind": nonhol|semihol|hol|lin, "n": n, "x": [...],
   "a": [[...]], "b"?: [[...]], "f"?: [[[...]]]}
 * jet: {"base": [...], "value": [...], "jac": [[...]], "hess": [[[...]]]}
+
+Every parser rejects a dimension above ``MAX_N`` before reading the
+coefficients.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .groups import GROUPS, G2, GHat2, GTilde2, GTilde21, GTilde22, Pair, T1nL1n
 from .jets import Map2Jet
 from .matrices import SquareMatrix
 from .rational import rat_from_str, rat_to_str
+
+#: Largest dimension a document (or ``gen``/``verify --n``) may have.  A
+#: bilinear map holds n^3 coefficients and a contraction costs n^4 products,
+#: so the cap keeps every input within memory and time.
+MAX_N = 64
 
 GroupElement = GTilde2 | GHat2 | G2 | GTilde21 | GTilde22 | T1nL1n
 Frame = NonHolFrame | SemiHolFrame | HolFrame | LinFrame
@@ -49,9 +57,20 @@ def matrix_to_doc(m: SquareMatrix) -> list[list[str]]:
     return [[rat_to_str(e) for e in row] for row in m.entries]
 
 
+def _check_n(n: Any, what: str) -> None:
+    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+        raise ParseError(f"{what} needs an integer 'n' between 1 and {MAX_N}")
+
+
+def _check_size(doc: Any, what: str) -> None:
+    if isinstance(doc, list) and len(doc) > MAX_N:
+        raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
+
+
 def matrix_from_doc(doc: Any) -> SquareMatrix:
     if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
         raise ParseError("matrix must be a nested JSON array")
+    _check_size(doc, "matrix")
     rows = tuple(tuple(rat_from_str(e) for e in row) for row in doc)
     try:
         return SquareMatrix(len(rows), rows)
@@ -78,6 +97,7 @@ def _coeffs_only_from_doc(
     doc: Any, n: Any,
     mismatch: str = "bilinear shape disagrees with the document's 'n'",
 ) -> Bilinear:
+    _check_size(doc, "bilinear")
     try:
         data = tuple(tuple(tuple(rat_from_str(e) for e in row) for row in plane)
                      for plane in doc)
@@ -107,8 +127,7 @@ def group_from_doc(doc: Any) -> GroupElement:
     if tag not in GROUPS:
         raise ParseError(f"unknown group tag {tag!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("group element needs a positive integer 'n'")
+    _check_n(n, "group element")
     try:
         a = matrix_from_doc(doc["a"])
         f = _coeffs_only_from_doc(doc["f"], n)
@@ -144,8 +163,7 @@ def frame_from_doc(doc: Any) -> Frame:
     if kind not in _FRAMES:
         raise ParseError(f"unknown frame kind {kind!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ParseError("frame needs a positive integer 'n'")
+    _check_n(n, "frame")
     try:
         x = vector_from_doc(doc["x"])
         a = matrix_from_doc(doc["a"])

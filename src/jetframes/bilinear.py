@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _scaled as sc
-from .matrices import Scaled, SquareMatrix
+from .matrices import Scaled, SquareMatrix, same_n
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -41,8 +41,7 @@ class Bilinear(Scaled):
     _reduce = staticmethod(sc.reduce_bil)
 
     def __init__(self, n: int, coeffs: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        self._check_dim(n)
         if len(coeffs) != n or any(
             len(plane) != n or any(len(row) != n for row in plane)
             for plane in coeffs
@@ -64,11 +63,13 @@ class Bilinear(Scaled):
 
     @classmethod
     def zero(cls, n: int) -> "Bilinear":
+        cls._check_dim(n)
         return cls._of(([[[0] * n for _ in range(n)] for _ in range(n)], 1))
 
     @classmethod
     def single(cls, n: int, k: int, i: int, j: int, value=1) -> "Bilinear":
         """Map with one nonzero coefficient; handy in tests and examples."""
+        cls._check_dim(n)
         val = Fraction(value)
         return cls._of(([[[val.numerator if (kk, ii, jj) == (k, i, j) else 0
                            for jj in range(n)] for ii in range(n)]
@@ -77,16 +78,12 @@ class Bilinear(Scaled):
     def is_zero(self) -> bool:
         return not any(any(map(any, plane)) for plane in self.ints)
 
-    def _check_same_n(self, other: "Bilinear") -> None:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
     def __add__(self, other: "Bilinear") -> "Bilinear":
-        self._check_same_n(other)
+        same_n(self, other)
         return Bilinear._of(sc.s_add(self.scaled, other.scaled))
 
     def __sub__(self, other: "Bilinear") -> "Bilinear":
-        self._check_same_n(other)
+        same_n(self, other)
         return Bilinear._of(sc.s_add(self.scaled, sc.s_neg(other.scaled)))
 
     def __neg__(self) -> "Bilinear":
@@ -117,13 +114,11 @@ def is_skew(f: Bilinear) -> bool:
 
 def post_compose(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a o f: result[l][i][j] = sum_k a[l][k] * f[k][i][j]."""
-    if a.n != f.n:
-        raise ValueError("dimension mismatch")
+    same_n(a, f)
     return Bilinear._of(sc.s_post(a.scaled, f.scaled))
 
 
 def pre_compose(f: Bilinear, a: SquareMatrix, b: SquareMatrix) -> Bilinear:
     """f(a, b): result[k][i][j] = sum_{p,q} f[k][p][q] * a[p][i] * b[q][j]."""
-    if not (f.n == a.n == b.n):
-        raise ValueError("dimension mismatch")
+    same_n(f, a, b)
     return Bilinear._of(sc.s_pre(f.scaled, a.scaled, b.scaled))

@@ -59,8 +59,8 @@ from .groups import (
 )
 from .jets import compose_2jets, left_act_diffeo
 from .serialize import (
-    MAX_N,
     bilinear_to_doc,
+    check_n,
     frame_from_doc,
     frame_to_doc,
     group_from_doc,
@@ -98,15 +98,10 @@ def _read_doc(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
-
-
-def _check_n(n: int) -> None:
-    if not 1 <= n <= MAX_N:
-        raise ParseError(f"--n must be between 1 and {MAX_N}, got {n}")
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _emit(doc: Any) -> None:
@@ -122,8 +117,16 @@ def _tagged(path: str, tag: str):
     return group_from_doc(doc)
 
 
+def _tagged_pair(paths: list[str], tag: str):
+    """The two operands of a binary operation, of one group and dimension."""
+    x, y = (_tagged(path, tag) for path in paths)
+    if x.n != y.n:
+        raise ParseError(f"{paths[0]} has n = {x.n} but {paths[1]} has n = {y.n}")
+    return x, y
+
+
 def _cmd_gen(args) -> int:
-    _check_n(args.n)
+    check_n(args.n, "--n")
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
     origin = (Fraction(0),) * args.n
     if args.kind in GROUPS:
@@ -153,14 +156,12 @@ def _cmd_op(args) -> int:
         if args.group is None:
             raise GroupMismatchError(f"op {op} requires --group")
         group = GROUPS[args.group]
-        x = _tagged(args.inputs[0], args.group)
         if op == "mul":
-            _emit(group_to_doc(group.mul(x, _tagged(args.inputs[1], args.group))))
+            _emit(group_to_doc(group.mul(*_tagged_pair(args.inputs, args.group))))
         else:
-            _emit(group_to_doc(group.inv(x)))
+            _emit(group_to_doc(group.inv(_tagged(args.inputs[0], args.group))))
     elif op == "conj":
-        outer = _tagged(args.inputs[0], "hat2")
-        inner = _tagged(args.inputs[1], "hat2")
+        outer, inner = _tagged_pair(args.inputs, "hat2")
         _emit(group_to_doc(conj_hat2(outer, inner)))
     elif op == "mu":
         x = _tagged(args.inputs[0], "hat2")
@@ -175,8 +176,7 @@ def _cmd_op(args) -> int:
         y = _tagged(args.inputs[0], "hat2")
         _emit(group_to_doc(tau_inv(y)))
     elif op == "coset-equal":
-        x = _tagged(args.inputs[0], "hat2")
-        y = _tagged(args.inputs[1], "hat2")
+        x, y = _tagged_pair(args.inputs, "hat2")
         _emit({"equal": coset_equal(x, y)})
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown operation {op!r}")
@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
                          f"got {args.trials}")
     ns = tuple(args.n) if args.n else (1, 2, 3, 4)
     for n in ns:
-        _check_n(n)
+        check_n(n, "--n")
     reports = run_suites(names, ns, args.trials, args.seed)
     if args.json:
         _emit([r.to_doc() for r in reports])

@@ -5,7 +5,9 @@ what differs between the groups is only the multiplication law.  Each law is
 written once, on components (``law_tilde2``, ``law_hat2``, ``law_tilde21``),
 and both the products here and the frame actions in ``frames`` call it.
 Each group still gets its own element type, so elements of different groups
-never mix.  Products, inverses and conjugations are all exact.
+never mix.  Products, inverses and conjugations are all exact, and every
+operation that combines operands first checks that they share one dimension
+(``matrices.same_n``, ``ValueError`` otherwise).
 
 The element types:
 
@@ -38,7 +40,14 @@ from typing import Any, Callable
 
 from . import _scaled as sc
 from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
-from .matrices import Checked, SquareMatrix, mat_inv, mat_mul, require_invertible
+from .matrices import (
+    Checked,
+    SquareMatrix,
+    mat_inv,
+    mat_mul,
+    require_invertible,
+    same_n,
+)
 
 # A (matrix, bilinear) pair: the components of a pair element, and the
 # elements of the two alternative laws.
@@ -158,6 +167,7 @@ def law_tilde2(
     a2: SquareMatrix, b2: SquareMatrix, f2: Bilinear,
 ) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
     """(a1, b1, f1)(a2, b2, f2) = (a1 a2, b1 b2, a1 o f2 + f1(a2, b2))."""
+    same_n(a1, b1, f1, a2, b2, f2)
     sa1, sa2, sb2 = a1.scaled, a2.scaled, b2.scaled
     bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sb2))
     return (SquareMatrix._of(sc.s_matmul(sa1, sa2)),
@@ -166,6 +176,7 @@ def law_tilde2(
 
 def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, a1 o f2 + f1(a2, a2))."""
+    same_n(a1, f1, a2, f2)
     sa1, sa2 = a1.scaled, a2.scaled
     bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sa2))
     return SquareMatrix._of(sc.s_matmul(sa1, sa2)), Bilinear._of(bilinear)
@@ -173,6 +184,7 @@ def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> 
 
 def law_tilde21(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, f2 + f1(I, a2))."""
+    same_n(a1, f1, a2, f2)
     sa2 = a2.scaled
     bilinear = sc.s_add(f2.scaled, sc.s_pre_right(f1.scaled, sa2))
     return SquareMatrix._of(sc.s_matmul(a1.scaled, sa2)), Bilinear._of(bilinear)
@@ -200,6 +212,7 @@ def mul_tilde22(x: GTilde22, y: GTilde22) -> GTilde22:
 
 
 def mul_t1n(x: T1nL1n, y: T1nL1n) -> T1nL1n:
+    same_n(x.a, y.a)
     a1, f1 = x.a.scaled, x.f.scaled
     a2, f2 = y.a.scaled, y.f.scaled
     a1_inv = sc.s_matinv(a1)
@@ -222,7 +235,7 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
     structural form above can be cross-checked against an independent
     computation.
     """
-    n = x.n
+    n = same_n(x.a, y.a)
     A = x.a.entries
     C = y.a.entries
     B = mat_inv(x.a).entries
@@ -241,6 +254,7 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
 def mul_deleon_1(x: Pair, y: Pair) -> Pair:
     """First alternative law on (a, f): (aa', a'^-1 o f(a', a') + f')."""
     (a, f), (a2, f2) = x, y
+    same_n(a, f, a2, f2)
     sa2 = a2.scaled
     bilinear = sc.s_add(sc.s_post(sc.s_matinv(sa2), sc.s_pre(f.scaled, sa2, sa2)),
                         f2.scaled)
@@ -250,6 +264,7 @@ def mul_deleon_1(x: Pair, y: Pair) -> Pair:
 def mul_deleon_2(x: Pair, y: Pair) -> Pair:
     """Second alternative law on (a, f): (aa', f + a o f'(a^-1, a^-1))."""
     (a, f), (a2, f2) = x, y
+    same_n(a, f, a2, f2)
     sa = a.scaled
     a_inv = sc.s_matinv(sa)
     bilinear = sc.s_add(f.scaled, sc.s_post(sa, sc.s_pre(f2.scaled, a_inv, a_inv)))
@@ -324,6 +339,7 @@ def inv_deleon_2(x: Pair) -> Pair:
 
 def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
     """outer * inner * outer^-1 in closed form."""
+    same_n(outer.a, inner.a)
     a, f = outer.a.scaled, outer.f.scaled
     b, g = inner.a.scaled, inner.f.scaled
     a_inv = sc.s_matinv(a)
@@ -339,11 +355,13 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
 
 def skew_factor(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a^-1 o skew_part(f): the skew h with (a, f) = (a, sym_part(f)) * (I, h)."""
+    same_n(a, f)
     return Bilinear._of(sc.s_post(sc.s_matinv(a.scaled), sc.s_skew(f.scaled)))
 
 
 def contract_second(f: Bilinear, m: SquareMatrix) -> Bilinear:
     """f(I, m): feed the second argument slot of f through m."""
+    same_n(f, m)
     return Bilinear._of(sc.s_pre_right(f.scaled, m.scaled))
 
 

@@ -39,6 +39,11 @@ class Scaled:
     __slots__ = ()
     _reduce: Callable
 
+    @staticmethod
+    def _check_dim(n: int) -> None:
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
+
     def _set(self, n: int, ints, den: int) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ints", ints)
@@ -75,8 +80,7 @@ class SquareMatrix(Scaled):
     _reduce = staticmethod(sc.reduce_mat)
 
     def __init__(self, n: int, entries: Sequence[Sequence[Fraction]]) -> None:
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        self._check_dim(n)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError(f"entries must form an {n}x{n} array")
         # reduced fractions scale to a canonical form already
@@ -94,10 +98,12 @@ class SquareMatrix(Scaled):
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
+        cls._check_dim(n)
         return cls._of(([[int(i == j) for i in range(n)] for j in range(n)], 1))
 
     @classmethod
     def zero(cls, n: int) -> "SquareMatrix":
+        cls._check_dim(n)
         return cls._of(([[0] * n for _ in range(n)], 1))
 
     def is_identity(self) -> bool:
@@ -108,9 +114,21 @@ class SquareMatrix(Scaled):
         return mat_mul(self, other)
 
 
+def same_n(*values: Scaled) -> int:
+    """The dimension shared by ``values``; ``ValueError`` when they differ.
+
+    The kernels take the shape of their operands and ``_of`` does not check
+    it, so every operation that combines values calls this first.
+    """
+    n = values[0].n
+    if any(v.n != n for v in values):
+        raise ValueError("dimension mismatch: "
+                         + " vs ".join(str(v.n) for v in values))
+    return n
+
+
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
+    same_n(a, b)
     return SquareMatrix._of(sc.s_matmul(a.scaled, b.scaled))
 
 

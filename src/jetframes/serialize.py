@@ -57,9 +57,10 @@ def matrix_to_doc(m: SquareMatrix) -> list[list[str]]:
     return [[rat_to_str(e) for e in row] for row in m.entries]
 
 
-def _check_n(n: Any, what: str) -> None:
+def check_n(n: Any, what: str) -> None:
+    """Raise ``ParseError`` unless ``n`` is an integer in 1..``MAX_N``."""
     if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise ParseError(f"{what} needs an integer 'n' between 1 and {MAX_N}")
+        raise ParseError(f"{what} must be an integer between 1 and {MAX_N}")
 
 
 def _check_size(doc: Any, what: str) -> None:
@@ -127,7 +128,7 @@ def group_from_doc(doc: Any) -> GroupElement:
     if tag not in GROUPS:
         raise ParseError(f"unknown group tag {tag!r}")
     n = doc.get("n")
-    _check_n(n, "group element")
+    check_n(n, "group element 'n'")
     try:
         a = matrix_from_doc(doc["a"])
         f = _coeffs_only_from_doc(doc["f"], n)
@@ -163,7 +164,7 @@ def frame_from_doc(doc: Any) -> Frame:
     if kind not in _FRAMES:
         raise ParseError(f"unknown frame kind {kind!r}")
     n = doc.get("n")
-    _check_n(n, "frame")
+    check_n(n, "frame 'n'")
     try:
         x = vector_from_doc(doc["x"])
         a = matrix_from_doc(doc["a"])

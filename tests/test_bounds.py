@@ -34,6 +34,14 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
+def test_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text("[" + "1" * 5000 + "]")
+    code, err = _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     def fail(*args, **kwargs):
@@ -81,3 +89,18 @@ def test_document_cap_is_a_cli_exit_2(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"group": "hat2", "n": MAX_N + 1, "a": [], "f": []}))
     assert _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("op", [("mul", "--group", "hat2"), ("conj",),
+                                ("coset-equal",)])
+def test_binary_op_on_different_dimensions_is_a_cli_exit_2(capsys, tmp_path, op):
+    paths = []
+    for n in (2, 3):
+        assert main(["gen", "hat2", "--n", str(n), "--seed", "1"]) == 0
+        path = tmp_path / f"n{n}.json"
+        path.write_text(capsys.readouterr().out)
+        paths.append(str(path))
+    for pair in (paths, paths[::-1]):
+        code, err = _exit_code(capsys, "op", *op, *pair)
+        assert code == 2 and "has n = " in err
+        assert capsys.readouterr().out == ""

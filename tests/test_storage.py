@@ -199,3 +199,55 @@ def test_trusted_builder_skips_the_checks_the_constructor_makes():
     with pytest.raises(SingularMatrixError):
         G.GHat2(singular, Bilinear.zero(2))
     assert G.GHat2._trusted(singular, Bilinear.zero(2)).a == singular
+
+
+@pytest.mark.parametrize("n", (0, -1))
+@pytest.mark.parametrize("build", [
+    SquareMatrix.identity, SquareMatrix.zero, Bilinear.zero,
+    lambda n: Bilinear.single(n, 0, 0, 0), G.GHat2.identity, G.GTilde2.identity,
+], ids=["matrix_identity", "matrix_zero", "bilinear_zero", "bilinear_single",
+        "hat2_identity", "tilde2_identity"])
+def test_builders_reject_dimensions_below_one(build, n):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        build(n)
+
+
+def _values(n: int) -> dict:
+    rng = rg.stream(11, "mismatch", n)
+    values = {tag: rg.GROUP_GENERATORS[tag](rng, n) for tag in G.GROUPS}
+    values.update(nonhol=rg.rand_nonhol(rng, n), semihol=rg.rand_semihol(rng, n),
+                  hol=rg.rand_hol(rng, n))
+    return values
+
+
+# Every public operation that combines values, applied to x (one dimension)
+# and y (another).  ``_of`` takes the kernel's shape, so each must check.
+_COMBINING = {
+    **{f"mul_{tag}": (lambda x, y, tag=tag: G.GROUPS[tag].mul(x[tag], y[tag]))
+       for tag in G.GROUPS},
+    "mul_t1n_coordinate": lambda x, y: G.mul_t1n_coordinate(x["t1n"], y["t1n"]),
+    "conj_hat2": lambda x, y: G.conj_hat2(x["hat2"], y["hat2"]),
+    "mul_quot": lambda x, y: G.mul_quot(G.QuotClassHat.of(x["hat2"]),
+                                        G.QuotClassHat.of(y["hat2"])),
+    "mul_deleon_1": lambda x, y: G.mul_deleon_1(x["hat2"].parts, y["hat2"].parts),
+    "mul_deleon_2": lambda x, y: G.mul_deleon_2(x["hat2"].parts, y["hat2"].parts),
+    "skew_factor": lambda x, y: G.skew_factor(x["hat2"].a, y["hat2"].f),
+    "contract_second": lambda x, y: G.contract_second(x["hat2"].f, y["hat2"].a),
+    "mat_mul": lambda x, y: mat_mul(x["hat2"].a, y["hat2"].a),
+    "post_compose": lambda x, y: post_compose(x["hat2"].a, y["hat2"].f),
+    "pre_compose": lambda x, y: pre_compose(x["hat2"].f, x["hat2"].a, y["hat2"].a),
+    "add": lambda x, y: x["hat2"].f + y["hat2"].f,
+    "sub": lambda x, y: x["hat2"].f - y["hat2"].f,
+    "act_nonhol": lambda x, y: fr.act_nonhol(x["nonhol"], y["tilde2"]),
+    "act_semihol": lambda x, y: fr.act_semihol(x["semihol"], y["hat2"]),
+    "act_hol": lambda x, y: fr.act_hol(x["hol"], y["g2"]),
+    "act_tilde22": lambda x, y: fr.act_tilde22(x["nonhol"], y["tilde22"]),
+    "ext_class": lambda x, y: fr.ext_class(x["hol"], y["hat2"]),
+}
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("op", _COMBINING.values(), ids=_COMBINING)
+def test_operands_of_different_dimensions_are_rejected(op, n1, n2):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        op(_values(n1), _values(n2))

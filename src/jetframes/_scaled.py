@@ -17,22 +17,39 @@ cross-checks).
 Determinant and inverse share one fraction-free (Bareiss) elimination: the
 determinant by forward elimination, the inverse by Gauss-Jordan on
 ``[ints | I]``, both O(n^3) multiplies on integers whose size stays bounded
-by the minors of the input.  Contractions transpose an operand once and take
-each inner product as ``sum(map(mul, row, col))``.
+by the minors of the input.  The single contractions (``s_post``, ``s_pre``,
+``s_pre_left``, ``s_pre_right``) transpose an operand once and take each
+inner product as ``sum(map(mul, row, col))``, O(n^4) small multiplies.
+
+Every group law, inverse and conjugation is one call of ``s_law``, which
+forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
+pass.  It packs the last index of each bilinear map into one integer per row
+(Kronecker substitution: entry j is weighted by 2^(k j)), so each of its
+contractions is O(n^3) multiply-adds of small ints with packed ints, and the
+terms are added while packed.  The field width k comes from an exact bound
+on the output entries (stated and proved at ``s_law``), so the final unpack
+is exact; nothing is approximate.  The single contractions stay unpacked:
+for one contraction at n = 1-2 the packing costs more than it saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
-from typing import Sequence
+from operator import lshift, mul
+from typing import Optional, Sequence
 
 from .errors import SingularMatrixError
 
 # (ints, den); the ints are nested lists or nested tuples
 Mat = tuple[Sequence[Sequence[int]], int]
 Bil = tuple[Sequence[Sequence[Sequence[int]]], int]
+# one term of ``s_law``: (sign, c, f, a, b) for sign * c o f(a, b); None
+# stands for the identity matrix
+Term = tuple[int, Optional[Mat], Bil, Optional[Mat], Optional[Mat]]
+
+_flat = chain.from_iterable
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +275,113 @@ def s_skew(f: Bil) -> Bil:
     out = [[[ints[k][i][j] - ints[k][j][i] for j in rng] for i in rng]
            for k in rng]
     return out, 2 * den
+
+
+# ---------------------------------------------------------------------------
+# the fused law kernel
+
+
+def _bits(ints) -> int:
+    """The largest bit length of |x| over the flat ints ``ints``."""
+    return max(map(int.bit_length, ints))
+
+
+def s_law(*terms: Term) -> Bil:
+    """sum_t sign_t * c_t o f_t(a_t, b_t) in one exact integer pass.
+
+    Every term is brought to one common denominator L, the lcm of the term
+    denominators; its factor L/den_t and its sign are folded into its
+    smallest present matrix operand (into the packed rows when it has none).
+    The work is then Kronecker-packed over the last index j: a vector
+    (v_0, ..., v_{n-1}) is held as the one integer P(v) = sum_j v_j 2^(k j).
+    Each row of b becomes P(b[q]) (with b = I the rows of f are packed
+    directly), and the f, a and c contractions are inner products of small
+    ints with packed ints, n^3 big-int multiply-adds each; the terms are
+    added while still packed, and one signed unpack per packed row follows.
+
+    Width.  Let bits(x) be the largest bit length of |entry| of x (a folded
+    factor s counts as ceil(log2 |s|) more bits of its operand), r_t the
+    number of matrices present in term t (each sums one index over n values)
+    and T the number of terms.  Every output entry of a
+    term is a sum of n^r_t products of one entry of each operand, so it is
+    below 2^(bits(f) + sum_m (bits(m) + ceil(log2 n))) in magnitude, and the
+    sum of T terms is below 2^(k - 1) when
+
+        k >= 1 + ceil(log2 T) + max_t [bits(f) + sum_m (bits(m) + ceil(log2 n))].
+
+    k is rounded up to whole bytes.  P is additive and P(v) * m = P(m v), so
+    the packed result equals P(out) exactly, whatever the intermediate
+    fields hold.  With every |out_j| < 2^(k-1), adding the offset
+    sum_j 2^(k-1) 2^(k j) makes each field out_j + 2^(k-1), a value in
+    [0, 2^k) that carries into no other field; xor with the same offset
+    then flips each field's top bit, which turns it into the k-bit two's
+    complement of out_j, read back bytewise.  Nothing is rounded or
+    tolerated: the unpack is exact because the bound holds.
+    """
+    n = len(terms[0][2][0])
+    log_n = (n - 1).bit_length()
+    dens = []
+    for _, c, f, a, b in terms:
+        den = f[1]
+        for m in (c, a, b):
+            if m is not None:
+                den *= m[1]
+        dens.append(den)
+    den = dens[0] if len(terms) == 1 else lcm(*dens)
+    prepared = []
+    width = 0
+    for (sign, c, f, a, b), d in zip(terms, dens):
+        mats = [c, a, b]
+        fi = f[0]
+        bits = _bits(_flat(_flat(fi)))
+        least = None
+        for slot, m in enumerate(mats):
+            if m is not None:
+                mats[slot] = m = m[0]
+                m_bits = _bits(_flat(m))
+                bits += m_bits + log_n
+                if least is None or m_bits < least_bits:
+                    least, least_bits = slot, m_bits
+        scale = sign * (den // d)
+        if scale != 1:
+            bits += (abs(scale) - 1).bit_length()
+            if least is not None:
+                mats[least] = [[e * scale for e in row] for row in mats[least]]
+                scale = 1
+        width = max(width, bits)
+        prepared.append((scale, *mats, fi))
+    k = (1 + (len(terms) - 1).bit_length() + width + 7) // 8 * 8
+    shifts = range(0, k * n, k)
+
+    total = None
+    for scale, c, a, b, fi in prepared:
+        if b is None:
+            rows = [[sum(map(lshift, frow, shifts)) for frow in fk] for fk in fi]
+        else:
+            packed = [sum(map(lshift, brow, shifts)) for brow in b]
+            rows = [[sum(map(mul, frow, packed)) for frow in fk] for fk in fi]
+        if a is not None:
+            acols = list(zip(*a))
+            rows = [[sum(map(mul, acol, rk)) for acol in acols] for rk in rows]
+        if c is not None:
+            cols = list(zip(*rows))
+            rows = [[sum(map(mul, crow, col)) for col in cols] for crow in c]
+        if scale != 1:
+            rows = [[x * scale for x in row] for row in rows]
+        total = rows if total is None else [
+            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, rows)]
+
+    size = k // 8
+    nbytes = size * n
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    starts = range(0, nbytes, size)
+    from_bytes = int.from_bytes
+    out = []
+    for row in total:
+        plane = []
+        for x in row:
+            buf = ((x + offset) ^ offset).to_bytes(nbytes, "little")
+            plane.append([from_bytes(buf[s:s + size], "little", signed=True)
+                          for s in starts])
+        out.append(plane)
+    return out, den

@@ -54,13 +54,14 @@ class NonHolFrame(Checked):
     b: SquareMatrix
     f: Bilinear
 
-    def __post_init__(self) -> None:
+    def _check(self, invertible: bool) -> None:
         n = self.a.n
         _check_point(self.x, n)
         if not (self.b.n == n == self.f.n):
             raise ValueError("dimension mismatch between components")
-        require_invertible(self.a, "frame part a")
-        require_invertible(self.b, "frame part b")
+        if invertible:
+            require_invertible(self.a, "frame part a")
+            require_invertible(self.b, "frame part b")
 
     @property
     def n(self) -> int:
@@ -79,12 +80,13 @@ class _PairFrame(Checked):
     f: Bilinear
     _symmetric_error = None
 
-    def __post_init__(self) -> None:
+    def _check(self, invertible: bool) -> None:
         n = self.a.n
         _check_point(self.x, n)
         if self.f.n != n:
             raise ValueError("dimension mismatch between components")
-        require_invertible(self.a, "frame part a")
+        if invertible:
+            require_invertible(self.a, "frame part a")
         if self._symmetric_error is not None and not is_symmetric(self.f):
             raise ValueError(self._symmetric_error)
 
@@ -108,9 +110,10 @@ class LinFrame(Checked):
     x: Point
     a: SquareMatrix
 
-    def __post_init__(self) -> None:
+    def _check(self, invertible: bool) -> None:
         _check_point(self.x, self.a.n)
-        require_invertible(self.a, "frame part a")
+        if invertible:
+            require_invertible(self.a, "frame part a")
 
     @property
     def n(self) -> int:

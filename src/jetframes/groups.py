@@ -5,7 +5,9 @@ what differs between the groups is only the multiplication law.  Each law is
 written once, on components (``law_tilde2``, ``law_hat2``, ``law_tilde21``),
 and both the products here and the frame actions in ``frames`` call it.
 Each group still gets its own element type, so elements of different groups
-never mix.  Products, inverses and conjugations are all exact, and every
+never mix.  Products, inverses and conjugations are all exact: the bilinear
+part of each is one call of the fused kernel ``_scaled.s_law`` on the terms
++-c o f(a, b) of its formula.  Every
 operation that combines operands first checks that they share one dimension
 (``matrices.same_n``, ``ValueError`` otherwise).
 
@@ -59,11 +61,12 @@ class GTilde2(Checked):
     b: SquareMatrix
     f: Bilinear
 
-    def __post_init__(self) -> None:
+    def _check(self, invertible: bool) -> None:
         if not (self.a.n == self.b.n == self.f.n):
             raise ValueError("dimension mismatch between components")
-        require_invertible(self.a, "first matrix part")
-        require_invertible(self.b, "second matrix part")
+        if invertible:
+            require_invertible(self.a, "first matrix part")
+            require_invertible(self.b, "second matrix part")
 
     @property
     def parts(self) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
@@ -93,11 +96,12 @@ class _PairElement(Checked):
     __slots__ = ()
     _symmetric_error: str | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self, invertible: bool) -> None:
         m, f = self.parts
         if m.n != f.n:
             raise ValueError("dimension mismatch between components")
-        require_invertible(m, "matrix part")
+        if invertible:
+            require_invertible(m, "matrix part")
         if self._symmetric_error is not None and not is_symmetric(f):
             raise ValueError(self._symmetric_error)
 
@@ -169,7 +173,7 @@ def law_tilde2(
     """(a1, b1, f1)(a2, b2, f2) = (a1 a2, b1 b2, a1 o f2 + f1(a2, b2))."""
     same_n(a1, b1, f1, a2, b2, f2)
     sa1, sa2, sb2 = a1.scaled, a2.scaled, b2.scaled
-    bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sb2))
+    bilinear = sc.s_law((1, sa1, f2.scaled, None, None), (1, None, f1.scaled, sa2, sb2))
     return (SquareMatrix._of(sc.s_matmul(sa1, sa2)),
             SquareMatrix._of(sc.s_matmul(b1.scaled, sb2)), Bilinear._of(bilinear))
 
@@ -178,7 +182,7 @@ def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> 
     """(a1, f1)(a2, f2) = (a1 a2, a1 o f2 + f1(a2, a2))."""
     same_n(a1, f1, a2, f2)
     sa1, sa2 = a1.scaled, a2.scaled
-    bilinear = sc.s_add(sc.s_post(sa1, f2.scaled), sc.s_pre(f1.scaled, sa2, sa2))
+    bilinear = sc.s_law((1, sa1, f2.scaled, None, None), (1, None, f1.scaled, sa2, sa2))
     return SquareMatrix._of(sc.s_matmul(sa1, sa2)), Bilinear._of(bilinear)
 
 
@@ -186,7 +190,8 @@ def law_tilde21(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) 
     """(a1, f1)(a2, f2) = (a1 a2, f2 + f1(I, a2))."""
     same_n(a1, f1, a2, f2)
     sa2 = a2.scaled
-    bilinear = sc.s_add(f2.scaled, sc.s_pre_right(f1.scaled, sa2))
+    bilinear = sc.s_law((1, None, f2.scaled, None, None),
+                        (1, None, f1.scaled, None, sa2))
     return SquareMatrix._of(sc.s_matmul(a1.scaled, sa2)), Bilinear._of(bilinear)
 
 
@@ -216,8 +221,7 @@ def mul_t1n(x: T1nL1n, y: T1nL1n) -> T1nL1n:
     a1, f1 = x.a.scaled, x.f.scaled
     a2, f2 = y.a.scaled, y.f.scaled
     a1_inv = sc.s_matinv(a1)
-    bilinear = sc.s_add(sc.s_pre_left(f1, a2),
-                        sc.s_post(a1, sc.s_pre_right(f2, a1_inv)))
+    bilinear = sc.s_law((1, None, f1, a2, None), (1, a1, f2, None, a1_inv))
     return T1nL1n._trusted(SquareMatrix._of(sc.s_matmul(a1, a2)),
                            Bilinear._of(bilinear))
 
@@ -256,8 +260,8 @@ def mul_deleon_1(x: Pair, y: Pair) -> Pair:
     (a, f), (a2, f2) = x, y
     same_n(a, f, a2, f2)
     sa2 = a2.scaled
-    bilinear = sc.s_add(sc.s_post(sc.s_matinv(sa2), sc.s_pre(f.scaled, sa2, sa2)),
-                        f2.scaled)
+    bilinear = sc.s_law((1, sc.s_matinv(sa2), f.scaled, sa2, sa2),
+                        (1, None, f2.scaled, None, None))
     return SquareMatrix._of(sc.s_matmul(a.scaled, sa2)), Bilinear._of(bilinear)
 
 
@@ -267,7 +271,8 @@ def mul_deleon_2(x: Pair, y: Pair) -> Pair:
     same_n(a, f, a2, f2)
     sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_add(f.scaled, sc.s_post(sa, sc.s_pre(f2.scaled, a_inv, a_inv)))
+    bilinear = sc.s_law((1, None, f.scaled, None, None),
+                        (1, sa, f2.scaled, a_inv, a_inv))
     return SquareMatrix._of(sc.s_matmul(sa, a2.scaled)), Bilinear._of(bilinear)
 
 
@@ -278,7 +283,7 @@ def mul_deleon_2(x: Pair, y: Pair) -> Pair:
 def _inverse_hat2(a: SquareMatrix, f: Bilinear) -> Pair:
     """(a, f)^-1 = (a^-1, -a^-1 o f(a^-1, a^-1)) under the ``GHat2`` law."""
     a_inv = sc.s_matinv(a.scaled)
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(f.scaled, a_inv, a_inv)))
+    bilinear = sc.s_law((-1, a_inv, f.scaled, a_inv, a_inv))
     return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
@@ -286,7 +291,7 @@ def _inverse_tilde21(a: SquareMatrix, f: Bilinear) -> Pair:
     """(a, f)^-1 = (a^-1, -f(I, a^-1)) under the ``GTilde21`` law."""
     a_inv = sc.s_matinv(a.scaled)
     return (SquareMatrix._of(a_inv),
-            Bilinear._of(sc.s_neg(sc.s_pre_right(f.scaled, a_inv))))
+            Bilinear._of(sc.s_law((-1, None, f.scaled, None, a_inv))))
 
 
 def inv_hat2(x: GHat2) -> GHat2:
@@ -300,7 +305,7 @@ def inv_g2(x: G2) -> G2:
 def inv_tilde2(x: GTilde2) -> GTilde2:
     a_inv = sc.s_matinv(x.a.scaled)
     b_inv = sc.s_matinv(x.b.scaled)
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(x.f.scaled, a_inv, b_inv)))
+    bilinear = sc.s_law((-1, a_inv, x.f.scaled, a_inv, b_inv))
     return GTilde2._trusted(SquareMatrix._of(a_inv), SquareMatrix._of(b_inv),
                             Bilinear._of(bilinear))
 
@@ -321,7 +326,7 @@ def inv_deleon_1(x: Pair) -> Pair:
     a, f = x
     sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_neg(sc.s_post(sa, sc.s_pre(f.scaled, a_inv, a_inv)))
+    bilinear = sc.s_law((-1, sa, f.scaled, a_inv, a_inv))
     return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
@@ -329,7 +334,7 @@ def inv_deleon_2(x: Pair) -> Pair:
     a, f = x
     sa = a.scaled
     a_inv = sc.s_matinv(sa)
-    bilinear = sc.s_neg(sc.s_post(a_inv, sc.s_pre(f.scaled, sa, sa)))
+    bilinear = sc.s_law((-1, a_inv, f.scaled, sa, sa))
     return SquareMatrix._of(a_inv), Bilinear._of(bilinear)
 
 
@@ -345,11 +350,8 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
     a_inv = sc.s_matinv(a)
     aba = sc.s_matmul(sc.s_matmul(a, b), a_inv)
     ba = sc.s_matmul(b, a_inv)
-    bilinear = sc.s_add(
-        sc.s_neg(sc.s_post(aba, sc.s_pre(f, a_inv, a_inv))),
-        sc.s_post(a, sc.s_pre(g, a_inv, a_inv)),
-        sc.s_pre(f, ba, ba),
-    )
+    bilinear = sc.s_law((-1, aba, f, a_inv, a_inv), (1, a, g, a_inv, a_inv),
+                        (1, None, f, ba, ba))
     return GHat2._trusted(SquareMatrix._of(aba), Bilinear._of(bilinear))
 
 

@@ -160,13 +160,29 @@ class Checked:
 
     The constructor (a dataclass ``__post_init__``) checks what data entering
     the system must satisfy: invertible matrix parts, symmetric or skew
-    bilinear parts.  Results of a law, an inverse or a projection satisfy
-    these by construction (det is multiplicative, the laws are closed), so
-    they are built with ``_trusted``, which skips the checks.  Pointing
-    ``_trusted`` at the constructor re-checks every such result.
+    bilinear parts, matching dimensions.  Results of a law, an inverse or a
+    projection satisfy these by construction (det is multiplicative, the laws
+    are closed), so they are built with ``_trusted``, which skips the checks.
+    Pointing ``_trusted`` at the constructor re-checks every such result.
+    A subclass implements the checks as ``_check(invertible)``, which raises
+    when an invariant fails and, with ``invertible``, also computes the
+    determinant of every matrix part.  The generators draw matrix parts that
+    they have just found invertible and build with ``_generated``, which
+    makes every check but the determinant.
     """
 
     __slots__ = ()
+
+    def __post_init__(self) -> None:
+        self._check(invertible=True)
+
+    @classmethod
+    def _generated(cls, *parts):
+        """An instance with fields ``parts`` whose matrix parts are known to
+        be invertible: every check of the constructor but the determinant."""
+        obj = cls._trusted(*parts)
+        obj._check(invertible=False)
+        return obj
 
     @classmethod
     def _trusted(cls, *parts):

@@ -132,28 +132,28 @@ def rand_nonzero_symmetric(rng: SplitMix64, n: int) -> Bilinear:
 
 
 def rand_tilde2(rng: SplitMix64, n: int) -> GTilde2:
-    return GTilde2(rand_invertible(rng, n), rand_invertible(rng, n),
-                   rand_bilinear(rng, n))
+    return GTilde2._generated(rand_invertible(rng, n), rand_invertible(rng, n),
+                              rand_bilinear(rng, n))
 
 
 def rand_hat2(rng: SplitMix64, n: int) -> GHat2:
-    return GHat2(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return GHat2._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_g2(rng: SplitMix64, n: int) -> G2:
-    return G2(rand_invertible(rng, n), rand_symmetric(rng, n))
+    return G2._generated(rand_invertible(rng, n), rand_symmetric(rng, n))
 
 
 def rand_tilde21(rng: SplitMix64, n: int) -> GTilde21:
-    return GTilde21(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return GTilde21._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_tilde22(rng: SplitMix64, n: int) -> GTilde22:
-    return GTilde22(rand_invertible(rng, n), rand_skew(rng, n))
+    return GTilde22._generated(rand_invertible(rng, n), rand_skew(rng, n))
 
 
 def rand_t1n(rng: SplitMix64, n: int) -> T1nL1n:
-    return T1nL1n(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return T1nL1n._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 #: The generator of each group tag of ``groups.GROUPS``.
@@ -172,18 +172,18 @@ def rand_quot_class(rng: SplitMix64, n: int) -> QuotClassHat:
 
 
 def rand_nonhol(rng: SplitMix64, n: int) -> NonHolFrame:
-    return NonHolFrame(rand_point(rng, n), rand_invertible(rng, n),
-                       rand_invertible(rng, n), rand_bilinear(rng, n))
+    return NonHolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
+                                  rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_semihol(rng: SplitMix64, n: int) -> SemiHolFrame:
-    return SemiHolFrame(rand_point(rng, n), rand_invertible(rng, n),
-                        rand_bilinear(rng, n))
+    return SemiHolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
+                                   rand_bilinear(rng, n))
 
 
 def rand_hol(rng: SplitMix64, n: int) -> HolFrame:
-    return HolFrame(rand_point(rng, n), rand_invertible(rng, n),
-                    rand_symmetric(rng, n))
+    return HolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
+                               rand_symmetric(rng, n))
 
 
 def rand_map2jet(rng: SplitMix64, n: int, base=None, value=None) -> Map2Jet:

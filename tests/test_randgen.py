@@ -1,4 +1,9 @@
-from jetframes import det, is_skew, is_symmetric
+import pytest
+
+import jetframes.frames as fr
+import jetframes.groups as G
+import jetframes.randgen as rg
+from jetframes import Bilinear, SquareMatrix, det, is_skew, is_symmetric
 from jetframes.randgen import (
     SplitMix64,
     rand_bilinear,
@@ -77,3 +82,34 @@ def test_randint_bounds():
     values = {rng.randint(-3, 3) for _ in range(200)}
     assert values <= set(range(-3, 4))
     assert len(values) == 7
+
+
+def test_generators_do_not_recompute_the_determinant(monkeypatch):
+    """The element and frame generators draw their matrices with
+    ``rand_invertible``, which has just checked det; building from them must
+    not compute it again."""
+
+    def refuse(*args):
+        raise AssertionError("determinant computed again")
+
+    monkeypatch.setattr(G, "require_invertible", refuse)
+    monkeypatch.setattr(fr, "require_invertible", refuse)
+    rng = stream(7, "generated", 3)
+    for gen in (*rg.GROUP_GENERATORS.values(), rg.rand_quot_class,
+                rg.rand_nonhol, rg.rand_semihol, rg.rand_hol):
+        assert gen(rng, 3).n == 3
+
+
+def test_generated_builds_keep_the_other_checks():
+    eye, lopsided = SquareMatrix.identity(2), Bilinear.single(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        G.G2._generated(eye, lopsided)
+    with pytest.raises(ValueError, match="symmetric"):
+        fr.HolFrame._generated((0, 0), eye, lopsided)
+    with pytest.raises(ValueError, match="base point"):
+        fr.NonHolFrame._generated((0,), eye, eye, lopsided)
+    with pytest.raises(ValueError, match="dimension"):
+        G.GHat2._generated(eye, Bilinear.zero(3))
+    # the determinant alone is left to the generator
+    singular = SquareMatrix.zero(2)
+    assert G.GHat2._generated(singular, lopsided).a == singular

@@ -47,3 +47,17 @@ def test_arithmetic_is_exact():
     third = rat(1, 3)
     assert third + third + third == 1
     assert (rat(1, 10) + rat(2, 10)) == rat(3, 10)
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "x" * 5000, "1/" + "9" * 5000])
+def test_parse_error_echoes_a_bounded_prefix(text):
+    with pytest.raises(ParseError) as err:
+        rat_from_str(text)
+    message = str(err.value)
+    assert len(message) < 100
+    assert repr(text[:40]) in message and f"({len(text)} characters)" in message
+
+
+def test_parse_error_echoes_short_input_whole():
+    with pytest.raises(ParseError, match=r"malformed rational '1/0'$"):
+        rat_from_str("1/0")

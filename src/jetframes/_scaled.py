@@ -17,19 +17,18 @@ cross-checks).
 Determinant and inverse share one fraction-free (Bareiss) elimination: the
 determinant by forward elimination, the inverse by Gauss-Jordan on
 ``[ints | I]``, both O(n^3) multiplies on integers whose size stays bounded
-by the minors of the input.  The single contractions (``s_post``, ``s_pre``,
-``s_pre_left``, ``s_pre_right``) transpose an operand once and take each
-inner product as ``sum(map(mul, row, col))``, O(n^4) small multiplies.
+by the minors of the input.
 
-Every group law, inverse and conjugation is one call of ``s_law``, which
+Every contraction and sum of bilinear maps is one call of ``s_law``, which
 forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
-pass.  It packs the last index of each bilinear map into one integer per row
-(Kronecker substitution: entry j is weighted by 2^(k j)), so each of its
-contractions is O(n^3) multiply-adds of small ints with packed ints, and the
-terms are added while packed.  The field width k comes from an exact bound
-on the output entries (stated and proved at ``s_law``), so the final unpack
-is exact; nothing is approximate.  The single contractions stay unpacked:
-for one contraction at n = 1-2 the packing costs more than it saves.
+pass: each group law, inverse and conjugation passes all its terms at once,
+and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``, ``s_add`` and
+``s_neg`` are the one-term (or plain-sum) cases.  It packs the last index of
+each bilinear map into one integer per row (Kronecker substitution: entry j
+is weighted by 2^(k j)), so each of its contractions is O(n^3) multiply-adds
+of small ints with packed ints, and the terms are added while packed.  The
+field width k comes from an exact bound on the output entries (stated and
+proved at ``s_law``), so the final unpack is exact; nothing is approximate.
 """
 
 from __future__ import annotations
@@ -191,94 +190,7 @@ def s_matinv(a: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# bilinear kernels
-
-
-def s_post(a: Mat, f: Bil) -> Bil:
-    ai, ad = a
-    fi, fd = f
-    # fibers[i][j] = (f[0][i][j], ..., f[n-1][i][j]): the slot a contracts
-    fibers = [list(zip(*planes)) for planes in zip(*fi)]
-    out = [[[sum(map(mul, arow, fib)) for fib in fib_i] for fib_i in fibers]
-           for arow in ai]
-    return out, ad * fd
-
-
-def s_pre(f: Bil, a: Mat, b: Mat) -> Bil:
-    fi, fd = f
-    ai, ad = a
-    bi, bd = b
-    acols = list(zip(*ai))
-    bcols = list(zip(*bi))
-    out = []
-    for fk in fi:
-        fcols = list(zip(*fk))
-        tmp = [[sum(map(mul, acol, fcol)) for fcol in fcols] for acol in acols]
-        out.append([[sum(map(mul, trow, bcol)) for bcol in bcols]
-                    for trow in tmp])
-    return out, fd * ad * bd
-
-
-def s_pre_left(f: Bil, a: Mat) -> Bil:
-    """f(a, I): contract only the first argument slot."""
-    fi, fd = f
-    ai, ad = a
-    acols = list(zip(*ai))
-    out = []
-    for fk in fi:
-        fcols = list(zip(*fk))
-        out.append([[sum(map(mul, acol, fcol)) for fcol in fcols]
-                    for acol in acols])
-    return out, fd * ad
-
-
-def s_pre_right(f: Bil, b: Mat) -> Bil:
-    """f(I, b): contract only the second argument slot."""
-    fi, fd = f
-    bi, bd = b
-    bcols = list(zip(*bi))
-    out = [[[sum(map(mul, frow, bcol)) for bcol in bcols] for frow in fk]
-           for fk in fi]
-    return out, fd * bd
-
-
-def s_add(*terms: Bil) -> Bil:
-    den = 1
-    for _, d in terms:
-        den = lcm(den, d)
-    n = len(terms[0][0])
-    rng = range(n)
-    scaled = [(ints, den // d) for ints, d in terms]
-    out = [[[sum(ints[k][i][j] * m for ints, m in scaled) for j in rng]
-            for i in rng] for k in rng]
-    return out, den
-
-
-def s_neg(f: Bil) -> Bil:
-    ints, den = f
-    return [[[-e for e in row] for row in plane] for plane in ints], den
-
-
-def s_sym(f: Bil) -> Bil:
-    ints, den = f
-    n = len(ints)
-    rng = range(n)
-    out = [[[ints[k][i][j] + ints[k][j][i] for j in rng] for i in rng]
-           for k in rng]
-    return out, 2 * den
-
-
-def s_skew(f: Bil) -> Bil:
-    ints, den = f
-    n = len(ints)
-    rng = range(n)
-    out = [[[ints[k][i][j] - ints[k][j][i] for j in rng] for i in rng]
-           for k in rng]
-    return out, 2 * den
-
-
-# ---------------------------------------------------------------------------
-# the fused law kernel
+# the contraction kernel
 
 
 def _bits(ints) -> int:
@@ -385,3 +297,53 @@ def s_law(*terms: Term) -> Bil:
                           for s in starts])
         out.append(plane)
     return out, den
+
+
+# ---------------------------------------------------------------------------
+# single bilinear operations
+
+
+def s_post(a: Mat, f: Bil) -> Bil:
+    """a o f: contract the output slot."""
+    return s_law((1, a, f, None, None))
+
+
+def s_pre(f: Bil, a: Mat, b: Mat) -> Bil:
+    """f(a, b): contract both argument slots."""
+    return s_law((1, None, f, a, b))
+
+
+def s_pre_left(f: Bil, a: Mat) -> Bil:
+    """f(a, I): contract only the first argument slot."""
+    return s_law((1, None, f, a, None))
+
+
+def s_pre_right(f: Bil, b: Mat) -> Bil:
+    """f(I, b): contract only the second argument slot."""
+    return s_law((1, None, f, None, b))
+
+
+def s_add(*terms: Bil) -> Bil:
+    return s_law(*[(1, None, f, None, None) for f in terms])
+
+
+def s_neg(f: Bil) -> Bil:
+    return s_law((-1, None, f, None, None))
+
+
+def s_sym(f: Bil) -> Bil:
+    ints, den = f
+    n = len(ints)
+    rng = range(n)
+    out = [[[ints[k][i][j] + ints[k][j][i] for j in rng] for i in rng]
+           for k in rng]
+    return out, 2 * den
+
+
+def s_skew(f: Bil) -> Bil:
+    ints, den = f
+    n = len(ints)
+    rng = range(n)
+    out = [[[ints[k][i][j] - ints[k][j][i] for j in rng] for i in rng]
+           for k in rng]
+    return out, 2 * den

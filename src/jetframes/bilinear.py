@@ -84,7 +84,8 @@ class Bilinear(Scaled):
 
     def __sub__(self, other: "Bilinear") -> "Bilinear":
         same_n(self, other)
-        return Bilinear._of(sc.s_add(self.scaled, sc.s_neg(other.scaled)))
+        return Bilinear._of(sc.s_law((1, None, self.scaled, None, None),
+                                     (-1, None, other.scaled, None, None)))
 
     def __neg__(self) -> "Bilinear":
         return Bilinear._of(sc.s_neg(self.scaled))

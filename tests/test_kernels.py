@@ -10,6 +10,7 @@ compositions.
 
 from fractions import Fraction
 from math import prod
+from operator import add, neg
 
 import pytest
 
@@ -64,6 +65,9 @@ def test_contractions_match_plain_loops(n):
     assert sc.bil_coeffs(sc.s_pre(f, a, b)) == ref_pre(y.f, x.a, y.a).coeffs
     assert sc.bil_coeffs(sc.s_pre_left(f, a)) == ref_pre(y.f, x.a, eye).coeffs
     assert sc.bil_coeffs(sc.s_pre_right(f, b)) == ref_pre(y.f, eye, y.a).coeffs
+    g = sc.sbil(x.f.coeffs)
+    assert sc.bil_coeffs(sc.s_add(f, g)) == ref_add(y.f, x.f).coeffs
+    assert sc.bil_coeffs(sc.s_neg(g)) == _term_oracle(-1, None, x.f, None, None).coeffs
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -253,41 +257,53 @@ def test_sign_folded_inverse_and_three_term_conjugation(n):
                                  (1, None, x.f, ba, ba))
 
 
-def _public_routes(x, y, z):
-    """Each routed law and the same bilinear part through the public
-    ``post_compose``/``pre_compose``/``+``/``-``."""
-    post, pre = post_compose, pre_compose
+def _routes(x, y, z, post, pre, add, neg):
+    """Each routed law and the same bilinear part composed step by step from
+    ``post``, ``pre``, ``add`` and ``neg``."""
     a, f, b, g = x.a, x.f, y.a, y.f
     eye = SquareMatrix.identity(x.n)
     ai, bi = mat_inv(a), mat_inv(b)
     ba = mat_mul(b, ai)
     return {
-        "law_hat2": (G.law_hat2(a, f, b, g)[1], post(a, g) + pre(f, b, b)),
-        "law_tilde2": (G.law_tilde2(a, z, f, b, z, g)[2], post(a, g) + pre(f, b, z)),
-        "law_tilde21": (G.law_tilde21(a, f, b, g)[1], g + pre(f, eye, b)),
-        "inverse_hat2": (G._inverse_hat2(a, f)[1], -post(ai, pre(f, ai, ai))),
-        "inverse_tilde21": (G._inverse_tilde21(a, f)[1], -pre(f, eye, ai)),
+        "law_hat2": (G.law_hat2(a, f, b, g)[1], add(post(a, g), pre(f, b, b))),
+        "law_tilde2": (G.law_tilde2(a, z, f, b, z, g)[2],
+                       add(post(a, g), pre(f, b, z))),
+        "law_tilde21": (G.law_tilde21(a, f, b, g)[1], add(g, pre(f, eye, b))),
+        "inverse_hat2": (G._inverse_hat2(a, f)[1], neg(post(ai, pre(f, ai, ai)))),
+        "inverse_tilde21": (G._inverse_tilde21(a, f)[1], neg(pre(f, eye, ai))),
         "inv_tilde2": (G.inv_tilde2(G.GTilde2(a, b, f)).f,
-                       -post(ai, pre(f, ai, bi))),
+                       neg(post(ai, pre(f, ai, bi)))),
         "conj_hat2": (G.conj_hat2(x, y).f,
-                      post(a, pre(g, ai, ai)) + pre(f, ba, ba)
-                      - post(mat_mul(a, ba), pre(f, ai, ai))),
+                      add(add(post(a, pre(g, ai, ai)), pre(f, ba, ba)),
+                          neg(post(mat_mul(a, ba), pre(f, ai, ai))))),
         "mul_t1n": (G.mul_t1n(G.T1nL1n(a, f), G.T1nL1n(b, g)).f,
-                    pre(f, b, eye) + post(a, pre(g, eye, ai))),
+                    add(pre(f, b, eye), post(a, pre(g, eye, ai)))),
         "mul_deleon_1": (G.mul_deleon_1((a, f), (b, g))[1],
-                         post(bi, pre(f, b, b)) + g),
+                         add(post(bi, pre(f, b, b)), g)),
         "mul_deleon_2": (G.mul_deleon_2((a, f), (b, g))[1],
-                         f + post(a, pre(g, ai, ai))),
-        "inv_deleon_1": (G.inv_deleon_1((a, f))[1], -post(a, pre(f, ai, ai))),
-        "inv_deleon_2": (G.inv_deleon_2((a, f))[1], -post(ai, pre(f, a, a))),
+                         add(f, post(a, pre(g, ai, ai)))),
+        "inv_deleon_1": (G.inv_deleon_1((a, f))[1], neg(post(a, pre(f, ai, ai)))),
+        "inv_deleon_2": (G.inv_deleon_2((a, f))[1], neg(post(ai, pre(f, a, a)))),
     }
+
+
+def _check_routes(n, seed, *ops):
+    rng = stream(seed, "kernels-law-routes", n)
+    x, y = rand_hat2(rng, n), rand_hat2(rng, n)
+    routes = _routes(x, y, rand_invertible(rng, n), *ops)
+    assert len(routes) == 12
+    for name, (fused, stepwise) in routes.items():
+        assert fused == stepwise, name
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_every_routed_law_matches_the_public_compositions(n):
-    rng = stream(46, "kernels-law-routes", n)
-    x, y = rand_hat2(rng, n), rand_hat2(rng, n)
-    routes = _public_routes(x, y, rand_invertible(rng, n))
-    assert len(routes) == 12
-    for name, (fused, public) in routes.items():
-        assert fused == public, name
+    # the public operations are one-term s_law calls: this checks that
+    # fusing the terms changes nothing
+    _check_routes(n, 46, post_compose, pre_compose, add, neg)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_every_routed_law_matches_the_fraction_loops(n):
+    _check_routes(n, 47, ref_post, ref_pre, ref_add,
+                  lambda f: _term_oracle(-1, None, f, None, None))

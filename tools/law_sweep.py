@@ -3,9 +3,11 @@
 Times ``mul_hat2``, ``inv_hat2``, ``conj_hat2`` and ``mul_t1n`` at
 n = 1, 2, 4, 8, 12 on two kinds of input: ``draw``, single generator draws
 (the coefficient size the suites use), and ``product``, products of three
-draws (the wider coefficients of library use).  Each sample repeats the call
-until it lasts at least ``MIN_SAMPLE_S``; the median of ``K`` samples is
-reported.  Every timed call is checked once against its exact identity.
+draws (the wider coefficients of library use).  The timing loop is the
+benchmark's layer sweep (``perfbench.sweep``): each sample repeats the call
+until it lasts at least ``MIN_SAMPLE_S`` there, and the median of its ``K``
+samples is reported.  Every timed call is checked once against its exact
+identity.
 
 Run from the root of a checkout::
 
@@ -19,18 +21,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
+from pathlib import Path
 
 from jetframes import groups as G
 from jetframes import randgen as rg
 
-NS = (1, 2, 4, 8, 12)
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from perfbench.sweep import NS, _median_us  # noqa: E402
+
 OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n")
 KINDS = ("draw", "product")
-K = 7
-MIN_SAMPLE_S = 0.005
 
 
 def _inputs(seed: int, kind: str, n: int):
@@ -46,10 +47,10 @@ def _inputs(seed: int, kind: str, n: int):
     x, y = make(rg.rand_hat2, G.mul_hat2), make(rg.rand_hat2, G.mul_hat2)
     s, t = make(rg.rand_t1n, G.mul_t1n), make(rg.rand_t1n, G.mul_t1n)
     return {
-        "mul_hat2": (lambda: G.mul_hat2(x, y)),
-        "inv_hat2": (lambda: G.inv_hat2(x)),
-        "conj_hat2": (lambda: G.conj_hat2(x, y)),
-        "mul_t1n": (lambda: G.mul_t1n(s, t)),
+        "mul_hat2": (lambda i: G.mul_hat2(x, y)),
+        "inv_hat2": (lambda i: G.inv_hat2(x)),
+        "conj_hat2": (lambda i: G.conj_hat2(x, y)),
+        "mul_t1n": (lambda i: G.mul_t1n(s, t)),
     }, (x, y, s, t)
 
 
@@ -60,25 +61,6 @@ def _check(x, y, s, t) -> None:
           and G.tau(G.mul_t1n(s, t)) == G.mul_hat2(G.tau(s), G.tau(t)))
     if not ok:
         raise SystemExit(f"wrong result at n = {x.n}")
-
-
-def _median_us(call) -> float:
-    perf = time.perf_counter
-    reps = 1
-    while True:
-        start = perf()
-        for _ in range(reps):
-            call()
-        if perf() - start >= MIN_SAMPLE_S:
-            break
-        reps *= 2
-    samples = []
-    for _ in range(K):
-        start = perf()
-        for _ in range(reps):
-            call()
-        samples.append((perf() - start) / reps)
-    return statistics.median(samples) * 1e6
 
 
 def sweep(seed: int) -> dict:

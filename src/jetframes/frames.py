@@ -2,7 +2,11 @@
 
 A frame is stored as its base point plus a group part; the right actions of
 the structure groups are then just the group laws applied to the group part,
-with the base point fixed.  Three kinds exist:
+with the base point fixed.  Each kind, and the linear frame (x, a), is a
+``matrices.Checked`` dataclass whose fields are x, the matrices and the
+bilinear part in order, so one check serves every constructor: a base point
+and parts of one dimension, invertible matrices, and a symmetric f where the
+kind declares it (``HolFrame``).  Three kinds exist:
 
 * ``NonHolFrame``  (x, a, b, f): two independent invertible matrices and an
   unrestricted bilinear part.
@@ -37,14 +41,9 @@ from .groups import (
     mul_hat2,
     skew_factor,
 )
-from .matrices import Checked, SquareMatrix, require_invertible
+from .matrices import Checked, SquareMatrix
 
 Point = tuple[Fraction, ...]
-
-
-def _check_point(x: Point, n: int) -> None:
-    if len(x) != n:
-        raise ValueError("base point has wrong dimension")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,70 +53,26 @@ class NonHolFrame(Checked):
     b: SquareMatrix
     f: Bilinear
 
-    def _check(self, invertible: bool) -> None:
-        n = self.a.n
-        _check_point(self.x, n)
-        if not (self.b.n == n == self.f.n):
-            raise ValueError("dimension mismatch between components")
-        if invertible:
-            require_invertible(self.a, "frame part a")
-            require_invertible(self.b, "frame part b")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
 
 @dataclass(frozen=True, slots=True)
-class _PairFrame(Checked):
-    """The body shared by the (x, a, f) frame kinds.
-
-    A kind whose bilinear part must be symmetric sets ``_symmetric_error``.
-    """
-
+class SemiHolFrame(Checked):
     x: Point
     a: SquareMatrix
     f: Bilinear
-    _symmetric_error = None
-
-    def _check(self, invertible: bool) -> None:
-        n = self.a.n
-        _check_point(self.x, n)
-        if self.f.n != n:
-            raise ValueError("dimension mismatch between components")
-        if invertible:
-            require_invertible(self.a, "frame part a")
-        if self._symmetric_error is not None and not is_symmetric(self.f):
-            raise ValueError(self._symmetric_error)
-
-    @property
-    def n(self) -> int:
-        return self.a.n
 
 
 @dataclass(frozen=True, slots=True)
-class SemiHolFrame(_PairFrame):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class HolFrame(_PairFrame):
-    _symmetric_error = "holonomic frame needs a symmetric bilinear part"
+class HolFrame(Checked):
+    x: Point
+    a: SquareMatrix
+    f: Bilinear
+    _symmetric = (is_symmetric, "holonomic frame needs a symmetric bilinear part")
 
 
 @dataclass(frozen=True, slots=True)
 class LinFrame(Checked):
     x: Point
     a: SquareMatrix
-
-    def _check(self, invertible: bool) -> None:
-        _check_point(self.x, self.a.n)
-        if invertible:
-            require_invertible(self.a, "frame part a")
-
-    @property
-    def n(self) -> int:
-        return self.a.n
 
 
 AnySecondOrderFrame = NonHolFrame | SemiHolFrame | HolFrame

@@ -7,11 +7,14 @@ and both the products here and the frame actions in ``frames`` call it.
 Each group still gets its own element type, so elements of different groups
 never mix.  Products, inverses and conjugations are all exact: the bilinear
 part of each is one call of the fused kernel ``_scaled.s_law`` on the terms
-+-c o f(a, b) of its formula.  Every
-operation that combines operands first checks that they share one dimension
-(``matrices.same_n``, ``ValueError`` otherwise).
++-c o f(a, b) of its formula.  Every operation that combines operands first
+checks that they share one dimension (``matrices.same_n``, ``ValueError``
+otherwise).
 
-The element types:
+The element types are ``matrices.Checked`` dataclasses whose fields are
+their parts in order, matrices first, so one check serves every constructor:
+one dimension, invertible matrices, and a symmetric bilinear part where the
+type declares it (``G2``, ``QuotClassHat``).  The types:
 
 * ``GTilde2``  -- triples (a, b, f); law (aa', bb', a o f' + f(a', b')).
 * ``GHat2``    -- pairs (a, f) with f unrestricted; law
@@ -47,7 +50,6 @@ from .matrices import (
     SquareMatrix,
     mat_inv,
     mat_mul,
-    require_invertible,
     same_n,
 )
 
@@ -55,73 +57,27 @@ from .matrices import (
 # elements of the two alternative laws.
 Pair = tuple[SquareMatrix, Bilinear]
 
+class _Element(Checked):
+    """The group element types: matrix parts, then the bilinear part."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int):
+        eye = SquareMatrix.identity(n)
+        mats = (eye,) * (len(cls.__match_args__) - 1)
+        return cls._trusted(*mats, Bilinear.zero(n))
+
+
 @dataclass(frozen=True, slots=True)
-class GTilde2(Checked):
+class GTilde2(_Element):
     a: SquareMatrix
     b: SquareMatrix
     f: Bilinear
 
-    def _check(self, invertible: bool) -> None:
-        if not (self.a.n == self.b.n == self.f.n):
-            raise ValueError("dimension mismatch between components")
-        if invertible:
-            require_invertible(self.a, "first matrix part")
-            require_invertible(self.b, "second matrix part")
-
-    @property
-    def parts(self) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
-        """The components in document order."""
-        return self.a, self.b, self.f
-
-    @property
-    def n(self) -> int:
-        return self.a.n
-
-    @classmethod
-    def identity(cls, n: int) -> "GTilde2":
-        eye = SquareMatrix.identity(n)
-        return cls._trusted(eye, eye, Bilinear.zero(n))
-
-
-class _PairElement(Checked):
-    """The body shared by the (matrix, bilinear) element types.
-
-    A subclass is a frozen dataclass with two fields: the matrix part, which
-    must be invertible, then the bilinear part.  The field names differ
-    between types (``GTilde22`` has (l, h)), so the parts are read through
-    the dataclass's ``__match_args__``, which lists the fields in order.  A
-    type whose bilinear part must be symmetric sets ``_symmetric_error``.
-    """
-
-    __slots__ = ()
-    _symmetric_error: str | None = None
-
-    def _check(self, invertible: bool) -> None:
-        m, f = self.parts
-        if m.n != f.n:
-            raise ValueError("dimension mismatch between components")
-        if invertible:
-            require_invertible(m, "matrix part")
-        if self._symmetric_error is not None and not is_symmetric(f):
-            raise ValueError(self._symmetric_error)
-
-    @property
-    def parts(self) -> Pair:
-        """The components in document order: matrix part, bilinear part."""
-        m, f = self.__match_args__
-        return getattr(self, m), getattr(self, f)
-
-    @property
-    def n(self) -> int:
-        return self.parts[0].n
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls._trusted(SquareMatrix.identity(n), Bilinear.zero(n))
-
 
 @dataclass(frozen=True, slots=True)
-class GHat2(_PairElement):
+class GHat2(_Element):
     a: SquareMatrix
     f: Bilinear
 
@@ -132,23 +88,23 @@ class GHat2(_PairElement):
 
 
 @dataclass(frozen=True, slots=True)
-class G2(_PairElement):
+class G2(_Element):
     a: SquareMatrix
     f: Bilinear
-    _symmetric_error = "bilinear part must be symmetric"
+    _symmetric = (is_symmetric, "bilinear part must be symmetric")
 
     def as_hat2(self) -> GHat2:
         return GHat2._trusted(self.a, self.f)
 
 
 @dataclass(frozen=True, slots=True)
-class GTilde21(_PairElement):
+class GTilde21(_Element):
     a: SquareMatrix
     f: Bilinear
 
 
 @dataclass(frozen=True, slots=True)
-class GTilde22(_PairElement):
+class GTilde22(_Element):
     l: SquareMatrix
     h: Bilinear
 
@@ -157,7 +113,7 @@ class GTilde22(_PairElement):
 
 
 @dataclass(frozen=True, slots=True)
-class T1nL1n(_PairElement):
+class T1nL1n(_Element):
     a: SquareMatrix
     f: Bilinear
 
@@ -385,7 +341,7 @@ def in_g1_x_a2(x: GHat2) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class QuotClassHat(_PairElement):
+class QuotClassHat(_Element):
     """A class of GHat2 elements that differ by a right factor (I, skew).
 
     Stored by its canonical representative: the unique member whose bilinear
@@ -395,7 +351,7 @@ class QuotClassHat(_PairElement):
 
     a: SquareMatrix
     f_sym: Bilinear
-    _symmetric_error = "canonical representative must be symmetric"
+    _symmetric = (is_symmetric, "canonical representative must be symmetric")
 
     @classmethod
     def of(cls, x: GHat2) -> "QuotClassHat":

@@ -14,8 +14,9 @@ which only reduces by the common gcd.  ``entries`` is the ``Fraction`` view,
 built on first access and then kept (documents and the plain-fraction
 cross-checks read it; values whose view is never read never hold one).
 
-``Checked`` gives the value types whose constructors check invariants a
-trusted builder for results that satisfy them by construction.
+``Checked`` is the base of the element and frame types: the one check of
+their invariants, and a trusted builder for results that satisfy them by
+construction.
 """
 
 from __future__ import annotations
@@ -156,25 +157,59 @@ def require_invertible(a: SquareMatrix, what: str) -> None:
 
 
 class Checked:
-    """Base of the value types whose constructor checks invariants.
+    """Base of the element and frame types, and the one check of their data.
 
-    The constructor (a dataclass ``__post_init__``) checks what data entering
-    the system must satisfy: invertible matrix parts, symmetric or skew
-    bilinear parts, matching dimensions.  Results of a law, an inverse or a
-    projection satisfy these by construction (det is multiplicative, the laws
-    are closed), so they are built with ``_trusted``, which skips the checks.
-    Pointing ``_trusted`` at the constructor re-checks every such result.
-    A subclass implements the checks as ``_check(invertible)``, which raises
-    when an invariant fails and, with ``invertible``, also computes the
-    determinant of every matrix part.  The generators draw matrix parts that
-    they have just found invertible and build with ``_generated``, which
-    makes every check but the determinant.
+    A subclass is a frozen dataclass whose fields are its parts in order: a
+    frame's base point, one or two matrices, then a bilinear map (none in a
+    linear frame).  The constructor (``__post_init__``) checks, in this
+    order: every part has the dimension of the first matrix (a base point by
+    its length), every matrix is invertible, and the last part satisfies the
+    predicate of ``_symmetric`` where a type declares it with its message
+    (``bilinear`` imports this module, so this module cannot import
+    ``is_symmetric``).
+
+    Results of a law, an inverse or a projection satisfy these by
+    construction (det is multiplicative, the laws are closed) and are built
+    with ``_trusted``, which skips the check; pointing ``_trusted`` at the
+    constructor re-checks every such result.  The generators build with
+    ``_generated``, which skips only the determinant of the matrices they
+    have just drawn as invertible.
     """
 
     __slots__ = ()
+    _symmetric: tuple[Callable[[object], bool], str] | None = None
 
     def __post_init__(self) -> None:
         self._check(invertible=True)
+
+    @property
+    def parts(self) -> tuple:
+        """The fields in order: base point, matrix parts, bilinear part."""
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    @property
+    def n(self) -> int:
+        """The dimension of the first part that is not a base point."""
+        first, second = self.parts[:2]
+        return (second if isinstance(first, tuple) else first).n
+
+    def _check(self, invertible: bool) -> None:
+        """Raise when an invariant fails; compute det only if ``invertible``."""
+        names = self.__match_args__
+        parts = [getattr(self, name) for name in names]
+        n = parts[1].n if isinstance(parts[0], tuple) else parts[0].n
+        for part in parts:
+            if isinstance(part, tuple):
+                if len(part) != n:
+                    raise ValueError("base point has wrong dimension")
+            elif part.n != n:
+                raise ValueError("dimension mismatch between components")
+        if invertible:
+            for name, part in zip(names, parts):
+                if isinstance(part, SquareMatrix):
+                    require_invertible(part, f"matrix part {name}")
+        if self._symmetric is not None and not self._symmetric[0](parts[-1]):
+            raise ValueError(self._symmetric[1])
 
     @classmethod
     def _generated(cls, *parts):

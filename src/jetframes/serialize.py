@@ -50,6 +50,7 @@ def vector_to_doc(x: Point) -> list[str]:
 def vector_from_doc(doc: Any) -> Point:
     if not isinstance(doc, list):
         raise ParseError("vector must be a JSON array")
+    _check_size(doc, "vector")
     return tuple(rat_from_str(e) for e in doc)
 
 
@@ -77,6 +78,14 @@ def matrix_from_doc(doc: Any) -> SquareMatrix:
         return SquareMatrix(len(rows), rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _matrix_of_n(doc: Any, n: int) -> SquareMatrix:
+    """The matrix of ``doc``, which must be n x n for a document of size n."""
+    a = matrix_from_doc(doc)
+    if a.n != n:
+        raise ParseError("matrix shape disagrees with the document's 'n'")
+    return a
 
 
 def bilinear_to_doc(f: Bilinear) -> dict[str, Any]:
@@ -130,13 +139,8 @@ def group_from_doc(doc: Any) -> GroupElement:
     n = doc.get("n")
     check_n(n, "group element 'n'")
     try:
-        a = matrix_from_doc(doc["a"])
+        a = _matrix_of_n(doc["a"], n)
         f = _coeffs_only_from_doc(doc["f"], n)
-    except KeyError as exc:
-        raise ParseError(f"group element missing field {exc}") from exc
-    if a.n != n:
-        raise ParseError("matrix shape disagrees with the document's 'n'")
-    try:
         mats = (a, matrix_from_doc(doc["b"])) if tag == "tilde2" else (a,)
         return GROUPS[tag].type(*mats, f)
     except KeyError as exc:
@@ -167,7 +171,7 @@ def frame_from_doc(doc: Any) -> Frame:
     check_n(n, "frame 'n'")
     try:
         x = vector_from_doc(doc["x"])
-        a = matrix_from_doc(doc["a"])
+        a = _matrix_of_n(doc["a"], n)
         if kind == "lin":
             return LinFrame(x, a)
         f = _coeffs_only_from_doc(doc["f"], n)

@@ -16,7 +16,9 @@ from jetframes.serialize import (
     bilinear_from_doc,
     frame_from_doc,
     group_from_doc,
+    jet_from_doc,
     matrix_from_doc,
+    vector_from_doc,
 )
 
 
@@ -79,6 +81,9 @@ def test_caps_leave_acceptance_and_benchmark_sizes_valid(capsys):
     (frame_from_doc, {"kind": "hol", "n": MAX_N + 1, "x": [], "a": []}),
     (matrix_from_doc, [["1"]] * (MAX_N + 1)),
     (bilinear_from_doc, {"n": MAX_N + 1, "coeffs": [[["1"]]] * (MAX_N + 1)}),
+    (vector_from_doc, ["0"] * (MAX_N + 1)),
+    (jet_from_doc, {"base": ["0"] * (MAX_N + 1), "value": ["0"], "jac": [["1"]],
+                    "hess": [[["0"]]]}),
 ])
 def test_document_dimension_is_capped(parse, doc):
     with pytest.raises(ParseError, match=str(MAX_N)):

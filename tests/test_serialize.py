@@ -135,6 +135,9 @@ def test_malformed_documents_rejected():
         bilinear_from_doc({"n": 2, "coeffs": [[["1"]]]})
     with pytest.raises(ParseError):
         matrix_from_doc([["1", "oops"]])
+    with pytest.raises(ParseError, match="'n'"):
+        frame_from_doc({"kind": "lin", "n": 2, "x": ["1", "2", "3"],
+                        "a": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
 
 
 def test_missing_fields_rejected():

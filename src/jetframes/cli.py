@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -207,15 +208,20 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    frame = frame_from_doc(_read_doc(args.frame))
+def _nonhol_frame(path: str, command: str) -> NonHolFrame:
+    """The second-order frame in ``path``, lifted hol -> semihol -> nonhol."""
+    frame = frame_from_doc(_read_doc(path))
     if isinstance(frame, HolFrame):
         frame = embed_hol(frame)
     if isinstance(frame, SemiHolFrame):
         frame = embed_semihol(frame)
     if not isinstance(frame, NonHolFrame):
-        raise KindMismatchError("classify needs a second-order frame")
-    _emit({"class": classify(frame)})
+        raise KindMismatchError(f"{command} needs a second-order frame")
+    return frame
+
+
+def _cmd_classify(args) -> int:
+    _emit({"class": classify(_nonhol_frame(args.frame, "classify"))})
     return 0
 
 
@@ -233,11 +239,7 @@ def _cmd_oracle(args) -> int:
         _emit(jet_to_doc(compose_2jets(outer, inner)))
     else:
         F = jet_from_doc(_read_doc(args.inputs[0]))
-        frame = frame_from_doc(_read_doc(args.inputs[1]))
-        if isinstance(frame, SemiHolFrame):
-            frame = embed_semihol(frame)
-        if not isinstance(frame, NonHolFrame):
-            raise KindMismatchError("oracle act needs a nonhol or semihol frame")
+        frame = _nonhol_frame(args.inputs[1], "oracle act")
         _emit(frame_to_doc(left_act_diffeo(F, frame)))
     return 0
 
@@ -250,6 +252,8 @@ def _cmd_verify(args) -> int:
     ns = tuple(args.n) if args.n else (1, 2, 3, 4)
     for n in ns:
         check_n(n, "--n")
+    if len(set(ns)) < len(ns):
+        raise ParseError("--n gives a dimension more than once")
     reports = run_suites(names, ns, args.trials, args.seed)
     if args.json:
         _emit([r.to_doc() for r in reports])
@@ -329,10 +333,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except JetFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that the
+        # interpreter's last flush of the unwritten rest reports nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

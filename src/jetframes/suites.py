@@ -1,12 +1,16 @@
 """Named verification suites over seeded random instances.
 
-Each suite is a list of properties; a property takes a dimension and a
-dedicated random stream, checks one exact identity on freshly generated
-data and returns ``None`` on success or a JSON-able counterexample payload
-on failure.  The runner executes every property for each requested
+Each suite is a tuple of properties.  A property takes a dimension and a
+dedicated random stream, checks one exact identity on freshly generated data
+and returns ``(held, witness)``: whether the identity held, and a dict of the
+raw values that make up its counterexample (``{}`` for a vacuous trial).  A
+witness holds only values the check has already computed, so a passing trial
+does no work for it.  The runner executes every property for each requested
 dimension and trial index, with the per-trial stream derived from
-``(seed, suite, property, n, trial)``, so any failure is reproducible from
-the (seed, trial-index) pair printed in the report.
+``(seed, suite, property, n, trial)``; it counts a failure whenever ``held``
+is false and turns the witness of the first failure alone into documents
+(``_witness``), so any failure is reproducible from the (seed, trial-index)
+pair printed in the report.
 
 All comparisons are exact equality of rationals; there are no tolerances
 anywhere.
@@ -86,7 +90,7 @@ from .matrices import SquareMatrix, mat_inv, mat_mul
 from .randgen import SplitMix64, stream
 from .serialize import to_doc
 
-PropertyFn = Callable[[int, SplitMix64], dict | None]
+PropertyFn = Callable[[int, SplitMix64], tuple[bool, dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,9 @@ class SuiteReport:
 
 
 def _witness(**objs: Any) -> dict[str, Any]:
-    """A counterexample payload: values become their documents, while
-    strings (reasons) and lists (check results) are kept as they are."""
+    """The counterexample payload of a witness: values become their
+    documents, while strings (reasons) and lists (check results) are kept as
+    they are."""
     return {key: value if isinstance(value, (str, list)) else to_doc(value)
             for key, value in objs.items()}
 
@@ -160,26 +165,22 @@ def _parts_commute(post: bool) -> PropertyFn:
         def compose(g):
             return post_compose(a, g) if post else pre_compose(g, a, a)
 
-        if all(part(compose(f)) == compose(part(f))
-               for part in (transpose, sym_part, skew_part)):
-            return None
-        return _witness(a=a, f=f)
+        return all(part(compose(f)) == compose(part(f))
+                   for part in (transpose, sym_part, skew_part)), dict(a=a, f=f)
     return prop
 
 
 def _prel_split(n, rng):
     f = rg.rand_bilinear(rng, n)
     fs, fa = sym_part(f), skew_part(f)
-    ok = (
+    held = (
         fs + fa == f
         and is_symmetric(fs)
         and is_skew(fa)
         and sym_part(fs) == fs
         and skew_part(fs).is_zero()
     )
-    if ok:
-        return None
-    return _witness(f=f)
+    return held, dict(f=f)
 
 
 def _prel_two_sided(n, rng):
@@ -187,9 +188,8 @@ def _prel_two_sided(n, rng):
     b = rg.rand_invertible(rng, n)
     c = rg.rand_invertible(rng, n)
     f = rg.rand_bilinear(rng, n)
-    if pre_compose(post_compose(a, f), b, c) == post_compose(a, pre_compose(f, b, c)):
-        return None
-    return _witness(a=a, b=b, c=c, f=f)
+    lhs = pre_compose(post_compose(a, f), b, c)
+    return lhs == post_compose(a, pre_compose(f, b, c)), dict(a=a, b=b, c=c, f=f)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +226,7 @@ def _law_associative(tag: str) -> PropertyFn:
     def prop(n, rng):
         gen, mul, _, _ = _law(tag)
         x, y, z = gen(rng, n), gen(rng, n), gen(rng, n)
-        if mul(mul(x, y), z) == mul(x, mul(y, z)):
-            return None
-        return _witness(x=x, y=y, z=z)
+        return mul(mul(x, y), z) == mul(x, mul(y, z)), dict(x=x, y=y, z=z)
     return prop
 
 
@@ -237,9 +235,7 @@ def _law_identity(tag: str) -> PropertyFn:
         gen, mul, _, identity = _law(tag)
         x = gen(rng, n)
         e = identity(n)
-        if mul(x, e) == x and mul(e, x) == x:
-            return None
-        return _witness(x=x)
+        return mul(x, e) == x and mul(e, x) == x, dict(x=x)
     return prop
 
 
@@ -249,9 +245,7 @@ def _law_inverse(tag: str) -> PropertyFn:
         x = gen(rng, n)
         e = identity(n)
         xi = inv(x)
-        if mul(x, xi) == e and mul(xi, x) == e:
-            return None
-        return _witness(x=x, x_inv=xi)
+        return mul(x, xi) == e and mul(xi, x) == e, dict(x=x, x_inv=xi)
     return prop
 
 
@@ -277,9 +271,8 @@ def _conj_keeps_part(symmetric: bool, key: str) -> PropertyFn:
         x = rg.rand_hat2(rng, n)
         h = rg.rand_symmetric(rng, n) if symmetric else rg.rand_skew(rng, n)
         c = conj_hat2(x, GHat2.from_bilinear(h))
-        if c.a.is_identity() and (is_symmetric(c.f) if symmetric else is_skew(c.f)):
-            return None
-        return _witness(x=x, **{key: h}, conj=c)
+        held = c.a.is_identity() and (is_symmetric(c.f) if symmetric else is_skew(c.f))
+        return held, dict(x=x, **{key: h}, conj=c)
     return prop
 
 
@@ -288,21 +281,14 @@ def _grol1_conj_closed_form(n, rng):
     y = rg.rand_hat2(rng, n)
     direct = conj_hat2(x, y)
     explicit = mul_hat2(mul_hat2(x, y), inv_hat2(x))
-    if direct == explicit:
-        return None
-    return _witness(x=x, y=y, closed_form=direct, triple=explicit)
+    return direct == explicit, dict(x=x, y=y, closed_form=direct, triple=explicit)
 
 
 def _grol1_decompose_recompose(n, rng):
     x = rg.rand_hat2(rng, n)
     sym_el, skew = decompose_hat2(x)
-    ok = (
-        is_skew(skew)
-        and mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew)) == x
-    )
-    if ok:
-        return None
-    return _witness(x=x, sym=sym_el, skew=skew)
+    held = is_skew(skew) and mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew)) == x
+    return held, dict(x=x, sym=sym_el, skew=skew)
 
 
 def _grol1_decompose_unique(n, rng):
@@ -311,14 +297,13 @@ def _grol1_decompose_unique(n, rng):
     delta = rg.rand_nonzero_skew(rng, n)
     if delta is not None:
         if mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew + delta)) == x:
-            return _witness(x=x, perturbation=delta,
-                            reason="skew perturbation also recomposes")
+            return False, dict(x=x, perturbation=delta,
+                               reason="skew perturbation also recomposes")
     bump = rg.rand_nonzero_symmetric(rng, n)
     other = GHat2(sym_el.a, sym_el.f + bump)
-    if mul_hat2(other, GHat2.from_bilinear(skew)) == x:
-        return _witness(x=x, perturbation=bump,
-                        reason="symmetric perturbation also recomposes")
-    return None
+    held = mul_hat2(other, GHat2.from_bilinear(skew)) != x
+    return held, dict(x=x, perturbation=bump,
+                      reason="symmetric perturbation also recomposes")
 
 
 def _grol3_conj_ignores_f(n, rng):
@@ -328,9 +313,7 @@ def _grol3_conj_ignores_f(n, rng):
     inner = GHat2.from_bilinear(g)
     with_f = conj_hat2(GHat2(a, f), inner)
     without_f = conj_hat2(GHat2(a, Bilinear.zero(n)), inner)
-    if with_f == without_f:
-        return None
-    return _witness(a=a, f=f, g=g)
+    return with_f == without_f, dict(a=a, f=f, g=g)
 
 
 # ---------------------------------------------------------------------------
@@ -342,34 +325,25 @@ def _grop1_homomorphism(n, rng):
     c2 = rg.rand_quot_class(rng, n)
     lhs = mu(mul_quot(c1, c2))
     rhs = mul_g2(mu(c1), mu(c2))
-    if lhs == rhs:
-        return None
-    return _witness(c1=c1.representative(), c2=c2.representative(), mu_of_product=lhs,
-                    product_of_mu=rhs)
+    return lhs == rhs, dict(c1=c1.representative(), c2=c2.representative(),
+                            mu_of_product=lhs, product_of_mu=rhs)
 
 
 def _grop1_injective(n, rng):
     c1 = rg.rand_quot_class(rng, n)
     c2 = rg.rand_quot_class(rng, n)
-    if c1 == c2:
-        return None
-    if mu(c1) != mu(c2):
-        return None
-    return _witness(c1=c1.representative(), c2=c2.representative())
+    held = c1 == c2 or mu(c1) != mu(c2)
+    return held, dict(c1=c1.representative(), c2=c2.representative())
 
 
 def _grop1_surjective(n, rng):
     g = rg.rand_g2(rng, n)
-    if mu(mu_inv(g)) == g:
-        return None
-    return _witness(g=g)
+    return mu(mu_inv(g)) == g, dict(g=g)
 
 
 def _grop1_roundtrip(n, rng):
     c = rg.rand_quot_class(rng, n)
-    if mu_inv(mu(c)) == c:
-        return None
-    return _witness(c=c.representative())
+    return mu_inv(mu(c)) == c, dict(c=c.representative())
 
 
 def _grop1_coset_equal(n, rng):
@@ -377,14 +351,12 @@ def _grop1_coset_equal(n, rng):
     h = rg.rand_skew(rng, n)
     same = mul_hat2(x, GHat2.from_bilinear(h))
     if not coset_equal(x, same):
-        return _witness(x=x, h=h, reason="skew right factor left the class")
+        return False, dict(x=x, h=h, reason="skew right factor left the class")
     if not coset_equal(x, GHat2(x.a, sym_part(x.f))):
-        return _witness(x=x, reason="symmetric part left the class")
+        return False, dict(x=x, reason="symmetric part left the class")
     y = rg.rand_hat2(rng, n)
     want = x.a == y.a and sym_part(x.f) == sym_part(y.f)
-    if coset_equal(x, y) != want:
-        return _witness(x=x, y=y)
-    return None
+    return coset_equal(x, y) == want, dict(x=x, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -394,34 +366,26 @@ def _grop1_coset_equal(n, rng):
 def _grol4_coordinate(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
-    if mul_t1n(x, y) == mul_t1n_coordinate(x, y):
-        return None
-    return _witness(x=x, y=y)
+    return mul_t1n(x, y) == mul_t1n_coordinate(x, y), dict(x=x, y=y)
 
 
 def _grol4_tau_homomorphism(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
-    if tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y)):
-        return None
-    return _witness(x=x, y=y)
+    return tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y)), dict(x=x, y=y)
 
 
 def _grol4_tau_roundtrip(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_hat2(rng, n)
-    if tau_inv(tau(x)) == x and tau(tau_inv(y)) == y:
-        return None
-    return _witness(x=x, y=y)
+    return tau_inv(tau(x)) == x and tau(tau_inv(y)) == y, dict(x=x, y=y)
 
 
 def _grol4_law_recovered(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
     recovered = tau_inv(mul_hat2(tau(x), tau(y)))
-    if recovered == mul_t1n(x, y):
-        return None
-    return _witness(x=x, y=y, recovered=recovered)
+    return recovered == mul_t1n(x, y), dict(x=x, y=y, recovered=recovered)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +397,8 @@ def _rbsp1_group_level(n, rng):
     k = rg.rand_hat2(rng, n)
     product = mul_hat2(g.as_hat2(), k)
     symmetrized = mul_hat2(g.as_hat2(), GHat2(k.a, sym_part(k.f)))
-    if symmetrized == GHat2(product.a, sym_part(product.f)):
-        return None
-    return _witness(g=g, k=k, product=product)
+    held = symmetrized == GHat2(product.a, sym_part(product.f))
+    return held, dict(g=g, k=k, product=product)
 
 
 def _rbsp1_frame_level(n, rng):
@@ -443,9 +406,7 @@ def _rbsp1_frame_level(n, rng):
     k = rg.rand_hat2(rng, n)
     moved = act_semihol(embed_hol(p), k)
     direct = act_hol(p, G2(k.a, sym_part(k.f)))
-    if proj_hat22(moved) == direct:
-        return None
-    return _witness(p=p, k=k)
+    return proj_hat22(moved) == direct, dict(p=p, k=k)
 
 
 def _rbsp1_well_defined(n, rng):
@@ -457,13 +418,12 @@ def _rbsp1_well_defined(n, rng):
     q1 = act_semihol(embed_hol(p), k)
     q2 = act_semihol(embed_hol(p2), k2)
     if q1 != q2:
-        return _witness(p=p, k=k, alpha=alpha,
-                        reason="the two factorizations name different frames")
+        return False, dict(p=p, k=k, alpha=alpha,
+                           reason="the two factorizations name different frames")
     via1 = act_hol(p, G2(k.a, sym_part(k.f)))
     via2 = act_hol(p2, G2(k2.a, sym_part(k2.f)))
-    if via1 == via2 == proj_hat22(q1):
-        return None
-    return _witness(p=p, k=k, alpha=alpha, via_first=via1, via_second=via2)
+    held = via1 == via2 == proj_hat22(q1)
+    return held, dict(p=p, k=k, alpha=alpha, via_first=via1, via_second=via2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +435,7 @@ def _hat22_keeps(linear: bool) -> PropertyFn:
     def prop(n, rng):
         p = rg.rand_semihol(rng, n)
         lower = proj_21 if linear else proj_20
-        if lower(p) == lower(proj_hat22(p)):
-            return None
-        return _witness(p=p)
+        return lower(p) == lower(proj_hat22(p)), dict(p=p)
     return prop
 
 
@@ -485,35 +443,28 @@ def _rbsl2_fiber_iff(n, rng):
     p = rg.rand_semihol(rng, n)
     q = rg.rand_hol(rng, n)
     if fiber_hat22_contains(q, p) != (proj_hat22(p) == q):
-        return _witness(q=q, p=p)
+        return False, dict(q=q, p=p)
     own = proj_hat22(p)
     if not fiber_hat22_contains(own, p):
-        return _witness(q=own, p=p, reason="frame missing from its own fiber")
+        return False, dict(q=own, p=p, reason="frame missing from its own fiber")
     # near miss: same base point and linear part, independent bilinear part
     probe = SemiHolFrame(q.x, q.a, rg.rand_bilinear(rng, n))
-    if fiber_hat22_contains(q, probe) != (proj_hat22(probe) == q):
-        return _witness(q=q, p=probe,
-                        reason="membership disagrees with projection on a probe")
-    return None
+    held = fiber_hat22_contains(q, probe) == (proj_hat22(probe) == q)
+    return held, dict(q=q, p=probe,
+                      reason="membership disagrees with projection on a probe")
 
 
 def _rbsl2_orbit_in_fiber(n, rng):
     q = rg.rand_hol(rng, n)
     h = rg.rand_skew(rng, n)
     moved = act_semihol(embed_hol(q), GHat2.from_bilinear(h))
-    if proj_hat22(moved) == q and fiber_hat22_contains(q, moved):
-        return None
-    return _witness(q=q, h=h)
+    return proj_hat22(moved) == q and fiber_hat22_contains(q, moved), dict(q=q, h=h)
 
 
 def _rbsl2_rejects_other_linear_part(n, rng):
     q = rg.rand_hol(rng, n)
     p = rg.rand_semihol(rng, n)
-    if p.a == q.a:
-        return None
-    if fiber_hat22_contains(q, p):
-        return _witness(q=q, p=p)
-    return None
+    return p.a == q.a or not fiber_hat22_contains(q, p), dict(q=q, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +475,8 @@ def _rbst1_free(n, rng):
     q = rg.rand_semihol(rng, n)
     h = rg.rand_nonzero_skew(rng, n)
     if h is None:
-        return None
-    if act_semihol(q, GHat2.from_bilinear(h)) != q:
-        return None
-    return _witness(q=q, h=h)
+        return True, {}
+    return act_semihol(q, GHat2.from_bilinear(h)) != q, dict(q=q, h=h)
 
 
 def _rbst1_omega_well_defined(n, rng):
@@ -536,9 +485,7 @@ def _rbst1_omega_well_defined(n, rng):
     h2 = rg.rand_skew(rng, n)
     m1 = act_semihol(q, GHat2.from_bilinear(h1))
     m2 = act_semihol(q, GHat2.from_bilinear(h2))
-    if omega(m1) == omega(m2) == omega(q):
-        return None
-    return _witness(q=q, h1=h1, h2=h2)
+    return omega(m1) == omega(m2) == omega(q), dict(q=q, h1=h1, h2=h2)
 
 
 def _rbst1_omega_injective(n, rng):
@@ -553,50 +500,42 @@ def _rbst1_omega_injective(n, rng):
             continue
         diff = post_compose(mat_inv(qa.a), qb.f - qa.f)
         if not is_skew(diff):
-            return _witness(q1=qa, q2=qb, reason="connecting element is not skew")
+            return False, dict(q1=qa, q2=qb, reason="connecting element is not skew")
         if act_semihol(qa, GHat2.from_bilinear(diff)) != qb:
-            return _witness(q1=qa, q2=qb,
-                            reason="connecting element does not map q1 to q2")
-    return None
+            return False, dict(q1=qa, q2=qb,
+                               reason="connecting element does not map q1 to q2")
+    return True, {}
 
 
 def _rbst1_sigma_equation(n, rng):
     p = rg.rand_semihol(rng, n)
     s = sigma(p)
     lhs = mul_hat2(GHat2(p.a, sym_part(p.f)), GHat2.from_bilinear(s))
-    if is_skew(s) and lhs == GHat2(p.a, p.f):
-        return None
-    return _witness(p=p, sigma=s)
+    return is_skew(s) and lhs == GHat2(p.a, p.f), dict(p=p, sigma=s)
 
 
 def _rbst1_sigma_reconstruction(n, rng):
     p = rg.rand_semihol(rng, n)
     quotient = mul_hat2(inv_hat2(GHat2(p.a, sym_part(p.f))), GHat2(p.a, p.f))
-    if quotient == GHat2.from_bilinear(sigma(p)):
-        return None
-    return _witness(p=p, quotient=quotient)
+    return quotient == GHat2.from_bilinear(sigma(p)), dict(p=p, quotient=quotient)
 
 
 def _rbst1_sigma_equivariance(n, rng):
     p = rg.rand_semihol(rng, n)
     h = rg.rand_skew(rng, n)
-    if sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h:
-        return None
-    return _witness(p=p, h=h)
+    return sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h, dict(p=p, h=h)
 
 
 def _rbst1_extension_roundtrip(n, rng):
     q = rg.rand_semihol(rng, n)
     c = theta_inv(q)
     if theta(c) != q:
-        return _witness(q=q, reason="theta(theta_inv(q)) != q")
+        return False, dict(q=q, reason="theta(theta_inv(q)) != q")
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     c2 = ext_class(p, k)
-    if theta_inv(theta(c2)) != c2:
-        return _witness(p=p, k=k,
-                        reason="theta_inv(theta(c)) != c on a canonical class")
-    return None
+    return theta_inv(theta(c2)) == c2, dict(
+        p=p, k=k, reason="theta_inv(theta(c)) != c on a canonical class")
 
 
 def _rbst1_extension_invariant(n, rng):
@@ -604,9 +543,7 @@ def _rbst1_extension_invariant(n, rng):
     k = rg.rand_hat2(rng, n)
     alpha = rg.rand_g2(rng, n)
     shifted = ext_class(act_hol(p, alpha), mul_hat2(inv_g2(alpha).as_hat2(), k))
-    if ext_class(p, k) == shifted:
-        return None
-    return _witness(p=p, k=k, alpha=alpha)
+    return ext_class(p, k) == shifted, dict(p=p, k=k, alpha=alpha)
 
 
 def _rbst1_theta_equivariant(n, rng):
@@ -615,9 +552,7 @@ def _rbst1_theta_equivariant(n, rng):
     k2 = rg.rand_hat2(rng, n)
     lhs = act_semihol(theta(ext_class(p, k)), k2)
     rhs = theta(ext_class(p, mul_hat2(k, k2)))
-    if lhs == rhs:
-        return None
-    return _witness(p=p, k=k, k2=k2)
+    return lhs == rhs, dict(p=p, k=k, k2=k2)
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +563,13 @@ def _rbst2_free(n, rng):
     q = rg.rand_nonhol(rng, n)
     g = rg.rand_tilde22(rng, n)
     if g == GTilde22.identity(n):
-        return None
-    if act_tilde22(q, g) != q:
-        return None
-    return _witness(q=q, g=g)
+        return True, {}
+    return act_tilde22(q, g) != q, dict(q=q, g=g)
 
 
 def _rbst2_composite(n, rng):
     q = rg.rand_nonhol(rng, n)
-    if proj_tilde22(q) == proj_hat22(proj_pi(q)):
-        return None
-    return _witness(q=q)
+    return proj_tilde22(q) == proj_hat22(proj_pi(q)), dict(q=q)
 
 
 def _rbst2_staged(n, rng):
@@ -649,9 +580,7 @@ def _rbst2_staged(n, rng):
         act_nonhol(q, GTilde2(eye, g.l, Bilinear.zero(n))),
         GTilde2(eye, eye, g.h),
     )
-    if act_tilde22(q, g) == staged:
-        return None
-    return _witness(q=q, g=g)
+    return act_tilde22(q, g) == staged, dict(q=q, g=g)
 
 
 def _rbst2_law_matches_tilde21(n, rng):
@@ -659,18 +588,16 @@ def _rbst2_law_matches_tilde21(n, rng):
     y = rg.rand_tilde22(rng, n)
     z = mul_tilde22(x, y)
     w = mul_tilde21(GTilde21(x.l, x.h), GTilde21(y.l, y.h))
-    if z.l == w.a and z.h == w.f:
-        return None
-    return _witness(x=x, y=y)
+    return z.l == w.a and z.h == w.f, dict(x=x, y=y)
 
 
 def _rbst2_projection_invariant(n, rng):
     q = rg.rand_nonhol(rng, n)
     g = rg.rand_tilde22(rng, n)
-    if proj_tilde22(act_tilde22(q, g)) == proj_tilde22(q):
-        return None
-    return _witness(q=q, g=g, projected=proj_tilde22(q),
-                    projected_after_action=proj_tilde22(act_tilde22(q, g)))
+    after = proj_tilde22(act_tilde22(q, g))
+    before = proj_tilde22(q)
+    return after == before, dict(q=q, g=g, projected=before,
+                                 projected_after_action=after)
 
 
 def _rbst2_surjective(n, rng):
@@ -678,9 +605,7 @@ def _rbst2_surjective(n, rng):
     eye = SquareMatrix.identity(n)
     preimage_f = pre_compose(target.f, eye, mat_inv(target.a))
     preimage = NonHolFrame(target.x, target.a, target.a, preimage_f)
-    if proj_tilde22(preimage) == target:
-        return None
-    return _witness(target=target, preimage=preimage)
+    return proj_tilde22(preimage) == target, dict(target=target, preimage=preimage)
 
 
 # ---------------------------------------------------------------------------
@@ -689,41 +614,35 @@ def _rbst2_surjective(n, rng):
 
 def _diagram_nonhol(n, rng):
     q = rg.rand_nonhol(rng, n)
-    checks = (
+    checks = [
         proj_20(q) == proj_10(proj_21(q)),
         proj_20(proj_pi(q)) == proj_20(q),
         proj_21(proj_pi(q)) == proj_21(q),
         proj_20(proj_tilde22(q)) == proj_20(q),
         proj_21(proj_tilde22(q)) == proj_21(q),
         proj_tilde22(q) == proj_hat22(proj_pi(q)),
-    )
-    if all(checks):
-        return None
-    return _witness(q=q, checks=list(checks))
+    ]
+    return all(checks), dict(q=q, checks=checks)
 
 
 def _diagram_semihol(n, rng):
     p = rg.rand_semihol(rng, n)
-    checks = (
+    checks = [
         proj_20(p) == proj_10(proj_21(p)),
         proj_20(proj_hat22(p)) == proj_20(p),
         proj_21(proj_hat22(p)) == proj_21(p),
-    )
-    if all(checks):
-        return None
-    return _witness(p=p, checks=list(checks))
+    ]
+    return all(checks), dict(p=p, checks=checks)
 
 
 def _diagram_hol(n, rng):
     t = rg.rand_hol(rng, n)
-    checks = (
+    checks = [
         proj_20(t) == proj_10(proj_21(t)),
         proj_hat22(embed_hol(t)) == t,
         proj_hat22(embed_hol(proj_hat22(embed_hol(t)))) == proj_hat22(embed_hol(t)),
-    )
-    if all(checks):
-        return None
-    return _witness(t=t, checks=list(checks))
+    ]
+    return all(checks), dict(t=t, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -735,9 +654,7 @@ def _oracle_group_law(n, rng):
     q = rg.rand_g2(rng, n)
     via_jets = g2_law_via_jets(p, q)
     via_law = mul_g2(p, q)
-    if via_jets == via_law:
-        return None
-    return _witness(p=p, q=q, via_jets=via_jets, via_law=via_law)
+    return via_jets == via_law, dict(p=p, q=q, via_jets=via_jets, via_law=via_law)
 
 
 def _oracle_associative(n, rng):
@@ -748,18 +665,15 @@ def _oracle_associative(n, rng):
     f = rg.rand_map2jet(rng, n, base=x0, value=x1)
     g = rg.rand_map2jet(rng, n, base=x1, value=x2)
     h = rg.rand_map2jet(rng, n, base=x2, value=x3)
-    if compose_2jets(compose_2jets(h, g), f) == compose_2jets(h, compose_2jets(g, f)):
-        return None
-    return _witness(f=f, g=g, h=h)
+    left = compose_2jets(compose_2jets(h, g), f)
+    return left == compose_2jets(h, compose_2jets(g, f)), dict(f=f, g=g, h=h)
 
 
 def _oracle_identity(n, rng):
     f = rg.rand_map2jet(rng, n)
     left = compose_2jets(Map2Jet.identity(f.value), f)
     right = compose_2jets(f, Map2Jet.identity(f.base))
-    if left == f and right == f:
-        return None
-    return _witness(f=f)
+    return left == f and right == f, dict(f=f)
 
 
 def _oracle_functorial(n, rng):
@@ -768,9 +682,8 @@ def _oracle_functorial(n, rng):
     end = rg.rand_point(rng, n)
     G = rg.rand_map2jet(rng, n, base=q.x, value=mid)
     F = rg.rand_map2jet(rng, n, base=mid, value=end)
-    if left_act_diffeo(compose_2jets(F, G), q) == left_act_diffeo(F, left_act_diffeo(G, q)):
-        return None
-    return _witness(q=q, F=F, G=G)
+    direct = left_act_diffeo(compose_2jets(F, G), q)
+    return direct == left_act_diffeo(F, left_act_diffeo(G, q)), dict(q=q, F=F, G=G)
 
 
 def _oracle_class_preserved(n, rng):
@@ -782,9 +695,9 @@ def _oracle_class_preserved(n, rng):
     for q in frames:
         F = rg.rand_map2jet(rng, n, base=q.x)
         if classify(left_act_diffeo(F, q)) != classify(q):
-            return _witness(q=q, F=F, before=classify(q),
-                            after=classify(left_act_diffeo(F, q)))
-    return None
+            return False, dict(q=q, F=F, before=classify(q),
+                               after=classify(left_act_diffeo(F, q)))
+    return True, {}
 
 
 def _oracle_linear_part(n, rng):
@@ -792,133 +705,127 @@ def _oracle_linear_part(n, rng):
     F = rg.rand_map2jet(rng, n, base=q.x)
     moved = left_act_diffeo(F, q)
     lin = proj_21(moved)
-    if lin.x == F.value and lin.a == mat_mul(F.jac, q.a):
-        return None
-    return _witness(q=q, F=F)
+    return lin.x == F.value and lin.a == mat_mul(F.jac, q.a), dict(q=q, F=F)
 
 
 # ---------------------------------------------------------------------------
 # registry and runner
 
 
-def _suite(name: str, description: str, props) -> Suite:
-    return Suite(name, description, tuple(props))
-
-
 SUITES: dict[str, Suite] = {
     s.name: s
     for s in (
-        _suite("axioms",
-               "group axioms (associativity, identity, inverses) for the six "
-               "typed element kinds",
-               _axiom_properties(("tilde2", "hat2", "g2", "tilde21", "tilde22",
-                                  "t1n"))),
-        _suite("deleon",
-               "group axioms for the two alternative laws on matrix-bilinear "
-               "pairs",
-               _axiom_properties(("deleon1", "deleon2"))),
-        _suite("prel1",
-               "transpose/symmetric/skew parts against post- and diagonal "
-               "pre-composition",
-               [Property("post_compose_respects_parts", _parts_commute(post=True)),
-                Property("diag_pre_compose_respects_parts",
-                         _parts_commute(post=False)),
-                Property("sym_plus_skew_recovers", _prel_split),
-                Property("post_and_pre_commute", _prel_two_sided)]),
-        _suite("grol1",
-               "conjugation preserves the symmetric and skew subsets; unique "
-               "symmetric-times-skew factorization",
-               [Property("conjugation_preserves_symmetric",
-                         _conj_keeps_part(symmetric=True, key="h")),
-                Property("conjugation_preserves_skew",
-                         _conj_keeps_part(symmetric=False, key="h")),
-                Property("conjugation_closed_form", _grol1_conj_closed_form),
-                Property("decompose_recompose", _grol1_decompose_recompose),
-                Property("decompose_unique", _grol1_decompose_unique)]),
-        _suite("grol3",
-               "normality of the symmetric and skew additive subgroups; "
-               "conjugation of pure bilinear elements ignores the outer "
-               "bilinear part",
-               [Property("symmetric_subgroup_normal",
-                         _conj_keeps_part(symmetric=True, key="s")),
-                Property("skew_subgroup_normal",
-                         _conj_keeps_part(symmetric=False, key="h")),
-                Property("conjugation_ignores_outer_bilinear",
-                         _grol3_conj_ignores_f)]),
-        _suite("grop1",
-               "the symmetrizing map from classes-modulo-skew is a bijective "
-               "homomorphism onto symmetric pairs",
-               [Property("mu_homomorphism", _grop1_homomorphism),
-                Property("mu_injective", _grop1_injective),
-                Property("mu_surjective", _grop1_surjective),
-                Property("mu_roundtrip", _grop1_roundtrip),
-                Property("coset_equality", _grop1_coset_equal)]),
-        _suite("grol4",
-               "the alternative pair law matches its raw coordinate form and "
-               "is isomorphic to the standard pair law",
-               [Property("structural_equals_coordinate", _grol4_coordinate),
-                Property("tau_homomorphism", _grol4_tau_homomorphism),
-                Property("tau_roundtrip", _grol4_tau_roundtrip),
-                Property("law_recovered_through_tau", _grol4_law_recovered),
-                Property("inverse_via_tau", _law_inverse("t1n"))]),
-        _suite("rbsp1",
-               "multiplying by a symmetric pair commutes with symmetrizing "
-               "the bilinear part; the symmetrizing projection is "
-               "factorization-independent",
-               [Property("symmetrize_after_product", _rbsp1_group_level),
-                Property("symmetrize_after_frame_action", _rbsp1_frame_level),
-                Property("projection_well_defined", _rbsp1_well_defined)]),
-        _suite("rbsl1",
-               "the symmetrizing projection preserves the base point",
-               [Property("base_point_preserved", _hat22_keeps(linear=False))]),
-        _suite("rbsl2",
-               "fibers of the symmetrizing projection are exactly the skew "
-               "orbits",
-               [Property("fiber_membership_matches_projection", _rbsl2_fiber_iff),
-                Property("skew_orbit_inside_fiber", _rbsl2_orbit_in_fiber),
-                Property("fiber_rejects_other_linear_part",
-                         _rbsl2_rejects_other_linear_part)]),
-        _suite("rbsl3",
-               "the symmetrizing projection preserves the linear frame",
-               [Property("linear_frame_preserved", _hat22_keeps(linear=True))]),
-        _suite("rbst1",
-               "principal structure of the symmetrizing projection: free skew "
-               "action, orbit bijection, trivialization fiber coordinate",
-               [Property("skew_action_free", _rbst1_free),
-                Property("orbit_map_well_defined", _rbst1_omega_well_defined),
-                Property("orbit_map_injective", _rbst1_omega_injective),
-                Property("sigma_defining_equation", _rbst1_sigma_equation),
-                Property("sigma_by_group_quotient", _rbst1_sigma_reconstruction),
-                Property("sigma_equivariance", _rbst1_sigma_equivariance),
-                Property("extension_model_roundtrip", _rbst1_extension_roundtrip),
-                Property("extension_class_invariant", _rbst1_extension_invariant),
-                Property("extension_map_equivariant", _rbst1_theta_equivariant)]),
-        _suite("rbst2",
-               "the composite projection from non-holonomic to holonomic "
-               "frames and the matrix-skew action",
-               [Property("action_free", _rbst2_free),
-                Property("composite_definition", _rbst2_composite),
-                Property("staged_action_identity", _rbst2_staged),
-                Property("law_matches_tilde21", _rbst2_law_matches_tilde21),
-                Property("projection_invariant_on_orbits",
-                         _rbst2_projection_invariant),
-                Property("surjective_by_explicit_preimage", _rbst2_surjective)]),
-        _suite("diagram",
-               "all composable pairs of projections between the frame levels "
-               "commute",
-               [Property("nonholonomic_frames", _diagram_nonhol),
-                Property("semiholonomic_frames", _diagram_semihol),
-                Property("holonomic_frames", _diagram_hol)]),
-        _suite("oracle",
-               "jet-composition ground truth: group law from the chain rule, "
-               "associativity, prolonged action functoriality",
-               [Property("group_law_from_jets", _oracle_group_law),
-                Property("composition_associative", _oracle_associative),
-                Property("identity_jet_neutral", _oracle_identity),
-                Property("prolonged_action_functorial", _oracle_functorial),
-                Property("prolonged_action_preserves_class",
-                         _oracle_class_preserved),
-                Property("prolonged_action_linear_part", _oracle_linear_part)]),
+        Suite("axioms",
+              "group axioms (associativity, identity, inverses) for the six "
+              "typed element kinds",
+              _axiom_properties(("tilde2", "hat2", "g2", "tilde21", "tilde22",
+                                 "t1n"))),
+        Suite("deleon",
+              "group axioms for the two alternative laws on matrix-bilinear "
+              "pairs",
+              _axiom_properties(("deleon1", "deleon2"))),
+        Suite("prel1",
+              "transpose/symmetric/skew parts against post- and diagonal "
+              "pre-composition",
+              (Property("post_compose_respects_parts", _parts_commute(post=True)),
+               Property("diag_pre_compose_respects_parts",
+                        _parts_commute(post=False)),
+               Property("sym_plus_skew_recovers", _prel_split),
+               Property("post_and_pre_commute", _prel_two_sided))),
+        Suite("grol1",
+              "conjugation preserves the symmetric and skew subsets; unique "
+              "symmetric-times-skew factorization",
+              (Property("conjugation_preserves_symmetric",
+                        _conj_keeps_part(symmetric=True, key="h")),
+               Property("conjugation_preserves_skew",
+                        _conj_keeps_part(symmetric=False, key="h")),
+               Property("conjugation_closed_form", _grol1_conj_closed_form),
+               Property("decompose_recompose", _grol1_decompose_recompose),
+               Property("decompose_unique", _grol1_decompose_unique))),
+        Suite("grol3",
+              "normality of the symmetric and skew additive subgroups; "
+              "conjugation of pure bilinear elements ignores the outer "
+              "bilinear part",
+              (Property("symmetric_subgroup_normal",
+                        _conj_keeps_part(symmetric=True, key="s")),
+               Property("skew_subgroup_normal",
+                        _conj_keeps_part(symmetric=False, key="h")),
+               Property("conjugation_ignores_outer_bilinear",
+                        _grol3_conj_ignores_f))),
+        Suite("grop1",
+              "the symmetrizing map from classes-modulo-skew is a bijective "
+              "homomorphism onto symmetric pairs",
+              (Property("mu_homomorphism", _grop1_homomorphism),
+               Property("mu_injective", _grop1_injective),
+               Property("mu_surjective", _grop1_surjective),
+               Property("mu_roundtrip", _grop1_roundtrip),
+               Property("coset_equality", _grop1_coset_equal))),
+        Suite("grol4",
+              "the alternative pair law matches its raw coordinate form and "
+              "is isomorphic to the standard pair law",
+              (Property("structural_equals_coordinate", _grol4_coordinate),
+               Property("tau_homomorphism", _grol4_tau_homomorphism),
+               Property("tau_roundtrip", _grol4_tau_roundtrip),
+               Property("law_recovered_through_tau", _grol4_law_recovered),
+               Property("inverse_via_tau", _law_inverse("t1n")))),
+        Suite("rbsp1",
+              "multiplying by a symmetric pair commutes with symmetrizing "
+              "the bilinear part; the symmetrizing projection is "
+              "factorization-independent",
+              (Property("symmetrize_after_product", _rbsp1_group_level),
+               Property("symmetrize_after_frame_action", _rbsp1_frame_level),
+               Property("projection_well_defined", _rbsp1_well_defined))),
+        Suite("rbsl1",
+              "the symmetrizing projection preserves the base point",
+              (Property("base_point_preserved", _hat22_keeps(linear=False)),)),
+        Suite("rbsl2",
+              "fibers of the symmetrizing projection are exactly the skew "
+              "orbits",
+              (Property("fiber_membership_matches_projection", _rbsl2_fiber_iff),
+               Property("skew_orbit_inside_fiber", _rbsl2_orbit_in_fiber),
+               Property("fiber_rejects_other_linear_part",
+                        _rbsl2_rejects_other_linear_part))),
+        Suite("rbsl3",
+              "the symmetrizing projection preserves the linear frame",
+              (Property("linear_frame_preserved", _hat22_keeps(linear=True)),)),
+        Suite("rbst1",
+              "principal structure of the symmetrizing projection: free skew "
+              "action, orbit bijection, trivialization fiber coordinate",
+              (Property("skew_action_free", _rbst1_free),
+               Property("orbit_map_well_defined", _rbst1_omega_well_defined),
+               Property("orbit_map_injective", _rbst1_omega_injective),
+               Property("sigma_defining_equation", _rbst1_sigma_equation),
+               Property("sigma_by_group_quotient", _rbst1_sigma_reconstruction),
+               Property("sigma_equivariance", _rbst1_sigma_equivariance),
+               Property("extension_model_roundtrip", _rbst1_extension_roundtrip),
+               Property("extension_class_invariant", _rbst1_extension_invariant),
+               Property("extension_map_equivariant", _rbst1_theta_equivariant))),
+        Suite("rbst2",
+              "the composite projection from non-holonomic to holonomic "
+              "frames and the matrix-skew action",
+              (Property("action_free", _rbst2_free),
+               Property("composite_definition", _rbst2_composite),
+               Property("staged_action_identity", _rbst2_staged),
+               Property("law_matches_tilde21", _rbst2_law_matches_tilde21),
+               Property("projection_invariant_on_orbits",
+                        _rbst2_projection_invariant),
+               Property("surjective_by_explicit_preimage", _rbst2_surjective))),
+        Suite("diagram",
+              "all composable pairs of projections between the frame levels "
+              "commute",
+              (Property("nonholonomic_frames", _diagram_nonhol),
+               Property("semiholonomic_frames", _diagram_semihol),
+               Property("holonomic_frames", _diagram_hol))),
+        Suite("oracle",
+              "jet-composition ground truth: group law from the chain rule, "
+              "associativity, prolonged action functoriality",
+              (Property("group_law_from_jets", _oracle_group_law),
+               Property("composition_associative", _oracle_associative),
+               Property("identity_jet_neutral", _oracle_identity),
+               Property("prolonged_action_functorial", _oracle_functorial),
+               Property("prolonged_action_preserves_class",
+                        _oracle_class_preserved),
+               Property("prolonged_action_linear_part", _oracle_linear_part))),
     )
 }
 
@@ -935,21 +842,20 @@ def run_suite(name: str, ns, trials: int, seed: int) -> SuiteReport:
     start = time.perf_counter()
     for prop in suite.properties:
         failures = 0
-        ran = 0
         first = None
         for n in report.ns:
             for trial in range(trials):
-                rng = stream(seed, name, prop.name, n, trial)
-                ce = prop.fn(n, rng)
-                ran += 1
-                if ce is not None:
+                held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
+                if not held:
                     failures += 1
                     if first is None:
                         first = {"suite": name, "property": prop.name,
-                                 "n": n, "trial": trial, "seed": seed, **ce}
+                                 "n": n, "trial": trial, "seed": seed,
+                                 **_witness(**witness)}
         report.properties.append(PropertyResult(
-            name=prop.name, passed=failures == 0, trials_run=ran,
-            failures=failures, counterexample=first))
+            name=prop.name, passed=failures == 0,
+            trials_run=len(report.ns) * trials, failures=failures,
+            counterexample=first))
     report.wall_time_s = time.perf_counter() - start
     return report
 

@@ -69,6 +69,11 @@ def test_verify_n_and_trials_are_capped(capsys, no_work):
     assert _exit_code(capsys, "verify", "prel1", "--trials", "0")[0] == 2
 
 
+def test_verify_rejects_a_repeated_n(capsys, no_work):
+    code, err = _exit_code(capsys, "verify", "rbsl1", "--n", "2", "--n", "2")
+    assert code == 2 and "--n" in err
+
+
 def test_caps_leave_acceptance_and_benchmark_sizes_valid(capsys):
     assert MAX_N >= 12 and MAX_TRIALS >= 200
     code = main(["gen", "hat2", "--n", "12", "--seed", "1"])

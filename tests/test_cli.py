@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +18,9 @@ from jetframes.serialize import (
     group_to_doc,
     jet_to_doc,
 )
+import jetframes
 from jetframes import groups
-from jetframes.frames import proj_hat22, proj_pi
+from jetframes.frames import embed_hol, embed_semihol, proj_hat22, proj_pi
 from jetframes.groups import GHat2, mul_t1n_coordinate
 from jetframes.randgen import rand_hol, rand_map2jet, rand_nonhol, rand_t1n, stream
 
@@ -280,6 +285,17 @@ def test_oracle_compose_and_act(capsys, tmp_path):
     assert composed["value"] == jet_to_doc(G)["value"]
 
 
+def test_oracle_act_lifts_a_holonomic_frame(capsys, tmp_path):
+    rng = stream(95, "oraclehol")
+    t = rand_hol(rng, 2)
+    F = rand_map2jet(rng, 2, base=t.x)
+    pf = write_doc(tmp_path, "f.json", jet_to_doc(F))
+    pt = write_doc(tmp_path, "t.json", frame_to_doc(t))
+    pq = write_doc(tmp_path, "q.json", frame_to_doc(embed_semihol(embed_hol(t))))
+    assert run_json(capsys, "oracle", "act", pf, pt) == run_json(
+        capsys, "oracle", "act", pf, pq)
+
+
 def test_oracle_compose_domain_error(capsys, tmp_path):
     rng = stream(94, "oracledom")
     f = rand_map2jet(rng, 2)
@@ -360,3 +376,22 @@ def test_verify_mutant_is_caught(capsys, monkeypatch):
                            "--trials", "30", "--seed", "1")
     assert code == 1
     assert "FAIL rbsl2.fiber_membership_matches_projection" in out
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+@pytest.mark.parametrize("n", ["40", "1"])
+def test_closed_stdout_exits_1_without_traceback(n):
+    # n = 40 fails while writing, n = 1 only at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jetframes", "gen", "hat2", "--n", n],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

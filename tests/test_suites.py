@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from jetframes.suites import ALL_SUITE_NAMES, SUITES, run_suite
+from jetframes.randgen import stream
+from jetframes.suites import ALL_SUITE_NAMES, SUITES, _witness, run_suite
 
 EXPECTED_SUITES = {
     "axioms", "deleon", "prel1", "grol1", "grol3", "grop1", "grol4",
@@ -65,3 +68,17 @@ def test_unknown_suite_and_bad_trials():
         run_suite("nope", [1], 1, 0)
     with pytest.raises(ValueError):
         run_suite("prel1", [1], 0, 0)
+
+
+@pytest.mark.parametrize("suite, prop", [
+    pytest.param(suite.name, prop, id=f"{suite.name}.{prop.name}")
+    for suite in SUITES.values() for prop in suite.properties])
+def test_every_property_returns_a_serializable_witness(suite, prop):
+    # a witness is turned into a payload only on a failure, which no other
+    # test reaches for most properties
+    for n in (1, 2, 3):
+        out = prop.fn(n, stream(42, suite, prop.name, n, 0))
+        assert isinstance(out, tuple) and len(out) == 2
+        held, witness = out
+        assert isinstance(held, bool) and isinstance(witness, dict)
+        json.dumps(_witness(**witness))

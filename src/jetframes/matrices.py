@@ -195,9 +195,7 @@ class Checked:
 
     def _check(self, invertible: bool) -> None:
         """Raise when an invariant fails; compute det only if ``invertible``."""
-        names = self.__match_args__
-        parts = [getattr(self, name) for name in names]
-        n = parts[1].n if isinstance(parts[0], tuple) else parts[0].n
+        names, parts, n = self.__match_args__, self.parts, self.n
         for part in parts:
             if isinstance(part, tuple):
                 if len(part) != n:

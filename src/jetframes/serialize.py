@@ -12,8 +12,10 @@ so round-trips are bit-exact.  Schemas:
   "a": [[...]], "b"?: [[...]], "f"?: [[[...]]]}
 * jet: {"base": [...], "value": [...], "jac": [[...]], "hess": [[[...]]]}
 
-Every parser rejects a dimension above ``MAX_N`` before reading the
-coefficients.
+One reader checks every document.  ``_rationals`` requires a JSON array of
+at most ``MAX_N`` entries at every level of a vector, matrix or bilinear
+array before it reads the entries; ``_LAYOUT`` gives the key of each field
+of each type; a tag must be a string and ``n`` a JSON integer (``check_n``).
 """
 
 from __future__ import annotations
@@ -36,11 +38,49 @@ MAX_N = 64
 GroupElement = GTilde2 | GHat2 | G2 | GTilde21 | GTilde22 | T1nL1n
 Frame = NonHolFrame | SemiHolFrame | HolFrame | LinFrame
 
-_FRAMES = {"nonhol": NonHolFrame, "semihol": SemiHolFrame, "hol": HolFrame,
-           "lin": LinFrame}
+# the type named by each tag, under the document key that holds the tag
+_TYPES = {"group": {tag: group.type for tag, group in GROUPS.items()},
+          "kind": {"nonhol": NonHolFrame, "semihol": SemiHolFrame,
+                   "hol": HolFrame, "lin": LinFrame}}
+_TAGS = {key: {cls: tag for tag, cls in types.items()} for key, types in _TYPES.items()}
 
-_GROUP_TAG = {group.type: tag for tag, group in GROUPS.items()}
-_FRAME_KIND = {cls: kind for kind, cls in _FRAMES.items()}
+# the document key of each field, in field order; tilde22's (l, h) are "a", "f"
+_LAYOUT = {
+    **dict.fromkeys(_TAGS["group"], "af"), GTilde2: "abf",
+    NonHolFrame: "xabf", SemiHolFrame: "xaf", HolFrame: "xaf", LinFrame: "xa",
+    Map2Jet: ("base", "value", "jac", "hess"),
+}
+
+
+def check_n(n: Any, what: str) -> None:
+    """Raise ``ParseError`` unless ``n`` is an ``int`` (not a bool) in 1..``MAX_N``."""
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise ParseError(f"{what} must be an integer between 1 and {MAX_N}")
+
+
+def _rationals(doc: Any, rank: int, what: str) -> tuple:
+    """The rank-``rank`` array of rational strings ``doc`` as nested tuples."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{what} must be a JSON array at every level")
+    if len(doc) > MAX_N:
+        raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
+    if rank == 1:
+        return tuple(map(rat_from_str, doc))
+    return tuple(_rationals(e, rank - 1, what) for e in doc)
+
+
+def _make(cls: type, *args: Any) -> Any:
+    """``cls(*args)``, with a value the constructor rejects as ``ParseError``."""
+    try:
+        return cls(*args)
+    except (ValueError, SingularMatrixError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _of_n(value: Any, n: int, what: str) -> Any:
+    if value.n != n:
+        raise ParseError(f"{what} shape disagrees with the document's 'n'")
+    return value
 
 
 def vector_to_doc(x: Point) -> list[str]:
@@ -48,162 +88,101 @@ def vector_to_doc(x: Point) -> list[str]:
 
 
 def vector_from_doc(doc: Any) -> Point:
-    if not isinstance(doc, list):
-        raise ParseError("vector must be a JSON array")
-    _check_size(doc, "vector")
-    return tuple(rat_from_str(e) for e in doc)
+    return _rationals(doc, 1, "vector")
 
 
 def matrix_to_doc(m: SquareMatrix) -> list[list[str]]:
     return [[rat_to_str(e) for e in row] for row in m.entries]
 
 
-def check_n(n: Any, what: str) -> None:
-    """Raise ``ParseError`` unless ``n`` is an integer in 1..``MAX_N``."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise ParseError(f"{what} must be an integer between 1 and {MAX_N}")
-
-
-def _check_size(doc: Any, what: str) -> None:
-    if isinstance(doc, list) and len(doc) > MAX_N:
-        raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
-
-
 def matrix_from_doc(doc: Any) -> SquareMatrix:
-    if not isinstance(doc, list) or not all(isinstance(r, list) for r in doc):
-        raise ParseError("matrix must be a nested JSON array")
-    _check_size(doc, "matrix")
-    rows = tuple(tuple(rat_from_str(e) for e in row) for row in doc)
-    try:
-        return SquareMatrix(len(rows), rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    rows = _rationals(doc, 2, "matrix")
+    return _make(SquareMatrix, len(rows), rows)
 
 
-def _matrix_of_n(doc: Any, n: int) -> SquareMatrix:
-    """The matrix of ``doc``, which must be n x n for a document of size n."""
-    a = matrix_from_doc(doc)
-    if a.n != n:
-        raise ParseError("matrix shape disagrees with the document's 'n'")
-    return a
+def _coeffs_to_doc(f: Bilinear) -> list:
+    return [[[rat_to_str(e) for e in row] for row in plane] for plane in f.coeffs]
+
+
+def _coeffs_from_doc(doc: Any) -> Bilinear:
+    planes = _rationals(doc, 3, "bilinear")
+    return _make(Bilinear, len(planes), planes)
 
 
 def bilinear_to_doc(f: Bilinear) -> dict[str, Any]:
-    return {
-        "n": f.n,
-        "coeffs": [[[rat_to_str(e) for e in row] for row in plane]
-                   for plane in f.coeffs],
-    }
+    return {"n": f.n, "coeffs": _coeffs_to_doc(f)}
 
 
 def bilinear_from_doc(doc: Any) -> Bilinear:
     if not isinstance(doc, dict) or "coeffs" not in doc or "n" not in doc:
         raise ParseError("bilinear must be an object with 'n' and 'coeffs'")
-    return _coeffs_only_from_doc(
-        doc["coeffs"], doc["n"], "bilinear 'n' field disagrees with coefficient shape")
+    check_n(doc["n"], "bilinear 'n'")
+    return _of_n(_coeffs_from_doc(doc["coeffs"]), doc["n"], "bilinear")
 
 
-def _coeffs_only_from_doc(
-    doc: Any, n: Any,
-    mismatch: str = "bilinear shape disagrees with the document's 'n'",
-) -> Bilinear:
-    _check_size(doc, "bilinear")
-    try:
-        data = tuple(tuple(tuple(rat_from_str(e) for e in row) for row in plane)
-                     for plane in doc)
-        f = Bilinear(len(data), data)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed bilinear coefficients: {exc}") from exc
-    if f.n != n:
-        raise ParseError(mismatch)
-    return f
+# the rank of the array under each document key, and each rank's writer and reader
+_RANK = {"x": 1, "base": 1, "value": 1, "a": 2, "b": 2, "jac": 2, "f": 3, "hess": 3}
+_WRITE = {1: vector_to_doc, 2: matrix_to_doc, 3: _coeffs_to_doc}
+_READ = {1: vector_from_doc, 2: matrix_from_doc, 3: _coeffs_from_doc}
+
+
+def _to_doc(obj: Any, doc: dict[str, Any]) -> dict[str, Any]:
+    """``doc`` followed by each field of ``obj`` under its document key."""
+    for key, name in zip(_LAYOUT[type(obj)], obj.__match_args__):
+        doc[key] = _WRITE[_RANK[key]](getattr(obj, name))
+    return doc
+
+
+def _from_doc(doc: dict[str, Any], cls: type, what: str) -> Any:
+    """The ``cls`` whose fields ``doc`` holds under their document keys."""
+    missing = [key for key in _LAYOUT[cls] if key not in doc]
+    if missing:
+        raise ParseError(f"{what} missing field {missing[0]!r}")
+    return _make(cls, *(_READ[_RANK[key]](doc[key]) for key in _LAYOUT[cls]))
+
+
+def _tagged_to_doc(obj: Any, key: str, what: str) -> dict[str, Any]:
+    tag = _TAGS[key].get(type(obj))
+    if tag is None:
+        raise ParseError(f"not a {what}: {type(obj).__name__}")
+    return _to_doc(obj, {key: tag, "n": obj.n})
+
+
+def _tagged_from_doc(doc: Any, key: str, what: str) -> Any:
+    """The value of the type that ``doc[key]`` names, of dimension ``doc["n"]``."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    types, tag, n = _TYPES[key], doc.get(key), doc.get("n")
+    if not isinstance(tag, str) or tag not in types:
+        raise ParseError(f"{what} {key!r} must be one of {', '.join(types)}")
+    check_n(n, f"{what} 'n'")
+    return _of_n(_from_doc(doc, types[tag], what), n, what)
 
 
 def group_to_doc(el: GroupElement) -> dict[str, Any]:
-    tag = _GROUP_TAG.get(type(el))
-    if tag is None:
-        raise ParseError(f"not a group element: {type(el).__name__}")
-    *mats, f = el.parts
-    doc: dict[str, Any] = {"group": tag, "n": el.n}
-    doc.update(zip(("a", "b"), map(matrix_to_doc, mats)))
-    doc["f"] = bilinear_to_doc(f)["coeffs"]
-    return doc
+    return _tagged_to_doc(el, "group", "group element")
 
 
 def group_from_doc(doc: Any) -> GroupElement:
-    if not isinstance(doc, dict):
-        raise ParseError("group element must be a JSON object")
-    tag = doc.get("group")
-    if tag not in GROUPS:
-        raise ParseError(f"unknown group tag {tag!r}")
-    n = doc.get("n")
-    check_n(n, "group element 'n'")
-    try:
-        a = _matrix_of_n(doc["a"], n)
-        f = _coeffs_only_from_doc(doc["f"], n)
-        mats = (a, matrix_from_doc(doc["b"])) if tag == "tilde2" else (a,)
-        return GROUPS[tag].type(*mats, f)
-    except KeyError as exc:
-        raise ParseError(f"group element missing field {exc}") from exc
-    except (ValueError, SingularMatrixError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _tagged_from_doc(doc, "group", "group element")
 
 
 def frame_to_doc(q: Frame) -> dict[str, Any]:
-    kind = _FRAME_KIND.get(type(q))
-    if kind is None:
-        raise ParseError(f"not a frame: {type(q).__name__}")
-    doc = {"kind": kind, "n": q.n, "x": vector_to_doc(q.x), "a": matrix_to_doc(q.a)}
-    if kind == "nonhol":
-        doc["b"] = matrix_to_doc(q.b)
-    if kind != "lin":
-        doc["f"] = bilinear_to_doc(q.f)["coeffs"]
-    return doc
+    return _tagged_to_doc(q, "kind", "frame")
 
 
 def frame_from_doc(doc: Any) -> Frame:
-    if not isinstance(doc, dict):
-        raise ParseError("frame must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in _FRAMES:
-        raise ParseError(f"unknown frame kind {kind!r}")
-    n = doc.get("n")
-    check_n(n, "frame 'n'")
-    try:
-        x = vector_from_doc(doc["x"])
-        a = _matrix_of_n(doc["a"], n)
-        if kind == "lin":
-            return LinFrame(x, a)
-        f = _coeffs_only_from_doc(doc["f"], n)
-        if kind == "nonhol":
-            return NonHolFrame(x, a, matrix_from_doc(doc["b"]), f)
-        return _FRAMES[kind](x, a, f)
-    except KeyError as exc:
-        raise ParseError(f"frame missing field {exc}") from exc
-    except (ValueError, SingularMatrixError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _tagged_from_doc(doc, "kind", "frame")
 
 
 def jet_to_doc(j: Map2Jet) -> dict[str, Any]:
-    return {"base": vector_to_doc(j.base), "value": vector_to_doc(j.value),
-            "jac": matrix_to_doc(j.jac),
-            "hess": bilinear_to_doc(j.hess)["coeffs"]}
+    return _to_doc(j, {})
 
 
 def jet_from_doc(doc: Any) -> Map2Jet:
     if not isinstance(doc, dict):
         raise ParseError("jet must be a JSON object")
-    try:
-        base = vector_from_doc(doc["base"])
-        value = vector_from_doc(doc["value"])
-        jac = matrix_from_doc(doc["jac"])
-        hess = _coeffs_only_from_doc(doc["hess"], jac.n)
-    except KeyError as exc:
-        raise ParseError(f"jet missing field {exc}") from exc
-    try:
-        return Map2Jet(base, value, jac, hess)
-    except (ValueError, SingularMatrixError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _from_doc(doc, Map2Jet, "jet")
 
 
 def pair_to_doc(x: Pair) -> dict[str, Any]:
@@ -211,14 +190,9 @@ def pair_to_doc(x: Pair) -> dict[str, Any]:
     return {"a": matrix_to_doc(x[0]), "f": bilinear_to_doc(x[1])}
 
 
-_TO_DOC = {
-    SquareMatrix: matrix_to_doc,
-    Bilinear: bilinear_to_doc,
-    tuple: pair_to_doc,
-    Map2Jet: jet_to_doc,
-    **dict.fromkeys(_GROUP_TAG, group_to_doc),
-    **dict.fromkeys(_FRAME_KIND, frame_to_doc),
-}
+_TO_DOC = {SquareMatrix: matrix_to_doc, Bilinear: bilinear_to_doc, tuple: pair_to_doc,
+           Map2Jet: jet_to_doc, **dict.fromkeys(_TAGS["group"], group_to_doc),
+           **dict.fromkeys(_TAGS["kind"], frame_to_doc)}
 
 
 def to_doc(obj: Any) -> Any:

@@ -89,6 +89,21 @@ def test_caps_leave_acceptance_and_benchmark_sizes_valid(capsys):
     (vector_from_doc, ["0"] * (MAX_N + 1)),
     (jet_from_doc, {"base": ["0"] * (MAX_N + 1), "value": ["0"], "jac": [["1"]],
                     "hess": [[["0"]]]}),
+    # an inner level over the cap is rejected before its entries ("x") are read
+    (matrix_from_doc, [["x"] * (MAX_N + 1)]),
+    (bilinear_from_doc, {"n": 1, "coeffs": [[["x"]] * (MAX_N + 1)]}),
+    (bilinear_from_doc, {"n": 1, "coeffs": [[["x"] * (MAX_N + 1)]]}),
+    (group_from_doc, {"group": "hat2", "n": 1, "a": [["x"] * (MAX_N + 1)],
+                      "f": [[["0"]]]}),
+    (frame_from_doc, {"kind": "hol", "n": 1, "x": ["0"], "a": [["1"]],
+                      "f": [[["x"] * (MAX_N + 1)]]}),
+    (jet_from_doc, {"base": ["0"], "value": ["0"], "jac": [["x"] * (MAX_N + 1)],
+                    "hess": [[["0"]]]}),
+    # a JSON boolean is not a dimension
+    (group_from_doc, {"group": "hat2", "n": True, "a": [["1"]], "f": [[["0"]]]}),
+    (frame_from_doc, {"kind": "hol", "n": True, "x": ["0"], "a": [["1"]],
+                      "f": [[["0"]]]}),
+    (bilinear_from_doc, {"n": True, "coeffs": [[["0"]]]}),
 ])
 def test_document_dimension_is_capped(parse, doc):
     with pytest.raises(ParseError, match=str(MAX_N)):
@@ -99,6 +114,21 @@ def test_document_cap_is_a_cli_exit_2(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"group": "hat2", "n": MAX_N + 1, "a": [], "f": []}))
     assert _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("argv", [("project", "20"), ("classify",),
+                                  ("oracle", "act", "JET")])
+def test_tag_that_is_not_a_string_is_a_cli_exit_2(capsys, tmp_path, argv):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"kind": ["hol"], "n": 1, "x": ["0"],
+                                 "a": [["1"]], "f": [[["0"]]]}))
+    jet = tmp_path / "jet.json"
+    jet.write_text(json.dumps({"base": ["0"], "value": ["0"], "jac": [["1"]],
+                               "hess": [[["0"]]]}))
+    code = main([str(jet) if a == "JET" else a for a in argv] + [str(frame)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("op", [("mul", "--group", "hat2"), ("conj",),

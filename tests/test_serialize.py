@@ -33,6 +33,7 @@ from jetframes.serialize import (
     matrix_to_doc,
     pair_to_doc,
     to_doc,
+    vector_from_doc,
 )
 
 GROUP_GENS = (rand_tilde2, rand_hat2, rand_g2, rand_tilde21, rand_tilde22,
@@ -123,6 +124,31 @@ def test_unknown_group_tag_rejected():
                         "f": [[["0"]]]})
 
 
+HAT2 = {"group": "hat2", "n": 1, "a": [["1"]], "f": [[["0"]]]}
+HOL = {"kind": "hol", "n": 1, "x": ["0"], "a": [["1"]], "f": [[["0"]]]}
+JET = {"base": ["0"], "value": ["0"], "jac": [["1"]], "hess": [[["0"]]]}
+
+# a reader, a valid n = 1 document, the key of one of its arrays (None: the
+# document is the array) and that array's rank
+ARRAYS = [(vector_from_doc, ["0"], None, 1), (matrix_from_doc, [["1"]], None, 2),
+          (bilinear_from_doc, {"n": 1, "coeffs": [[["0"]]]}, "coeffs", 3)]
+ARRAYS += [(group_from_doc, HAT2, "a", 2), (group_from_doc, HAT2, "f", 3)]
+ARRAYS += [(frame_from_doc, HOL, key, rank) for key, rank in zip("xaf", (1, 2, 3))]
+ARRAYS += [(jet_from_doc, JET, key, rank)
+           for key, rank in zip(JET, (1, 1, 2, 3))]
+
+
+def _misshapen(rank):
+    """n = 1 arrays of ``rank`` with a string, an object or a number where an
+    array belongs, at each level, and an object, a number or an array where a
+    rational string belongs."""
+    for depth in range(rank + 1):
+        for bad in ("1", {"1": "0"}, 1) if depth < rank else ({"1": "0"}, 1, ["1"]):
+            for _ in range(depth):
+                bad = [bad]
+            yield bad
+
+
 def test_malformed_documents_rejected():
     with pytest.raises(ParseError):
         group_from_doc("not an object")
@@ -138,6 +164,26 @@ def test_malformed_documents_rejected():
     with pytest.raises(ParseError, match="'n'"):
         frame_from_doc({"kind": "lin", "n": 2, "x": ["1", "2", "3"],
                         "a": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})
+    # a string or an object where the bilinear array belongs is not read as one
+    for f in ("7", {"7": 0}):
+        with pytest.raises(ParseError):
+            group_from_doc({**HAT2, "f": f})
+    with pytest.raises(ParseError):
+        group_from_doc({"group": "hat2", "n": 2, "a": [["1", "0"], ["0", "1"]],
+                        "f": [["12", "34"], ["56", "78"]]})
+    for parse, valid, key, rank in ARRAYS:
+        parse(valid)
+        for bad in _misshapen(rank):
+            with pytest.raises(ParseError):
+                parse(bad if key is None else {**valid, key: bad})
+
+
+@pytest.mark.parametrize("tag", (["hat2"], {"hat2": 1}, 1))
+def test_tag_that_is_not_a_string_rejected(tag):
+    with pytest.raises(ParseError):
+        group_from_doc({**HAT2, "group": tag})
+    with pytest.raises(ParseError):
+        frame_from_doc({**HOL, "kind": tag})
 
 
 def test_missing_fields_rejected():

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+# the longest input an error message repeats in full
+_ECHO = 40
+
+
+def echo(text: str) -> str:
+    """``text`` quoted for an error message: in full up to ``_ECHO``
+    characters, else its first ``_ECHO`` characters and its length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
 
 class JetFramesError(Exception):
     """Base class for all errors raised by this package."""

@@ -11,13 +11,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, echo
 
 Rational = Fraction
 
 _RAT_TEXT = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
-# the longest input an error message repeats in full
-_ECHO = 40
 
 
 def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
@@ -46,16 +44,9 @@ def rat_from_str(text: str) -> Fraction:
         raise ParseError(f"rational must be a string, got {type(text).__name__}")
     match = _RAT_TEXT.fullmatch(text)
     if match is None:
-        raise ParseError(_malformed(text))
+        raise ParseError(f"malformed rational {echo(text)}")
     num, den = match.groups()
     try:
         return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ValueError as exc:  # beyond the interpreter's digit limit
-        raise ParseError(_malformed(text)) from exc
-
-
-def _malformed(text: str) -> str:
-    """The error for ``text``, which repeats at most ``_ECHO`` characters."""
-    if len(text) <= _ECHO:
-        return f"malformed rational {text!r}"
-    return f"malformed rational {text[:_ECHO]!r}... ({len(text)} characters)"
+        raise ParseError(f"malformed rational {echo(text)}") from exc

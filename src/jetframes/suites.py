@@ -18,6 +18,8 @@ anywhere.
 
 from __future__ import annotations
 
+import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
@@ -832,33 +834,141 @@ SUITES: dict[str, Suite] = {
 ALL_SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, ns, trials: int, seed: int) -> SuiteReport:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}")
+def run_suite(name: str, ns, trials: int, seed: int,
+              jobs: int | None = None) -> SuiteReport:
+    return run_suites([name], ns, trials, seed, jobs)[0]
+
+
+def run_suites(names, ns, trials: int, seed: int,
+               jobs: int | None = None) -> list[SuiteReport]:
+    """Run every property of the named suites at each n in ``ns``.
+
+    The work items are ``(suite, property index, n)``; each runs all
+    ``trials`` trials of one property at one n.  With ``jobs`` > 1 the items
+    are dealt round-robin, n-major, to that many forked workers, worker w
+    pinned to the w-th usable core (cycling); the default is one worker per
+    usable core.  Every trial draws from its own stream, and results are
+    merged in (suite, property, n) order, so the report is the same for
+    every ``jobs`` apart from ``wall_time_s``, which sums the item times.
+    The runner forks, so a caller that runs threads should pass
+    ``jobs=1``, which runs the items in this process.
+    """
+    names, ns = tuple(names), tuple(ns)
+    for name in names:
+        if name not in SUITES:
+            raise KeyError(f"unknown suite {name!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    suite = SUITES[name]
-    report = SuiteReport(suite=name, ns=tuple(ns), trials=trials, seed=seed)
-    start = time.perf_counter()
-    for prop in suite.properties:
+    items = [(name, index, n) for n in ns for name in names
+             for index in range(len(SUITES[name].properties))]
+    cpus = _usable_cpus()
+    if jobs is None:
+        jobs = len(cpus)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    shares = [items[w::jobs] for w in range(min(jobs, len(items)))] or [[]]
+    outputs = (_forked(shares, trials, seed, cpus) if len(shares) > 1
+               else [_run_items(shares[0], trials, seed)])
+    done = {item: result for share, output in zip(shares, outputs)
+            for item, result in zip(share, json.loads(output))}
+    reports = []
+    for name in names:
+        report = SuiteReport(suite=name, ns=ns, trials=trials, seed=seed)
+        for index, prop in enumerate(SUITES[name].properties):
+            results = [done[name, index, n] for n in ns]
+            failures = sum(failed for failed, _, _ in results)
+            report.properties.append(PropertyResult(
+                name=prop.name, passed=failures == 0,
+                trials_run=len(ns) * trials, failures=failures,
+                counterexample=next((first for _, first, _ in results
+                                     if first is not None), None)))
+            report.wall_time_s += sum(seconds for _, _, seconds in results)
+        reports.append(report)
+    return reports
+
+
+def _run_items(items, trials: int, seed: int) -> str:
+    """The JSON list of ``[failures, first counterexample, seconds]`` of each
+    ``(suite, property index, n)`` item.  JSON is what a worker sends back;
+    the in-process run decodes it too, so every ``jobs`` gives equal values."""
+    results = []
+    for name, index, n in items:
+        prop = SUITES[name].properties[index]
         failures = 0
         first = None
-        for n in report.ns:
-            for trial in range(trials):
-                held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
-                if not held:
-                    failures += 1
-                    if first is None:
-                        first = {"suite": name, "property": prop.name,
-                                 "n": n, "trial": trial, "seed": seed,
-                                 **_witness(**witness)}
-        report.properties.append(PropertyResult(
-            name=prop.name, passed=failures == 0,
-            trials_run=len(report.ns) * trials, failures=failures,
-            counterexample=first))
-    report.wall_time_s = time.perf_counter() - start
-    return report
+        start = time.perf_counter()
+        for trial in range(trials):
+            held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
+            if not held:
+                failures += 1
+                if first is None:
+                    first = {"suite": name, "property": prop.name, "n": n,
+                             "trial": trial, "seed": seed, **_witness(**witness)}
+        results.append([failures, first, time.perf_counter() - start])
+    return json.dumps(results)
 
 
-def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
-    return [run_suite(name, ns, trials, seed) for name in names]
+def _usable_cpus() -> list[int | None]:
+    """The cores this process may run on (``None`` each where the platform
+    cannot say which)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return [None] * (os.cpu_count() or 1)
+
+
+def _forked(shares, trials: int, seed: int, cpus) -> list[str]:
+    """The ``_run_items`` output of each share, each run in a forked worker.
+
+    A worker ends with ``os._exit``, so it runs no atexit handler and flushes
+    no inherited buffer.  Every worker is reaped before this returns or
+    raises; if one failed, this raises with its traceback, and if this
+    process is interrupted, the workers are killed first."""
+    workers, outputs = [], []
+    try:
+        for w, share in enumerate(shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _worker(write_fd, share, trials, seed, cpus[w % len(cpus)])
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        for pid, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                outputs.append(pipe.read().decode())
+    finally:
+        codes = []
+        for pid, read_fd in workers:
+            os.close(read_fd)
+            if len(outputs) < len(shares):
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for w, code in enumerate(codes):
+        if code != 0:
+            raise RuntimeError(f"verify worker {w} exited with {code}:\n"
+                               f"{outputs[w]}")
+    return outputs
+
+
+def _worker(write_fd: int, share, trials: int, seed: int, cpu) -> None:
+    """Run ``share`` in a forked worker, write its output (or the traceback of
+    its failure) to ``write_fd`` and end the process."""
+    ok = False
+    try:
+        try:
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})
+            text = _run_items(share, trials, seed)
+            ok = True
+        except Exception:
+            import traceback
+            text = traceback.format_exc()
+        with open(write_fd, "wb") as pipe:
+            pipe.write(text.encode())
+    finally:
+        os._exit(0 if ok else 1)

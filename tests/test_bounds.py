@@ -5,11 +5,12 @@ stub that fails the test, so a missing cap cannot run a huge job here.
 """
 
 import json
+import os
 
 import pytest
 
 from jetframes import cli
-from jetframes.cli import MAX_TRIALS, main
+from jetframes.cli import MAX_JOBS, MAX_TRIALS, main
 from jetframes.errors import ParseError
 from jetframes.serialize import (
     MAX_N,
@@ -51,6 +52,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suites", fail)
     monkeypatch.setattr(cli.rg, "stream", fail)
+    monkeypatch.setattr(os, "fork", fail)
 
 
 def test_gen_n_is_capped(capsys, no_work):
@@ -67,6 +69,13 @@ def test_verify_n_and_trials_are_capped(capsys, no_work):
                            "--trials", str(MAX_TRIALS + 1))
     assert code == 2 and str(MAX_TRIALS) in err
     assert _exit_code(capsys, "verify", "prel1", "--trials", "0")[0] == 2
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+def test_verify_jobs_is_capped(capsys, no_work, jobs):
+    code, err = _exit_code(capsys, "verify", "prel1", "--n", "1", "--trials",
+                           "1", "--jobs", str(jobs))
+    assert code == 2 and f"between 1 and {MAX_JOBS}" in err
 
 
 def test_verify_rejects_a_repeated_n(capsys, no_work):
@@ -114,6 +123,16 @@ def test_document_cap_is_a_cli_exit_2(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"group": "hat2", "n": MAX_N + 1, "a": [], "f": []}))
     assert _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("group", ["x" * 1_400_000, ["hat2x"] * 100_000])
+def test_wrong_group_tag_is_not_echoed_in_full(capsys, tmp_path, group):
+    path = tmp_path / "tag.json"
+    path.write_text(json.dumps({"group": group, "n": 1, "a": [["1"]],
+                                "f": [[["0"]]]}))
+    code, err = _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))
+    assert code == 2 and err.startswith("error:")
+    assert len(err) < 200 + len(str(path))
 
 
 @pytest.mark.parametrize("argv", [("project", "20"), ("classify",),

@@ -1,9 +1,21 @@
 import json
+import os
+import signal
 
 import pytest
 
+from jetframes.bilinear import Bilinear
+from jetframes.matrices import SquareMatrix
 from jetframes.randgen import stream
-from jetframes.suites import ALL_SUITE_NAMES, SUITES, _witness, run_suite
+from jetframes.suites import (
+    ALL_SUITE_NAMES,
+    SUITES,
+    Property,
+    Suite,
+    _witness,
+    run_suite,
+    run_suites,
+)
 
 EXPECTED_SUITES = {
     "axioms", "deleon", "prel1", "grol1", "grol3", "grop1", "grol4",
@@ -68,6 +80,59 @@ def test_unknown_suite_and_bad_trials():
         run_suite("nope", [1], 1, 0)
     with pytest.raises(ValueError):
         run_suite("prel1", [1], 0, 0)
+    with pytest.raises(ValueError):
+        run_suite("prel1", [1], 1, 0, jobs=0)
+
+
+def _docs(jobs: int, seed: int) -> list[dict]:
+    docs = [r.to_doc() for r in run_suites(ALL_SUITE_NAMES, (1, 2, 3), 3, seed,
+                                           jobs=jobs)]
+    for doc in docs:
+        assert doc.pop("wall_time_s") > 0
+    return docs
+
+
+@pytest.mark.parametrize("seed", [42, 1504])
+def test_reports_do_not_depend_on_jobs(seed):
+    assert _docs(2, seed) == _docs(1, seed)
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, jobs):
+    """With every matrix and bilinear comparison false, most properties fail
+    at every n, so the first counterexample is picked from several items.
+    Items are dealt n-major, so the items of one property at n and at n + 1
+    go to different workers unless ``jobs`` divides the property count."""
+    per_n = sum(len(suite.properties) for suite in SUITES.values())
+    assert per_n % 4 != 0  # so with 4 jobs they always do
+    for cls in (SquareMatrix, Bilinear):
+        monkeypatch.setattr(cls, "__eq__", lambda self, other: False)
+    serial = _docs(1, 42)
+    failing = [p for r in serial for p in r["properties"]
+               if p["failures"] == 9]
+    assert len(failing) > 30
+    assert _docs(jobs, 42) == serial
+
+
+def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):
+    def boom(n, rng):
+        raise ZeroDivisionError(f"boom at n = {n}")
+
+    def timeout(*_):
+        raise AssertionError("run_suites hung after a worker failed")
+
+    monkeypatch.setitem(SUITES, "boom", Suite("boom", "raises",
+                                              (Property("raises", boom),)))
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="ZeroDivisionError: boom"):
+            run_suites(["prel1", "boom"], (1, 2), 2, 0, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("suite, prop", [

@@ -12,9 +12,9 @@ Subcommands:
                                         only when every property passed
 
 Documents are read from file paths ("-" for stdin) and written to stdout.
-Dimensions (``--n``, document ``n``) are capped at ``serialize.MAX_N``,
-``--trials`` at ``MAX_TRIALS`` and ``--jobs`` at ``MAX_JOBS``; larger values,
-like every malformed input, end in a ``ParseError`` and exit code 2.
+Dimensions (``--n``, document ``n``) are capped at ``serialize.MAX_N`` and
+``--trials`` at ``MAX_TRIALS``; larger values, like every malformed input,
+end in a ``ParseError`` and exit code 2.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
 
 #: Largest ``verify --trials``: runs stay bounded (the acceptance scale is 200).
 MAX_TRIALS = 100_000
-
-#: Largest ``verify --jobs``: one worker per core of the machine.
-MAX_JOBS = os.cpu_count() or 1
 
 # operation -> number of input documents it takes
 _OP_ARITY = {"mul": 2, "inv": 1, "conj": 2, "mu": 1, "mu-inv": 1, "tau": 1,
@@ -256,15 +253,12 @@ def _cmd_verify(args) -> int:
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ParseError(f"--trials must be between 1 and {MAX_TRIALS}, "
                          f"got {args.trials}")
-    if args.jobs is not None and not 1 <= args.jobs <= MAX_JOBS:
-        raise ParseError(f"--jobs must be between 1 and {MAX_JOBS}, "
-                         f"got {args.jobs}")
     ns = tuple(args.n) if args.n else (1, 2, 3, 4)
     for n in ns:
         check_n(n, "--n")
     if len(set(ns)) < len(ns):
         raise ParseError("--n gives a dimension more than once")
-    reports = run_suites(names, ns, args.trials, args.seed, args.jobs)
+    reports = run_suites(names, ns, args.trials, args.seed)
     if args.json:
         _emit([r.to_doc() for r in reports])
     else:
@@ -332,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dimension to test (repeatable; default 1-4)")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--jobs", type=int,
-                          help="worker processes (default: one per usable "
-                               "core); the report is the same for every value")
     p_verify.add_argument("--json", action="store_true",
                           help="machine-readable report")
     p_verify.set_defaults(fn=_cmd_verify)

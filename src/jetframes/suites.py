@@ -834,9 +834,8 @@ SUITES: dict[str, Suite] = {
 ALL_SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, ns, trials: int, seed: int,
-              jobs: int | None = None) -> SuiteReport:
-    return run_suites([name], ns, trials, seed, jobs)[0]
+def run_suite(name: str, ns, trials: int, seed: int) -> SuiteReport:
+    return run_suites([name], ns, trials, seed)[0]
 
 
 def run_suites(names, ns, trials: int, seed: int,
@@ -846,12 +845,13 @@ def run_suites(names, ns, trials: int, seed: int,
     The work items are ``(suite, property index, n)``; each runs all
     ``trials`` trials of one property at one n.  With ``jobs`` > 1 the items
     are dealt round-robin, n-major, to that many forked workers, worker w
-    pinned to the w-th usable core (cycling); the default is one worker per
-    usable core.  Every trial draws from its own stream, and results are
-    merged in (suite, property, n) order, so the report is the same for
-    every ``jobs`` apart from ``wall_time_s``, which sums the item times.
-    The runner forks, so a caller that runs threads should pass
-    ``jobs=1``, which runs the items in this process.
+    pinned to the w-th usable core (cycling).  The default is one worker per
+    core in this process's affinity mask, and one job, run in this process,
+    where the platform cannot fork or pin.  Every trial draws from its own
+    stream, and results are merged in (suite, property, n) order, so the
+    report is the same for every ``jobs`` apart from ``wall_time_s``, which
+    sums the item times.  The runner forks, so a caller that runs threads
+    should pass ``jobs=1``.
     """
     names, ns = tuple(names), tuple(ns)
     for name in names:
@@ -863,14 +863,17 @@ def run_suites(names, ns, trials: int, seed: int,
              for index in range(len(SUITES[name].properties))]
     cpus = _usable_cpus()
     if jobs is None:
-        jobs = len(cpus)
+        jobs = max(len(cpus), 1)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if jobs > 1 and not cpus:
+        raise ValueError("this platform cannot fork or pin workers; "
+                         "use jobs=1")
     shares = [items[w::jobs] for w in range(min(jobs, len(items)))] or [[]]
     outputs = (_forked(shares, trials, seed, cpus) if len(shares) > 1
                else [_run_items(shares[0], trials, seed)])
     done = {item: result for share, output in zip(shares, outputs)
-            for item, result in zip(share, json.loads(output))}
+            for item, result in zip(share, output)}
     reports = []
     for name in names:
         report = SuiteReport(suite=name, ns=ns, trials=trials, seed=seed)
@@ -887,10 +890,10 @@ def run_suites(names, ns, trials: int, seed: int,
     return reports
 
 
-def _run_items(items, trials: int, seed: int) -> str:
-    """The JSON list of ``[failures, first counterexample, seconds]`` of each
-    ``(suite, property index, n)`` item.  JSON is what a worker sends back;
-    the in-process run decodes it too, so every ``jobs`` gives equal values."""
+def _run_items(items, trials: int, seed: int) -> list:
+    """The ``[failures, first counterexample, seconds]`` of each
+    ``(suite, property index, n)`` item; the counterexample is a JSON
+    document."""
     results = []
     for name, index, n in items:
         prop = SUITES[name].properties[index]
@@ -905,18 +908,18 @@ def _run_items(items, trials: int, seed: int) -> str:
                     first = {"suite": name, "property": prop.name, "n": n,
                              "trial": trial, "seed": seed, **_witness(**witness)}
         results.append([failures, first, time.perf_counter() - start])
-    return json.dumps(results)
+    return results
 
 
-def _usable_cpus() -> list[int | None]:
-    """The cores this process may run on (``None`` each where the platform
-    cannot say which)."""
-    if hasattr(os, "sched_getaffinity"):
+def _usable_cpus() -> list[int]:
+    """The cores a forked worker may be pinned to: those of this process's
+    affinity mask, or none where the platform cannot fork or pin."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
-    return [None] * (os.cpu_count() or 1)
+    return []
 
 
-def _forked(shares, trials: int, seed: int, cpus) -> list[str]:
+def _forked(shares, trials: int, seed: int, cpus) -> list[list]:
     """The ``_run_items`` output of each share, each run in a forked worker.
 
     A worker ends with ``os._exit``, so it runs no atexit handler and flushes
@@ -952,18 +955,18 @@ def _forked(shares, trials: int, seed: int, cpus) -> list[str]:
         if code != 0:
             raise RuntimeError(f"verify worker {w} exited with {code}:\n"
                                f"{outputs[w]}")
-    return outputs
+    return [json.loads(output) for output in outputs]
 
 
-def _worker(write_fd: int, share, trials: int, seed: int, cpu) -> None:
-    """Run ``share`` in a forked worker, write its output (or the traceback of
-    its failure) to ``write_fd`` and end the process."""
+def _worker(write_fd: int, share, trials: int, seed: int, cpu: int) -> None:
+    """Run ``share`` in a forked worker pinned to ``cpu``, write its output as
+    JSON (or the traceback of its failure) to ``write_fd`` and end the
+    process."""
     ok = False
     try:
         try:
-            if cpu is not None:
-                os.sched_setaffinity(0, {cpu})
-            text = _run_items(share, trials, seed)
+            os.sched_setaffinity(0, {cpu})
+            text = json.dumps(_run_items(share, trials, seed))
             ok = True
         except Exception:
             import traceback

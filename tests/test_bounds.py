@@ -5,12 +5,11 @@ stub that fails the test, so a missing cap cannot run a huge job here.
 """
 
 import json
-import os
 
 import pytest
 
 from jetframes import cli
-from jetframes.cli import MAX_JOBS, MAX_TRIALS, main
+from jetframes.cli import MAX_TRIALS, main
 from jetframes.errors import ParseError
 from jetframes.serialize import (
     MAX_N,
@@ -52,7 +51,6 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suites", fail)
     monkeypatch.setattr(cli.rg, "stream", fail)
-    monkeypatch.setattr(os, "fork", fail)
 
 
 def test_gen_n_is_capped(capsys, no_work):
@@ -69,13 +67,6 @@ def test_verify_n_and_trials_are_capped(capsys, no_work):
                            "--trials", str(MAX_TRIALS + 1))
     assert code == 2 and str(MAX_TRIALS) in err
     assert _exit_code(capsys, "verify", "prel1", "--trials", "0")[0] == 2
-
-
-@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
-def test_verify_jobs_is_capped(capsys, no_work, jobs):
-    code, err = _exit_code(capsys, "verify", "prel1", "--n", "1", "--trials",
-                           "1", "--jobs", str(jobs))
-    assert code == 2 and f"between 1 and {MAX_JOBS}" in err
 
 
 def test_verify_rejects_a_repeated_n(capsys, no_work):

@@ -81,7 +81,7 @@ def test_unknown_suite_and_bad_trials():
     with pytest.raises(ValueError):
         run_suite("prel1", [1], 0, 0)
     with pytest.raises(ValueError):
-        run_suite("prel1", [1], 1, 0, jobs=0)
+        run_suites(["prel1"], [1], 1, 0, jobs=0)
 
 
 def _docs(jobs: int, seed: int) -> list[dict]:
@@ -112,6 +112,14 @@ def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, jobs):
                if p["failures"] == 9]
     assert len(failing) > 30
     assert _docs(jobs, 42) == serial
+
+
+def test_without_fork_the_items_run_in_this_process(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    reports = run_suites(["prel1"], (1, 2), 2, 0)
+    assert [p.trials_run for p in reports[0].properties] == [4] * 4
+    with pytest.raises(ValueError, match="jobs=1"):
+        run_suites(["prel1"], (1, 2), 2, 0, jobs=2)
 
 
 def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):

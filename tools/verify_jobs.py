@@ -1,8 +1,9 @@
-"""Wall time of ``jetframes verify all`` with one worker and with the default.
+"""Wall time of ``jetframes verify all`` on one core and on every usable core.
 
 Runs ``python3 -m jetframes verify all --json`` at acceptance scale
-(n = 1..4, 200 trials, seed 42) in fresh processes, once with ``--jobs 1``
-and once with the default (one worker per usable core) per round,
+(n = 1..4, 200 trials, seed 42) in fresh processes, once with its affinity
+mask narrowed to the first usable core (so the runner uses one job, in
+that process) and once as it is (one worker per usable core) per round,
 alternating which goes first.  It prints, per setting, each run's wall time,
 their median, and the median of the report's summed ``wall_time_s`` (the
 time the items took, whichever worker ran them).  Every report must equal
@@ -25,15 +26,19 @@ import subprocess
 import sys
 import time
 
-SETTINGS = {"jobs 1": ["--jobs", "1"], "default": []}
+#: setting -> the affinity mask of its run (None: this process's own)
+SETTINGS = {"one core": {min(os.sched_getaffinity(0))}, "default": None}
 
 
-def _run(extra: list[str], trials: int, seed: int) -> tuple[float, float, list]:
+def _run(cpus: set[int] | None, trials: int,
+         seed: int) -> tuple[float, float, list]:
     """(wall seconds, summed ``wall_time_s``, report without the timings)."""
     argv = [sys.executable, "-m", "jetframes", "verify", "all", "--trials",
-            str(trials), "--seed", str(seed), "--json", *extra]
+            str(trials), "--seed", str(seed), "--json"]
     start = time.perf_counter()
-    proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, check=False,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
     wall = time.perf_counter() - start
     if proc.returncode != 1:
         raise SystemExit(f"{' '.join(argv)} exited with {proc.returncode}:\n"

@@ -11,6 +11,10 @@ Subcommands:
 * ``verify SUITE ...``               -- named property suites; exit code 0
                                         only when every property passed
 
+``gen``, ``op`` and ``project`` read one table each, with a row per kind,
+operation or level; argument choices, input counts, ``--group`` and the
+kind checks all come from the rows.
+
 Documents are read from file paths ("-" for stdin) and written to stdout.
 Dimensions (``--n``, document ``n``) are capped at ``serialize.MAX_N`` and
 ``--trials`` at ``MAX_TRIALS``; larger values, like every malformed input,
@@ -61,31 +65,49 @@ from .groups import (
 )
 from .jets import compose_2jets, left_act_diffeo
 from .serialize import (
-    bilinear_to_doc,
     check_n,
     frame_from_doc,
-    frame_to_doc,
     group_from_doc,
-    group_to_doc,
     jet_from_doc,
-    jet_to_doc,
+    to_doc,
     vector_to_doc,
 )
 from .suites import ALL_SUITE_NAMES, run_suites
 
-GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
+# kind -> the generator of a random value of that kind
+_GEN = {**rg.GROUP_GENERATORS, "nonhol": rg.rand_nonhol, "semihol": rg.rand_semihol,
+        "hol": rg.rand_hol, "map2jet": rg.rand_map2jet}
+
+GEN_KINDS = tuple(_GEN)
 
 #: Largest ``verify --trials``: runs stay bounded (the acceptance scale is 200).
 MAX_TRIALS = 100_000
 
-# operation -> number of input documents it takes
-_OP_ARITY = {"mul": 2, "inv": 1, "conj": 2, "mu": 1, "mu-inv": 1, "tau": 1,
-             "tau-inv": 1, "coset-equal": 2}
+# operation -> the group tag of each input (None: the one --group names) and
+# the output document of the inputs, given their group.  Rows look functions up
+# in this module or in GROUPS when they run, so a wrapper put there is called.
+_OPS = {
+    "mul": ((None, None), lambda group, x, y: to_doc(group.mul(x, y))),
+    "inv": ((None,), lambda group, x: to_doc(group.inv(x))),
+    "conj": (("hat2", "hat2"), lambda _, x, y: to_doc(conj_hat2(x, y))),
+    "mu": (("hat2",), lambda _, x: to_doc(mu(QuotClassHat.of(x)))),
+    "mu-inv": (("g2",), lambda _, g: to_doc(mu_inv(g).representative())),
+    "tau": (("t1n",), lambda _, x: to_doc(tau(x))),
+    "tau-inv": (("hat2",), lambda _, y: to_doc(tau_inv(y))),
+    "coset-equal": (("hat2", "hat2"), lambda _, x, y: {"equal": coset_equal(x, y)}),
+}
 
-_GEN_FRAME = {
-    "nonhol": rg.rand_nonhol,
-    "semihol": rg.rand_semihol,
-    "hol": rg.rand_hol,
+# level -> the frame kinds it takes, how its error names them, and the output
+# document of a frame of one of those kinds
+_PROJECT = {
+    "pi": (NonHolFrame, "a nonhol frame", lambda q: to_doc(proj_pi(q))),
+    "hat22": ((SemiHolFrame, HolFrame), "a semihol (or hol) frame",
+              lambda q: to_doc(proj_hat22(
+                  embed_hol(q) if isinstance(q, HolFrame) else q))),
+    "tilde22": (NonHolFrame, "a nonhol frame", lambda q: to_doc(proj_tilde22(q))),
+    "21": ((NonHolFrame, SemiHolFrame, HolFrame), "a second-order frame",
+           lambda q: to_doc(proj_21(q))),
+    "20": (object, "", lambda q: {"x": vector_to_doc(proj_20(q))}),
 }
 
 
@@ -122,93 +144,44 @@ def _tagged(path: str, tag: str):
     return group_from_doc(doc)
 
 
-def _tagged_pair(paths: list[str], tag: str):
-    """The two operands of a binary operation, of one group and dimension."""
-    x, y = (_tagged(path, tag) for path in paths)
-    if x.n != y.n:
-        raise ParseError(f"{paths[0]} has n = {x.n} but {paths[1]} has n = {y.n}")
-    return x, y
-
-
 def _cmd_gen(args) -> int:
     check_n(args.n, "--n")
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
-    origin = (Fraction(0),) * args.n
-    if args.kind in GROUPS:
-        if args.origin:
+    value = _GEN[args.kind](rng, args.n)
+    if args.origin:
+        pinned = {key: (Fraction(0),) * args.n  # the base point fields
+                  for key in ("x", "base", "value") if key in value.__match_args__}
+        if not pinned:
             raise ParseError("--origin only applies to frames and jets")
-        _emit(group_to_doc(rg.GROUP_GENERATORS[args.kind](rng, args.n)))
-    elif args.kind in _GEN_FRAME:
-        frame = _GEN_FRAME[args.kind](rng, args.n)
-        if args.origin:
-            frame = replace(frame, x=origin)
-        _emit(frame_to_doc(frame))
-    else:
-        jet = rg.rand_map2jet(rng, args.n)
-        if args.origin:
-            jet = replace(jet, base=origin, value=origin)
-        _emit(jet_to_doc(jet))
+        value = replace(value, **pinned)
+    _emit(to_doc(value))
     return 0
 
 
 def _cmd_op(args) -> int:
-    op = args.operation
-    arity = _OP_ARITY[op]
-    if len(args.inputs) != arity:
-        raise ParseError(f"op {op} takes {arity} input document(s), "
-                         f"got {len(args.inputs)}")
-    if op in ("mul", "inv"):
+    op, paths = args.operation, args.inputs
+    tags, build = _OPS[op]
+    if len(paths) != len(tags):
+        raise ParseError(f"op {op} takes {len(tags)} input document(s), "
+                         f"got {len(paths)}")
+    if None in tags:
         if args.group is None:
             raise GroupMismatchError(f"op {op} requires --group")
-        group = GROUPS[args.group]
-        if op == "mul":
-            _emit(group_to_doc(group.mul(*_tagged_pair(args.inputs, args.group))))
-        else:
-            _emit(group_to_doc(group.inv(_tagged(args.inputs[0], args.group))))
-    elif op == "conj":
-        outer, inner = _tagged_pair(args.inputs, "hat2")
-        _emit(group_to_doc(conj_hat2(outer, inner)))
-    elif op == "mu":
-        x = _tagged(args.inputs[0], "hat2")
-        _emit(group_to_doc(mu(QuotClassHat.of(x))))
-    elif op == "mu-inv":
-        g = _tagged(args.inputs[0], "g2")
-        _emit(group_to_doc(mu_inv(g).representative()))
-    elif op == "tau":
-        x = _tagged(args.inputs[0], "t1n")
-        _emit(group_to_doc(tau(x)))
-    elif op == "tau-inv":
-        y = _tagged(args.inputs[0], "hat2")
-        _emit(group_to_doc(tau_inv(y)))
-    elif op == "coset-equal":
-        x, y = _tagged_pair(args.inputs, "hat2")
-        _emit({"equal": coset_equal(x, y)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown operation {op!r}")
+        tags = (args.group,) * len(tags)
+    xs = [_tagged(path, tag) for path, tag in zip(paths, tags)]
+    if len({x.n for x in xs}) > 1:
+        raise ParseError(f"{paths[0]} has n = {xs[0].n} "
+                         f"but {paths[1]} has n = {xs[1].n}")
+    _emit(build(GROUPS[tags[0]], *xs))
     return 0
 
 
 def _cmd_project(args) -> int:
     frame = frame_from_doc(_read_doc(args.frame))
-    level = args.level
-    if level in ("pi", "tilde22"):
-        if not isinstance(frame, NonHolFrame):
-            raise KindMismatchError(f"project {level} needs a nonhol frame")
-        _emit(frame_to_doc((proj_pi if level == "pi" else proj_tilde22)(frame)))
-    elif level == "hat22":
-        if isinstance(frame, HolFrame):
-            frame = embed_hol(frame)
-        if not isinstance(frame, SemiHolFrame):
-            raise KindMismatchError("project hat22 needs a semihol (or hol) frame")
-        _emit(frame_to_doc(proj_hat22(frame)))
-    elif level == "21":
-        if not isinstance(frame, (NonHolFrame, SemiHolFrame, HolFrame)):
-            raise KindMismatchError("project 21 needs a second-order frame")
-        _emit(frame_to_doc(proj_21(frame)))
-    elif level == "20":
-        _emit({"x": vector_to_doc(proj_20(frame))})
-    else:  # pragma: no cover
-        raise ParseError(f"unknown level {level!r}")
+    kinds, needs, build = _PROJECT[args.level]
+    if not isinstance(frame, kinds):
+        raise KindMismatchError(f"project {args.level} needs {needs}")
+    _emit(build(frame))
     return 0
 
 
@@ -230,21 +203,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    x = _tagged(args.element, "hat2")
-    sym_el, skew = decompose_hat2(x)
-    _emit({"g2": group_to_doc(sym_el), "skew": bilinear_to_doc(skew)})
+    sym_el, skew = decompose_hat2(_tagged(args.element, "hat2"))
+    _emit({"g2": to_doc(sym_el), "skew": to_doc(skew)})
     return 0
 
 
 def _cmd_oracle(args) -> int:
+    F = jet_from_doc(_read_doc(args.inputs[0]))
     if args.oracle_op == "compose":
-        outer = jet_from_doc(_read_doc(args.inputs[0]))
-        inner = jet_from_doc(_read_doc(args.inputs[1]))
-        _emit(jet_to_doc(compose_2jets(outer, inner)))
+        _emit(to_doc(compose_2jets(F, jet_from_doc(_read_doc(args.inputs[1])))))
     else:
-        F = jet_from_doc(_read_doc(args.inputs[0]))
-        frame = _nonhol_frame(args.inputs[1], "oracle act")
-        _emit(frame_to_doc(left_act_diffeo(F, frame)))
+        _emit(to_doc(left_act_diffeo(F, _nonhol_frame(args.inputs[1], "oracle act"))))
     return 0
 
 
@@ -296,13 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(fn=_cmd_gen)
 
     p_op = sub.add_parser("op", help="apply a group operation")
-    p_op.add_argument("operation", choices=tuple(_OP_ARITY))
+    p_op.add_argument("operation", choices=tuple(_OPS))
     p_op.add_argument("inputs", nargs="+", help="JSON files ('-' for stdin)")
     p_op.add_argument("--group", choices=tuple(GROUPS))
     p_op.set_defaults(fn=_cmd_op)
 
     p_proj = sub.add_parser("project", help="apply a bundle projection")
-    p_proj.add_argument("level", choices=("pi", "hat22", "tilde22", "21", "20"))
+    p_proj.add_argument("level", choices=tuple(_PROJECT))
     p_proj.add_argument("frame")
     p_proj.set_defaults(fn=_cmd_project)
 

@@ -1,16 +1,17 @@
 """Named verification suites over seeded random instances.
 
-Each suite is a tuple of properties.  A property takes a dimension and a
-dedicated random stream, checks one exact identity on freshly generated data
-and returns ``(held, witness)``: whether the identity held, and a dict of the
-raw values that make up its counterexample (``{}`` for a vacuous trial).  A
-witness holds only values the check has already computed, so a passing trial
-does no work for it.  The runner executes every property for each requested
-dimension and trial index, with the per-trial stream derived from
-``(seed, suite, property, n, trial)``; it counts a failure whenever ``held``
-is false and turns the witness of the first failure alone into documents
-(``_witness``), so any failure is reproducible from the (seed, trial-index)
-pair printed in the report.
+Each suite is a tuple of properties, most of them plain functions that carry
+their property's name; a factory-built one is named by its ``Property``.  A
+property takes a dimension and a dedicated random stream, checks one exact
+identity on freshly generated data and returns ``(held, witness)``: whether
+the identity held, and a dict of the raw values that make up its
+counterexample (``{}`` for a vacuous trial).  A witness holds only values
+the check has already computed, so a passing trial does no work for it.  The
+runner executes every property for each requested dimension and trial index,
+with the per-trial stream derived from ``(seed, suite, property, n, trial)``;
+it counts a failure whenever ``held`` is false and turns the witness of the
+first failure alone into documents (``_witness``), so any failure is
+reproducible from the (seed, trial-index) pair printed in the report.
 
 All comparisons are exact equality of rationals; there are no tolerances
 anywhere.
@@ -103,9 +104,16 @@ class Property:
 
 @dataclass(frozen=True)
 class Suite:
+    """A plain function in ``properties`` becomes the property of its name."""
+
     name: str
     description: str
     properties: tuple[Property, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "properties", tuple(
+            p if isinstance(p, Property) else Property(p.__name__, p)
+            for p in self.properties))
 
 
 @dataclass
@@ -157,7 +165,7 @@ def _witness(**objs: Any) -> dict[str, Any]:
 # core algebra identities
 
 
-def _parts_commute(post: bool) -> PropertyFn:
+def _parts_commute(name: str, post: bool) -> Property:
     """transpose, sym_part and skew_part commute with a o f (``post``) or
     with the diagonal pre-composition f(a, a)."""
     def prop(n, rng):
@@ -169,10 +177,10 @@ def _parts_commute(post: bool) -> PropertyFn:
 
         return all(part(compose(f)) == compose(part(f))
                    for part in (transpose, sym_part, skew_part)), dict(a=a, f=f)
-    return prop
+    return Property(name, prop)
 
 
-def _prel_split(n, rng):
+def sym_plus_skew_recovers(n, rng):
     f = rg.rand_bilinear(rng, n)
     fs, fa = sym_part(f), skew_part(f)
     held = (
@@ -185,7 +193,7 @@ def _prel_split(n, rng):
     return held, dict(f=f)
 
 
-def _prel_two_sided(n, rng):
+def post_and_pre_commute(n, rng):
     a = rg.rand_invertible(rng, n)
     b = rg.rand_invertible(rng, n)
     c = rg.rand_invertible(rng, n)
@@ -264,7 +272,7 @@ def _axiom_properties(tags) -> tuple[Property, ...]:
 # conjugation, decomposition, normality
 
 
-def _conj_keeps_part(symmetric: bool, key: str) -> PropertyFn:
+def _conj_keeps_part(name: str, symmetric: bool, key: str = "h") -> Property:
     """Conjugating (I, h) gives (I, h') with h' symmetric (or skew) as h is.
 
     ``key`` names h in the counterexample.
@@ -275,10 +283,10 @@ def _conj_keeps_part(symmetric: bool, key: str) -> PropertyFn:
         c = conj_hat2(x, GHat2.from_bilinear(h))
         held = c.a.is_identity() and (is_symmetric(c.f) if symmetric else is_skew(c.f))
         return held, dict(x=x, **{key: h}, conj=c)
-    return prop
+    return Property(name, prop)
 
 
-def _grol1_conj_closed_form(n, rng):
+def conjugation_closed_form(n, rng):
     x = rg.rand_hat2(rng, n)
     y = rg.rand_hat2(rng, n)
     direct = conj_hat2(x, y)
@@ -286,14 +294,14 @@ def _grol1_conj_closed_form(n, rng):
     return direct == explicit, dict(x=x, y=y, closed_form=direct, triple=explicit)
 
 
-def _grol1_decompose_recompose(n, rng):
+def decompose_recompose(n, rng):
     x = rg.rand_hat2(rng, n)
     sym_el, skew = decompose_hat2(x)
     held = is_skew(skew) and mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew)) == x
     return held, dict(x=x, sym=sym_el, skew=skew)
 
 
-def _grol1_decompose_unique(n, rng):
+def decompose_unique(n, rng):
     x = rg.rand_hat2(rng, n)
     sym_el, skew = decompose_hat2(x)
     delta = rg.rand_nonzero_skew(rng, n)
@@ -308,7 +316,7 @@ def _grol1_decompose_unique(n, rng):
                       reason="symmetric perturbation also recomposes")
 
 
-def _grol3_conj_ignores_f(n, rng):
+def conjugation_ignores_outer_bilinear(n, rng):
     a = rg.rand_invertible(rng, n)
     f = rg.rand_bilinear(rng, n)
     g = rg.rand_bilinear(rng, n)
@@ -322,7 +330,7 @@ def _grol3_conj_ignores_f(n, rng):
 # the quotient isomorphism
 
 
-def _grop1_homomorphism(n, rng):
+def mu_homomorphism(n, rng):
     c1 = rg.rand_quot_class(rng, n)
     c2 = rg.rand_quot_class(rng, n)
     lhs = mu(mul_quot(c1, c2))
@@ -331,24 +339,24 @@ def _grop1_homomorphism(n, rng):
                             mu_of_product=lhs, product_of_mu=rhs)
 
 
-def _grop1_injective(n, rng):
+def mu_injective(n, rng):
     c1 = rg.rand_quot_class(rng, n)
     c2 = rg.rand_quot_class(rng, n)
     held = c1 == c2 or mu(c1) != mu(c2)
     return held, dict(c1=c1.representative(), c2=c2.representative())
 
 
-def _grop1_surjective(n, rng):
+def mu_surjective(n, rng):
     g = rg.rand_g2(rng, n)
     return mu(mu_inv(g)) == g, dict(g=g)
 
 
-def _grop1_roundtrip(n, rng):
+def mu_roundtrip(n, rng):
     c = rg.rand_quot_class(rng, n)
     return mu_inv(mu(c)) == c, dict(c=c.representative())
 
 
-def _grop1_coset_equal(n, rng):
+def coset_equality(n, rng):
     x = rg.rand_hat2(rng, n)
     h = rg.rand_skew(rng, n)
     same = mul_hat2(x, GHat2.from_bilinear(h))
@@ -365,25 +373,25 @@ def _grop1_coset_equal(n, rng):
 # the T1nL1n isomorphism
 
 
-def _grol4_coordinate(n, rng):
+def structural_equals_coordinate(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
     return mul_t1n(x, y) == mul_t1n_coordinate(x, y), dict(x=x, y=y)
 
 
-def _grol4_tau_homomorphism(n, rng):
+def tau_homomorphism(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
     return tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y)), dict(x=x, y=y)
 
 
-def _grol4_tau_roundtrip(n, rng):
+def tau_roundtrip(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_hat2(rng, n)
     return tau_inv(tau(x)) == x and tau(tau_inv(y)) == y, dict(x=x, y=y)
 
 
-def _grol4_law_recovered(n, rng):
+def law_recovered_through_tau(n, rng):
     x = rg.rand_t1n(rng, n)
     y = rg.rand_t1n(rng, n)
     recovered = tau_inv(mul_hat2(tau(x), tau(y)))
@@ -394,7 +402,7 @@ def _grol4_law_recovered(n, rng):
 # symmetrization against products, and the projection's well-definedness
 
 
-def _rbsp1_group_level(n, rng):
+def symmetrize_after_product(n, rng):
     g = rg.rand_g2(rng, n)
     k = rg.rand_hat2(rng, n)
     product = mul_hat2(g.as_hat2(), k)
@@ -403,7 +411,7 @@ def _rbsp1_group_level(n, rng):
     return held, dict(g=g, k=k, product=product)
 
 
-def _rbsp1_frame_level(n, rng):
+def symmetrize_after_frame_action(n, rng):
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     moved = act_semihol(embed_hol(p), k)
@@ -411,7 +419,7 @@ def _rbsp1_frame_level(n, rng):
     return proj_hat22(moved) == direct, dict(p=p, k=k)
 
 
-def _rbsp1_well_defined(n, rng):
+def projection_well_defined(n, rng):
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     alpha = rg.rand_g2(rng, n)
@@ -432,16 +440,16 @@ def _rbsp1_well_defined(n, rng):
 # level compatibility and the fiber description
 
 
-def _hat22_keeps(linear: bool) -> PropertyFn:
+def _hat22_keeps(name: str, linear: bool) -> Property:
     """proj_hat22 keeps the base point, or with ``linear`` the linear frame."""
     def prop(n, rng):
         p = rg.rand_semihol(rng, n)
         lower = proj_21 if linear else proj_20
         return lower(p) == lower(proj_hat22(p)), dict(p=p)
-    return prop
+    return Property(name, prop)
 
 
-def _rbsl2_fiber_iff(n, rng):
+def fiber_membership_matches_projection(n, rng):
     p = rg.rand_semihol(rng, n)
     q = rg.rand_hol(rng, n)
     if fiber_hat22_contains(q, p) != (proj_hat22(p) == q):
@@ -456,14 +464,14 @@ def _rbsl2_fiber_iff(n, rng):
                       reason="membership disagrees with projection on a probe")
 
 
-def _rbsl2_orbit_in_fiber(n, rng):
+def skew_orbit_inside_fiber(n, rng):
     q = rg.rand_hol(rng, n)
     h = rg.rand_skew(rng, n)
     moved = act_semihol(embed_hol(q), GHat2.from_bilinear(h))
     return proj_hat22(moved) == q and fiber_hat22_contains(q, moved), dict(q=q, h=h)
 
 
-def _rbsl2_rejects_other_linear_part(n, rng):
+def fiber_rejects_other_linear_part(n, rng):
     q = rg.rand_hol(rng, n)
     p = rg.rand_semihol(rng, n)
     return p.a == q.a or not fiber_hat22_contains(q, p), dict(q=q, p=p)
@@ -473,7 +481,7 @@ def _rbsl2_rejects_other_linear_part(n, rng):
 # the principal structure over holonomic frames
 
 
-def _rbst1_free(n, rng):
+def skew_action_free(n, rng):
     q = rg.rand_semihol(rng, n)
     h = rg.rand_nonzero_skew(rng, n)
     if h is None:
@@ -481,7 +489,7 @@ def _rbst1_free(n, rng):
     return act_semihol(q, GHat2.from_bilinear(h)) != q, dict(q=q, h=h)
 
 
-def _rbst1_omega_well_defined(n, rng):
+def orbit_map_well_defined(n, rng):
     q = rg.rand_semihol(rng, n)
     h1 = rg.rand_skew(rng, n)
     h2 = rg.rand_skew(rng, n)
@@ -490,7 +498,7 @@ def _rbst1_omega_well_defined(n, rng):
     return omega(m1) == omega(m2) == omega(q), dict(q=q, h1=h1, h2=h2)
 
 
-def _rbst1_omega_injective(n, rng):
+def orbit_map_injective(n, rng):
     # equal orbit-map values must come from the same orbit: exhibit the
     # connecting skew element, both for a constructed same-fiber pair and
     # for an independent pair
@@ -509,26 +517,26 @@ def _rbst1_omega_injective(n, rng):
     return True, {}
 
 
-def _rbst1_sigma_equation(n, rng):
+def sigma_defining_equation(n, rng):
     p = rg.rand_semihol(rng, n)
     s = sigma(p)
     lhs = mul_hat2(GHat2(p.a, sym_part(p.f)), GHat2.from_bilinear(s))
     return is_skew(s) and lhs == GHat2(p.a, p.f), dict(p=p, sigma=s)
 
 
-def _rbst1_sigma_reconstruction(n, rng):
+def sigma_by_group_quotient(n, rng):
     p = rg.rand_semihol(rng, n)
     quotient = mul_hat2(inv_hat2(GHat2(p.a, sym_part(p.f))), GHat2(p.a, p.f))
     return quotient == GHat2.from_bilinear(sigma(p)), dict(p=p, quotient=quotient)
 
 
-def _rbst1_sigma_equivariance(n, rng):
+def sigma_equivariance(n, rng):
     p = rg.rand_semihol(rng, n)
     h = rg.rand_skew(rng, n)
     return sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h, dict(p=p, h=h)
 
 
-def _rbst1_extension_roundtrip(n, rng):
+def extension_model_roundtrip(n, rng):
     q = rg.rand_semihol(rng, n)
     c = theta_inv(q)
     if theta(c) != q:
@@ -540,7 +548,7 @@ def _rbst1_extension_roundtrip(n, rng):
         p=p, k=k, reason="theta_inv(theta(c)) != c on a canonical class")
 
 
-def _rbst1_extension_invariant(n, rng):
+def extension_class_invariant(n, rng):
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     alpha = rg.rand_g2(rng, n)
@@ -548,7 +556,7 @@ def _rbst1_extension_invariant(n, rng):
     return ext_class(p, k) == shifted, dict(p=p, k=k, alpha=alpha)
 
 
-def _rbst1_theta_equivariant(n, rng):
+def extension_map_equivariant(n, rng):
     p = rg.rand_hol(rng, n)
     k = rg.rand_hat2(rng, n)
     k2 = rg.rand_hat2(rng, n)
@@ -561,7 +569,7 @@ def _rbst1_theta_equivariant(n, rng):
 # the composite projection to holonomic frames
 
 
-def _rbst2_free(n, rng):
+def action_free(n, rng):
     q = rg.rand_nonhol(rng, n)
     g = rg.rand_tilde22(rng, n)
     if g == GTilde22.identity(n):
@@ -569,12 +577,12 @@ def _rbst2_free(n, rng):
     return act_tilde22(q, g) != q, dict(q=q, g=g)
 
 
-def _rbst2_composite(n, rng):
+def composite_definition(n, rng):
     q = rg.rand_nonhol(rng, n)
     return proj_tilde22(q) == proj_hat22(proj_pi(q)), dict(q=q)
 
 
-def _rbst2_staged(n, rng):
+def staged_action_identity(n, rng):
     q = rg.rand_nonhol(rng, n)
     g = rg.rand_tilde22(rng, n)
     eye = SquareMatrix.identity(n)
@@ -585,7 +593,7 @@ def _rbst2_staged(n, rng):
     return act_tilde22(q, g) == staged, dict(q=q, g=g)
 
 
-def _rbst2_law_matches_tilde21(n, rng):
+def law_matches_tilde21(n, rng):
     x = rg.rand_tilde22(rng, n)
     y = rg.rand_tilde22(rng, n)
     z = mul_tilde22(x, y)
@@ -593,7 +601,7 @@ def _rbst2_law_matches_tilde21(n, rng):
     return z.l == w.a and z.h == w.f, dict(x=x, y=y)
 
 
-def _rbst2_projection_invariant(n, rng):
+def projection_invariant_on_orbits(n, rng):
     q = rg.rand_nonhol(rng, n)
     g = rg.rand_tilde22(rng, n)
     after = proj_tilde22(act_tilde22(q, g))
@@ -602,7 +610,7 @@ def _rbst2_projection_invariant(n, rng):
                                  projected_after_action=after)
 
 
-def _rbst2_surjective(n, rng):
+def surjective_by_explicit_preimage(n, rng):
     target = rg.rand_hol(rng, n)
     eye = SquareMatrix.identity(n)
     preimage_f = pre_compose(target.f, eye, mat_inv(target.a))
@@ -614,7 +622,7 @@ def _rbst2_surjective(n, rng):
 # the projection diagram
 
 
-def _diagram_nonhol(n, rng):
+def nonholonomic_frames(n, rng):
     q = rg.rand_nonhol(rng, n)
     checks = [
         proj_20(q) == proj_10(proj_21(q)),
@@ -627,7 +635,7 @@ def _diagram_nonhol(n, rng):
     return all(checks), dict(q=q, checks=checks)
 
 
-def _diagram_semihol(n, rng):
+def semiholonomic_frames(n, rng):
     p = rg.rand_semihol(rng, n)
     checks = [
         proj_20(p) == proj_10(proj_21(p)),
@@ -637,7 +645,7 @@ def _diagram_semihol(n, rng):
     return all(checks), dict(p=p, checks=checks)
 
 
-def _diagram_hol(n, rng):
+def holonomic_frames(n, rng):
     t = rg.rand_hol(rng, n)
     checks = [
         proj_20(t) == proj_10(proj_21(t)),
@@ -651,7 +659,7 @@ def _diagram_hol(n, rng):
 # the jet oracle
 
 
-def _oracle_group_law(n, rng):
+def group_law_from_jets(n, rng):
     p = rg.rand_g2(rng, n)
     q = rg.rand_g2(rng, n)
     via_jets = g2_law_via_jets(p, q)
@@ -659,7 +667,7 @@ def _oracle_group_law(n, rng):
     return via_jets == via_law, dict(p=p, q=q, via_jets=via_jets, via_law=via_law)
 
 
-def _oracle_associative(n, rng):
+def composition_associative(n, rng):
     x0 = rg.rand_point(rng, n)
     x1 = rg.rand_point(rng, n)
     x2 = rg.rand_point(rng, n)
@@ -671,14 +679,14 @@ def _oracle_associative(n, rng):
     return left == compose_2jets(h, compose_2jets(g, f)), dict(f=f, g=g, h=h)
 
 
-def _oracle_identity(n, rng):
+def identity_jet_neutral(n, rng):
     f = rg.rand_map2jet(rng, n)
     left = compose_2jets(Map2Jet.identity(f.value), f)
     right = compose_2jets(f, Map2Jet.identity(f.base))
     return left == f and right == f, dict(f=f)
 
 
-def _oracle_functorial(n, rng):
+def prolonged_action_functorial(n, rng):
     q = rg.rand_nonhol(rng, n)
     mid = rg.rand_point(rng, n)
     end = rg.rand_point(rng, n)
@@ -688,7 +696,7 @@ def _oracle_functorial(n, rng):
     return direct == left_act_diffeo(F, left_act_diffeo(G, q)), dict(q=q, F=F, G=G)
 
 
-def _oracle_class_preserved(n, rng):
+def prolonged_action_preserves_class(n, rng):
     frames = (
         rg.rand_nonhol(rng, n),
         embed_semihol(rg.rand_semihol(rng, n)),
@@ -702,7 +710,7 @@ def _oracle_class_preserved(n, rng):
     return True, {}
 
 
-def _oracle_linear_part(n, rng):
+def prolonged_action_linear_part(n, rng):
     q = rg.rand_nonhol(rng, n)
     F = rg.rand_map2jet(rng, n, base=q.x)
     moved = left_act_diffeo(F, q)
@@ -729,105 +737,73 @@ SUITES: dict[str, Suite] = {
         Suite("prel1",
               "transpose/symmetric/skew parts against post- and diagonal "
               "pre-composition",
-              (Property("post_compose_respects_parts", _parts_commute(post=True)),
-               Property("diag_pre_compose_respects_parts",
-                        _parts_commute(post=False)),
-               Property("sym_plus_skew_recovers", _prel_split),
-               Property("post_and_pre_commute", _prel_two_sided))),
+              (_parts_commute("post_compose_respects_parts", post=True),
+               _parts_commute("diag_pre_compose_respects_parts", post=False),
+               sym_plus_skew_recovers, post_and_pre_commute)),
         Suite("grol1",
               "conjugation preserves the symmetric and skew subsets; unique "
               "symmetric-times-skew factorization",
-              (Property("conjugation_preserves_symmetric",
-                        _conj_keeps_part(symmetric=True, key="h")),
-               Property("conjugation_preserves_skew",
-                        _conj_keeps_part(symmetric=False, key="h")),
-               Property("conjugation_closed_form", _grol1_conj_closed_form),
-               Property("decompose_recompose", _grol1_decompose_recompose),
-               Property("decompose_unique", _grol1_decompose_unique))),
+              (_conj_keeps_part("conjugation_preserves_symmetric", symmetric=True),
+               _conj_keeps_part("conjugation_preserves_skew", symmetric=False),
+               conjugation_closed_form, decompose_recompose, decompose_unique)),
         Suite("grol3",
               "normality of the symmetric and skew additive subgroups; "
               "conjugation of pure bilinear elements ignores the outer "
               "bilinear part",
-              (Property("symmetric_subgroup_normal",
-                        _conj_keeps_part(symmetric=True, key="s")),
-               Property("skew_subgroup_normal",
-                        _conj_keeps_part(symmetric=False, key="h")),
-               Property("conjugation_ignores_outer_bilinear",
-                        _grol3_conj_ignores_f))),
+              (_conj_keeps_part("symmetric_subgroup_normal", symmetric=True, key="s"),
+               _conj_keeps_part("skew_subgroup_normal", symmetric=False),
+               conjugation_ignores_outer_bilinear)),
         Suite("grop1",
               "the symmetrizing map from classes-modulo-skew is a bijective "
               "homomorphism onto symmetric pairs",
-              (Property("mu_homomorphism", _grop1_homomorphism),
-               Property("mu_injective", _grop1_injective),
-               Property("mu_surjective", _grop1_surjective),
-               Property("mu_roundtrip", _grop1_roundtrip),
-               Property("coset_equality", _grop1_coset_equal))),
+              (mu_homomorphism, mu_injective, mu_surjective, mu_roundtrip,
+               coset_equality)),
         Suite("grol4",
               "the alternative pair law matches its raw coordinate form and "
               "is isomorphic to the standard pair law",
-              (Property("structural_equals_coordinate", _grol4_coordinate),
-               Property("tau_homomorphism", _grol4_tau_homomorphism),
-               Property("tau_roundtrip", _grol4_tau_roundtrip),
-               Property("law_recovered_through_tau", _grol4_law_recovered),
+              (structural_equals_coordinate, tau_homomorphism, tau_roundtrip,
+               law_recovered_through_tau,
                Property("inverse_via_tau", _law_inverse("t1n")))),
         Suite("rbsp1",
               "multiplying by a symmetric pair commutes with symmetrizing "
               "the bilinear part; the symmetrizing projection is "
               "factorization-independent",
-              (Property("symmetrize_after_product", _rbsp1_group_level),
-               Property("symmetrize_after_frame_action", _rbsp1_frame_level),
-               Property("projection_well_defined", _rbsp1_well_defined))),
+              (symmetrize_after_product, symmetrize_after_frame_action,
+               projection_well_defined)),
         Suite("rbsl1",
               "the symmetrizing projection preserves the base point",
-              (Property("base_point_preserved", _hat22_keeps(linear=False)),)),
+              (_hat22_keeps("base_point_preserved", linear=False),)),
         Suite("rbsl2",
               "fibers of the symmetrizing projection are exactly the skew "
               "orbits",
-              (Property("fiber_membership_matches_projection", _rbsl2_fiber_iff),
-               Property("skew_orbit_inside_fiber", _rbsl2_orbit_in_fiber),
-               Property("fiber_rejects_other_linear_part",
-                        _rbsl2_rejects_other_linear_part))),
+              (fiber_membership_matches_projection, skew_orbit_inside_fiber,
+               fiber_rejects_other_linear_part)),
         Suite("rbsl3",
               "the symmetrizing projection preserves the linear frame",
-              (Property("linear_frame_preserved", _hat22_keeps(linear=True)),)),
+              (_hat22_keeps("linear_frame_preserved", linear=True),)),
         Suite("rbst1",
               "principal structure of the symmetrizing projection: free skew "
               "action, orbit bijection, trivialization fiber coordinate",
-              (Property("skew_action_free", _rbst1_free),
-               Property("orbit_map_well_defined", _rbst1_omega_well_defined),
-               Property("orbit_map_injective", _rbst1_omega_injective),
-               Property("sigma_defining_equation", _rbst1_sigma_equation),
-               Property("sigma_by_group_quotient", _rbst1_sigma_reconstruction),
-               Property("sigma_equivariance", _rbst1_sigma_equivariance),
-               Property("extension_model_roundtrip", _rbst1_extension_roundtrip),
-               Property("extension_class_invariant", _rbst1_extension_invariant),
-               Property("extension_map_equivariant", _rbst1_theta_equivariant))),
+              (skew_action_free, orbit_map_well_defined, orbit_map_injective,
+               sigma_defining_equation, sigma_by_group_quotient,
+               sigma_equivariance, extension_model_roundtrip,
+               extension_class_invariant, extension_map_equivariant)),
         Suite("rbst2",
               "the composite projection from non-holonomic to holonomic "
               "frames and the matrix-skew action",
-              (Property("action_free", _rbst2_free),
-               Property("composite_definition", _rbst2_composite),
-               Property("staged_action_identity", _rbst2_staged),
-               Property("law_matches_tilde21", _rbst2_law_matches_tilde21),
-               Property("projection_invariant_on_orbits",
-                        _rbst2_projection_invariant),
-               Property("surjective_by_explicit_preimage", _rbst2_surjective))),
+              (action_free, composite_definition, staged_action_identity,
+               law_matches_tilde21, projection_invariant_on_orbits,
+               surjective_by_explicit_preimage)),
         Suite("diagram",
               "all composable pairs of projections between the frame levels "
               "commute",
-              (Property("nonholonomic_frames", _diagram_nonhol),
-               Property("semiholonomic_frames", _diagram_semihol),
-               Property("holonomic_frames", _diagram_hol))),
+              (nonholonomic_frames, semiholonomic_frames, holonomic_frames)),
         Suite("oracle",
               "jet-composition ground truth: group law from the chain rule, "
               "associativity, prolonged action functoriality",
-              (Property("group_law_from_jets", _oracle_group_law),
-               Property("composition_associative", _oracle_associative),
-               Property("identity_jet_neutral", _oracle_identity),
-               Property("prolonged_action_functorial", _oracle_functorial),
-               Property("prolonged_action_preserves_class",
-                        _oracle_class_preserved),
-               Property("prolonged_action_linear_part", _oracle_linear_part))),
+              (group_law_from_jets, composition_associative, identity_jet_neutral,
+               prolonged_action_functorial, prolonged_action_preserves_class,
+               prolonged_action_linear_part)),
     )
 }
 
@@ -840,7 +816,8 @@ def run_suite(name: str, ns, trials: int, seed: int) -> SuiteReport:
 
 def run_suites(names, ns, trials: int, seed: int,
                jobs: int | None = None) -> list[SuiteReport]:
-    """Run every property of the named suites at each n in ``ns``.
+    """Run every property of the named suites at each n in ``ns``, one or
+    more distinct integers >= 1.
 
     The work items are ``(suite, property index, n)``; each runs all
     ``trials`` trials of one property at one n.  With ``jobs`` > 1 the items
@@ -859,6 +836,9 @@ def run_suites(names, ns, trials: int, seed: int,
             raise KeyError(f"unknown suite {name!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (ns and all(type(n) is int and n >= 1 for n in ns)
+            and len(set(ns)) == len(ns)):
+        raise ValueError("ns must be one or more distinct integers >= 1")
     items = [(name, index, n) for n in ns for name in names
              for index in range(len(SUITES[name].properties))]
     cpus = _usable_cpus()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from jetframes import det, is_skew, sym_part
-from jetframes.cli import main
+from jetframes.cli import _OPS, main
 from jetframes.serialize import (
     bilinear_from_doc,
     frame_from_doc,
@@ -192,19 +192,29 @@ def test_op_non_utf8_file_exits_nonzero(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("argv, count", [
-    (("mul", "--group", "hat2"), 1),
-    (("mul", "--group", "hat2"), 3),
-    (("conj",), 1),
-    (("conj",), 3),
-    (("inv", "--group", "hat2"), 2),
-])
+def _miscounted_inputs():
+    """(op arguments, input count) for one input too few and one too many of
+    every operation, the first five in the order the test ids have had."""
+    cases = [(("mul", "--group", "hat2"), 1), (("mul", "--group", "hat2"), 3),
+             (("conj",), 1), (("conj",), 3), (("inv", "--group", "hat2"), 2)]
+    for op, (tags, _) in _OPS.items():
+        argv = (op, "--group", "hat2") if None in tags else (op,)
+        cases += [(argv, count) for count in (len(tags) - 1, len(tags) + 1)
+                  if (argv, count) not in cases]
+    return cases
+
+
+@pytest.mark.parametrize("argv, count", _miscounted_inputs())
 def test_op_input_count_is_checked(capsys, tmp_path, argv, count):
     doc = run_json(capsys, "gen", "hat2", "--n", "2", "--seed", "3")
     paths = [write_doc(tmp_path, f"x{i}.json", doc) for i in range(count)]
-    code, out, err = run_cli(capsys, "op", *argv, *paths)
+    try:
+        code = main(["op", *argv, *paths])
+    except SystemExit as exc:  # argparse refuses an op without inputs
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert f"got {count}" in err
+    assert f"got {count}" in err if count else "required: inputs" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every document reader, and ``op``/``project`` of the CLI, on arbitrary JSON.
+"""Every document reader, and every CLI command that reads one, on arbitrary JSON.
 
 A reader returns a value or raises ``ParseError``, never anything else, and a
 command ends in exit code 0 with a document or exit code 2 with an ``error:``
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from jetframes import randgen as rg
 from jetframes.bilinear import Bilinear
-from jetframes.cli import GEN_KINDS, main
+from jetframes.cli import _OPS, _PROJECT, GEN_KINDS, main
 from jetframes.errors import ParseError
 from jetframes.groups import GROUPS
 from jetframes.matrices import SquareMatrix
@@ -120,10 +120,16 @@ def _canonical(doc):
         return doc
 
 
-COMMANDS = [("op", "inv", "--group", tag) for tag in GROUPS]
-COMMANDS += [("op", "mul", "--group", "hat2", "DOC"), ("op", "conj", "DOC"),
-             ("op", "mu"), ("op", "tau"), ("op", "coset-equal", "DOC")]
-COMMANDS += [("project", level) for level in ("pi", "hat22", "tilde22", "21", "20")]
+# every command that reads documents; the fuzzed document is the last input,
+# and "DOC" stands for it in the others
+COMMANDS = [("classify",), ("decompose",), ("oracle", "compose", "DOC"),
+            ("oracle", "act", "DOC"), *(("project", level) for level in _PROJECT)]
+for op, (tags, _) in _OPS.items():
+    others = ("DOC",) * (len(tags) - 1)
+    if None in tags:  # takes --group
+        COMMANDS += [("op", op, "--group", tag, *others) for tag in GROUPS]
+    else:
+        COMMANDS.append(("op", op, *others))
 
 
 @pytest.fixture(scope="module")

@@ -82,6 +82,10 @@ def test_unknown_suite_and_bad_trials():
         run_suite("prel1", [1], 0, 0)
     with pytest.raises(ValueError):
         run_suites(["prel1"], [1], 1, 0, jobs=0)
+    # each n is an int >= 1, there is one at least, and none repeats
+    for ns in ([0], [], [1, 1], [2.0], [True]):
+        with pytest.raises(ValueError, match="ns must be"):
+            run_suites(["prel1"], ns, 1, 0)
 
 
 def _docs(jobs: int, seed: int) -> list[dict]:

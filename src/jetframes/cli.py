@@ -168,6 +168,9 @@ def _cmd_op(args) -> int:
         if args.group is None:
             raise GroupMismatchError(f"op {op} requires --group")
         tags = (args.group,) * len(tags)
+    elif args.group not in (None, tags[0]):
+        raise GroupMismatchError(f"op {op} reads {tags[0]!r} documents, "
+                                 f"not --group {args.group!r}")
     xs = [_tagged(path, tag) for path, tag in zip(paths, tags)]
     if len({x.n for x in xs}) > 1:
         raise ParseError(f"{paths[0]} has n = {xs[0].n} "
@@ -266,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_op = sub.add_parser("op", help="apply a group operation")
     p_op.add_argument("operation", choices=tuple(_OPS))
-    p_op.add_argument("inputs", nargs="+", help="JSON files ('-' for stdin)")
+    # optional, so that _cmd_op's count check words a missing input too;
+    # nargs="*" would end the inputs at a --group that follows the operation
+    p_op.add_argument("inputs", nargs="+", default=[],
+                      help="JSON files ('-' for stdin)").required = False
     p_op.add_argument("--group", choices=tuple(GROUPS))
     p_op.set_defaults(fn=_cmd_op)
 

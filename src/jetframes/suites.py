@@ -814,21 +814,19 @@ def run_suite(name: str, ns, trials: int, seed: int) -> SuiteReport:
     return run_suites([name], ns, trials, seed)[0]
 
 
-def run_suites(names, ns, trials: int, seed: int,
-               jobs: int | None = None) -> list[SuiteReport]:
+def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
     """Run every property of the named suites at each n in ``ns``, one or
     more distinct integers >= 1.
 
     The work items are ``(suite, property index, n)``; each runs all
-    ``trials`` trials of one property at one n.  With ``jobs`` > 1 the items
-    are dealt round-robin, n-major, to that many forked workers, worker w
-    pinned to the w-th usable core (cycling).  The default is one worker per
-    core in this process's affinity mask, and one job, run in this process,
-    where the platform cannot fork or pin.  Every trial draws from its own
-    stream, and results are merged in (suite, property, n) order, so the
-    report is the same for every ``jobs`` apart from ``wall_time_s``, which
-    sums the item times.  The runner forks, so a caller that runs threads
-    should pass ``jobs=1``.
+    ``trials`` trials of one property at one n.  They are dealt round-robin,
+    n-major, into one share per core of this process's affinity mask, at
+    most one per item.  Each share runs in a forked worker, or in this
+    process when there is one share or the platform cannot fork.  Every
+    trial draws from its own stream, and results are merged in (suite,
+    property, n) order, so the report does not depend on the cores apart
+    from ``wall_time_s``, which sums the item times.  The runner forks, so
+    a caller that runs threads should narrow its affinity mask to one core.
     """
     names, ns = tuple(names), tuple(ns)
     for name in names:
@@ -841,16 +839,9 @@ def run_suites(names, ns, trials: int, seed: int,
         raise ValueError("ns must be one or more distinct integers >= 1")
     items = [(name, index, n) for n in ns for name in names
              for index in range(len(SUITES[name].properties))]
-    cpus = _usable_cpus()
-    if jobs is None:
-        jobs = max(len(cpus), 1)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1 and not cpus:
-        raise ValueError("this platform cannot fork or pin workers; "
-                         "use jobs=1")
-    shares = [items[w::jobs] for w in range(min(jobs, len(items)))] or [[]]
-    outputs = (_forked(shares, trials, seed, cpus) if len(shares) > 1
+    count = min(_cores(), len(items))
+    shares = [items[w::count] for w in range(count)] or [[]]
+    outputs = (_forked(shares, trials, seed) if count > 1
                else [_run_items(shares[0], trials, seed)])
     done = {item: result for share, output in zip(shares, outputs)
             for item, result in zip(share, output)}
@@ -891,15 +882,15 @@ def _run_items(items, trials: int, seed: int) -> list:
     return results
 
 
-def _usable_cpus() -> list[int]:
-    """The cores a forked worker may be pinned to: those of this process's
-    affinity mask, or none where the platform cannot fork or pin."""
+def _cores() -> int:
+    """The number of cores in this process's affinity mask, or 1 where the
+    platform cannot fork or has no affinity mask."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return []
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
-def _forked(shares, trials: int, seed: int, cpus) -> list[list]:
+def _forked(shares, trials: int, seed: int) -> list[list]:
     """The ``_run_items`` output of each share, each run in a forked worker.
 
     A worker ends with ``os._exit``, so it runs no atexit handler and flushes
@@ -908,7 +899,7 @@ def _forked(shares, trials: int, seed: int, cpus) -> list[list]:
     process is interrupted, the workers are killed first."""
     workers, outputs = [], []
     try:
-        for w, share in enumerate(shares):
+        for share in shares:
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -917,7 +908,7 @@ def _forked(shares, trials: int, seed: int, cpus) -> list[list]:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _worker(write_fd, share, trials, seed, cpus[w % len(cpus)])
+                _worker(write_fd, share, trials, seed)
             os.close(write_fd)
             workers.append((pid, read_fd))
         for pid, read_fd in workers:
@@ -938,14 +929,12 @@ def _forked(shares, trials: int, seed: int, cpus) -> list[list]:
     return [json.loads(output) for output in outputs]
 
 
-def _worker(write_fd: int, share, trials: int, seed: int, cpu: int) -> None:
-    """Run ``share`` in a forked worker pinned to ``cpu``, write its output as
-    JSON (or the traceback of its failure) to ``write_fd`` and end the
-    process."""
+def _worker(write_fd: int, share, trials: int, seed: int) -> None:
+    """Run ``share`` in a forked worker, write its output as JSON (or the
+    traceback of its failure) to ``write_fd`` and end the process."""
     ok = False
     try:
         try:
-            os.sched_setaffinity(0, {cpu})
             text = json.dumps(_run_items(share, trials, seed))
             ok = True
         except Exception:

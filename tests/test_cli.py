@@ -21,7 +21,7 @@ from jetframes.serialize import (
 import jetframes
 from jetframes import groups
 from jetframes.frames import embed_hol, embed_semihol, proj_hat22, proj_pi
-from jetframes.groups import GHat2, mul_t1n_coordinate
+from jetframes.groups import GROUPS, GHat2, mul_t1n_coordinate
 from jetframes.randgen import rand_hol, rand_map2jet, rand_nonhol, rand_t1n, stream
 
 
@@ -208,13 +208,24 @@ def _miscounted_inputs():
 def test_op_input_count_is_checked(capsys, tmp_path, argv, count):
     doc = run_json(capsys, "gen", "hat2", "--n", "2", "--seed", "3")
     paths = [write_doc(tmp_path, f"x{i}.json", doc) for i in range(count)]
-    try:
-        code = main(["op", *argv, *paths])
-    except SystemExit as exc:  # argparse refuses an op without inputs
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, "op", *argv, *paths)
     assert code == 2 and out == ""
-    assert f"got {count}" in err if count else "required: inputs" in err
+    assert f"got {count}" in err
+
+
+@pytest.mark.parametrize("op", [op for op, (tags, _) in _OPS.items()
+                                if None not in tags])
+def test_op_group_must_name_a_fixed_input_tag(capsys, tmp_path, op):
+    tags, _ = _OPS[op]
+    paths = [write_doc(tmp_path, f"x{i}.json",
+                       run_json(capsys, "gen", tag, "--n", "2", "--seed", str(i)))
+             for i, tag in enumerate(tags)]
+    plain = run_json(capsys, "op", op, *paths)
+    assert run_json(capsys, "op", op, "--group", tags[0], *paths) == plain
+    for group in set(GROUPS) - set(tags):
+        code, out, err = run_cli(capsys, "op", op, "--group", group, *paths)
+        assert code == 2 and out == ""
+        assert f"not --group {group!r}" in err
 
 
 # ---------------------------------------------------------------------------

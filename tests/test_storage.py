@@ -19,6 +19,7 @@ from jetframes import frames as fr
 from jetframes import groups as G
 from jetframes import jets
 from jetframes import randgen as rg
+from jetframes import suites
 from jetframes.bilinear import (
     Bilinear,
     post_compose,
@@ -156,10 +157,11 @@ def test_views_are_the_fraction_arrays_of_the_stored_value(n):
         assert all(type(e) is Fraction for row in x.a.entries for e in row)
 
 
-def _reports(seed: int) -> list:
-    # in this process, so that the builds the test counts happen here
+def _reports(monkeypatch, seed: int) -> list:
+    # on one core, so in this process, where the builds the test counts happen
+    monkeypatch.setattr(suites, "_cores", lambda: 1)
     reports = [r.to_doc()
-               for r in run_suites(ALL_SUITE_NAMES, (1, 2, 3), 3, seed, jobs=1)]
+               for r in run_suites(ALL_SUITE_NAMES, (1, 2, 3), 3, seed)]
     for r in reports:
         r.pop("wall_time_s")
     return reports
@@ -168,7 +170,7 @@ def _reports(seed: int) -> list:
 def test_invariants_hold_by_construction(monkeypatch):
     """Route every trusted build through the validating constructors: every
     suite must give the same report, so no skipped check would have failed."""
-    expected = _reports(42)
+    expected = _reports(monkeypatch, 42)
     checked = []
 
     def element(cls, *parts):
@@ -186,7 +188,7 @@ def test_invariants_hold_by_construction(monkeypatch):
     monkeypatch.setattr(Checked, "_trusted", classmethod(element))
     monkeypatch.setattr(SquareMatrix, "_of", classmethod(matrix))
     monkeypatch.setattr(Bilinear, "_of", classmethod(bilinear))
-    assert _reports(42) == expected
+    assert _reports(monkeypatch, 42) == expected
     kinds = set(checked)
     assert {SquareMatrix, Bilinear, G.GHat2, G.G2, G.GTilde2, fr.NonHolFrame,
             fr.HolFrame, fr.ExtClass} <= kinds

@@ -4,6 +4,7 @@ import signal
 
 import pytest
 
+from jetframes import suites
 from jetframes.bilinear import Bilinear
 from jetframes.matrices import SquareMatrix
 from jetframes.randgen import stream
@@ -80,50 +81,67 @@ def test_unknown_suite_and_bad_trials():
         run_suite("nope", [1], 1, 0)
     with pytest.raises(ValueError):
         run_suite("prel1", [1], 0, 0)
-    with pytest.raises(ValueError):
-        run_suites(["prel1"], [1], 1, 0, jobs=0)
     # each n is an int >= 1, there is one at least, and none repeats
     for ns in ([0], [], [1, 1], [2.0], [True]):
         with pytest.raises(ValueError, match="ns must be"):
             run_suites(["prel1"], ns, 1, 0)
 
 
-def _docs(jobs: int, seed: int) -> list[dict]:
-    docs = [r.to_doc() for r in run_suites(ALL_SUITE_NAMES, (1, 2, 3), 3, seed,
-                                           jobs=jobs)]
+def _docs(monkeypatch, cores: int, seed: int, names=ALL_SUITE_NAMES,
+          ns=(1, 2, 3), trials: int = 3) -> list[dict]:
+    """The reports of a run on ``cores`` cores, without their times."""
+    monkeypatch.setattr(suites, "_cores", lambda: cores)
+    docs = [r.to_doc() for r in run_suites(names, ns, trials, seed)]
     for doc in docs:
         assert doc.pop("wall_time_s") > 0
     return docs
 
 
 @pytest.mark.parametrize("seed", [42, 1504])
-def test_reports_do_not_depend_on_jobs(seed):
-    assert _docs(2, seed) == _docs(1, seed)
+def test_reports_do_not_depend_on_jobs(monkeypatch, seed):
+    assert _docs(monkeypatch, 2, seed) == _docs(monkeypatch, 1, seed)
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, jobs):
+@pytest.mark.parametrize("cores", [2, 4])
+def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, cores):
     """With every matrix and bilinear comparison false, most properties fail
     at every n, so the first counterexample is picked from several items.
     Items are dealt n-major, so the items of one property at n and at n + 1
-    go to different workers unless ``jobs`` divides the property count."""
+    go to different workers unless ``cores`` divides the property count."""
     per_n = sum(len(suite.properties) for suite in SUITES.values())
-    assert per_n % 4 != 0  # so with 4 jobs they always do
+    assert per_n % 4 != 0  # so on 4 cores they always do
     for cls in (SquareMatrix, Bilinear):
         monkeypatch.setattr(cls, "__eq__", lambda self, other: False)
-    serial = _docs(1, 42)
+    serial = _docs(monkeypatch, 1, 42)
     failing = [p for r in serial for p in r["properties"]
                if p["failures"] == 9]
     assert len(failing) > 30
-    assert _docs(jobs, 42) == serial
+    assert _docs(monkeypatch, cores, 42) == serial
+
+
+def test_a_run_forks_one_worker_per_item_up_to_the_cores(monkeypatch):
+    """A run forks min(cores, items) workers, and none for a single item."""
+    assert len(SUITES["rbsl1"].properties) == 1
+    serial = [_docs(monkeypatch, 1, 0, ["rbsl1"], ns, 2) for ns in ([1], [1, 2])]
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert _docs(monkeypatch, 4, 0, ["rbsl1"], [1], 2) == serial[0]
+    assert forks == []
+    assert _docs(monkeypatch, 4, 0, ["rbsl1"], [1, 2], 2) == serial[1]
+    assert len(forks) == 2
 
 
 def test_without_fork_the_items_run_in_this_process(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
     reports = run_suites(["prel1"], (1, 2), 2, 0)
     assert [p.trials_run for p in reports[0].properties] == [4] * 4
-    with pytest.raises(ValueError, match="jobs=1"):
-        run_suites(["prel1"], (1, 2), 2, 0, jobs=2)
 
 
 def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):
@@ -135,11 +153,12 @@ def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):
 
     monkeypatch.setitem(SUITES, "boom", Suite("boom", "raises",
                                               (Property("raises", boom),)))
+    monkeypatch.setattr(suites, "_cores", lambda: 2)
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)
     try:
         with pytest.raises(RuntimeError, match="ZeroDivisionError: boom"):
-            run_suites(["prel1", "boom"], (1, 2), 2, 0, jobs=2)
+            run_suites(["prel1", "boom"], (1, 2), 2, 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)

@@ -1,4 +1,5 @@
-"""The committed measurement scripts run at their smallest setting.
+"""The committed measurement scripts run at their smallest setting, and the
+package source keeps its line-length limit.
 
 A measurement recorded in a ``BENCH_*.json`` can only be repeated while the
 script that took it still runs; a refactor that breaks one fails here.
@@ -27,3 +28,15 @@ def test_tool_exits_0_with_a_json_report(argv):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)
+
+
+MAX_LINE = 88
+
+
+def test_no_source_line_is_longer_than_the_limit():
+    paths = sorted((ROOT / "src" / "jetframes").glob("*.py"))
+    assert paths
+    long = [f"{path.name}:{number}" for path in paths
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []

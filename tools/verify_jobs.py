@@ -2,8 +2,8 @@
 
 Runs ``python3 -m jetframes verify all --json`` at acceptance scale
 (n = 1..4, 200 trials, seed 42) in fresh processes, once with its affinity
-mask narrowed to the first usable core (so the runner uses one job, in
-that process) and once as it is (one worker per usable core) per round,
+mask narrowed to the first usable core (so the items run in that process)
+and once as it is (one forked worker per usable core) per round,
 alternating which goes first.  It prints, per setting, each run's wall time,
 their median, and the median of the report's summed ``wall_time_s`` (the
 time the items took, whichever worker ran them).  Every report must equal

@@ -97,6 +97,16 @@ from .jets import (
 )
 from .matrices import SquareMatrix, det, is_invertible, mat_inv, mat_mul
 from .rational import Rational, rat, rat_from_str, rat_to_str
-from .suites import ALL_SUITE_NAMES, SuiteReport, run_suite, run_suites
 
 __version__ = "0.1.0"
+
+#: Names served from ``suites``, which is imported on first use only: it is the
+#: largest module, and of the command line only ``verify`` needs it.
+_SUITE_EXPORTS = ("ALL_SUITE_NAMES", "SuiteReport", "run_suite", "run_suites")
+
+
+def __getattr__(name: str):
+    if name in _SUITE_EXPORTS:
+        from . import suites
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

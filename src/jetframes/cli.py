@@ -72,13 +72,18 @@ from .serialize import (
     to_doc,
     vector_to_doc,
 )
-from .suites import ALL_SUITE_NAMES, run_suites
 
 # kind -> the generator of a random value of that kind
 _GEN = {**rg.GROUP_GENERATORS, "nonhol": rg.rand_nonhol, "semihol": rg.rand_semihol,
         "hol": rg.rand_hol, "map2jet": rg.rand_map2jet}
 
 GEN_KINDS = tuple(_GEN)
+
+#: The names of ``suites.SUITES``, in order, spelled out so that building the
+#: parser does not import ``suites``: only ``verify`` runs it.
+SUITE_NAMES = ("axioms", "deleon", "prel1", "grol1", "grol3", "grop1", "grol4",
+               "rbsp1", "rbsl1", "rbsl2", "rbsl3", "rbst1", "rbst2", "diagram",
+               "oracle")
 
 #: Largest ``verify --trials``: runs stay bounded (the acceptance scale is 200).
 MAX_TRIALS = 100_000
@@ -221,7 +226,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = ALL_SUITE_NAMES if args.suite == "all" else (args.suite,)
+    from .suites import run_suites
+
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ParseError(f"--trials must be between 1 and {MAX_TRIALS}, "
                          f"got {args.trials}")
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=ALL_SUITE_NAMES + ("all",))
+    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--n", type=int, action="append",
                           help="dimension to test (repeatable; default 1-4)")
     p_verify.add_argument("--trials", type=int, default=200)
@@ -310,7 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "op":  # the inputs may continue after an option
+        inputs = [s for s in extra if s == "-" or not s.startswith("-")]
+        args.inputs = [*args.inputs, *inputs]
+        extra = [s for s in extra if s not in inputs]
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from jetframes import cli
+from jetframes import cli, suites
 from jetframes.cli import MAX_TRIALS, main
 from jetframes.errors import ParseError
 from jetframes.serialize import (
@@ -49,7 +49,7 @@ def no_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("a capped input reached the work it guards")
 
-    monkeypatch.setattr(cli, "run_suites", fail)
+    monkeypatch.setattr(suites, "run_suites", fail)  # what verify imports
     monkeypatch.setattr(cli.rg, "stream", fail)
 
 

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -226,6 +227,39 @@ def test_op_group_must_name_a_fixed_input_tag(capsys, tmp_path, op):
         code, out, err = run_cli(capsys, "op", op, "--group", group, *paths)
         assert code == 2 and out == ""
         assert f"not --group {group!r}" in err
+
+
+@pytest.mark.parametrize("second", ["file", "stdin"])
+def test_op_inputs_may_follow_the_group_option(capsys, tmp_path, monkeypatch,
+                                                second):
+    x, y = (write_doc(tmp_path, f"{name}.json",
+                      run_json(capsys, "gen", "hat2", "--n", "2", "--seed", seed))
+            for name, seed in (("x", "1"), ("y", "2")))
+    before = run_cli(capsys, "op", "mul", "--group", "hat2", x, y)
+    if second == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(y).read_text()))
+        y = "-"
+    assert before[0] == 0
+    assert run_cli(capsys, "op", "mul", x, "--group", "hat2", y) == before
+
+
+USAGE = ("usage: jetframes [-h] "
+         "{gen,op,project,classify,decompose,oracle,verify} ...\n")
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (("op", "inv", "--group", "hat2", "x.json", "--bogus"), "--bogus"),
+    (("op", "inv", "x.json", "--group", "hat2", "--bogus"), "--bogus"),
+    (("gen", "hat2", "--n", "2", "extra"), "extra"),
+    (("classify", "q.json", "extra"), "extra"),
+])
+def test_unrecognized_arguments_exit_2(capsys, argv, unrecognized):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == (f"{USAGE}jetframes: error: unrecognized arguments: "
+                            f"{unrecognized}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,66 @@
+"""Start-up: only ``verify`` imports ``suites``, the largest module.
+
+A process that compiles the package from source (``PYTHONDONTWRITEBYTECODE``)
+pays compile time and memory for every module it imports, used or not.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import jetframes
+from jetframes import cli, suites
+
+# Runs each argv in the first argument as ``python -m jetframes`` in this one
+# process and prints whether ``jetframes.suites`` was loaded after each.
+_RUN = """
+import json, runpy, sys
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["jetframes", *argv]
+    try:
+        runpy.run_module("jetframes", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    loaded.append("jetframes.suites" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_verify_imports_the_suites(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    docs = {"x.json": ["hat2"], "q.json": ["nonhol"],
+            "F.json": ["map2jet", "--origin"], "G.json": ["map2jet", "--origin"]}
+    for seed, (name, argv) in enumerate(docs.items()):
+        proc = subprocess.run([sys.executable, "-m", "jetframes", "gen", *argv,
+                               "--n", "2", "--seed", str(seed)],
+                              env=env, capture_output=True, text=True, check=True)
+        (tmp_path / name).write_text(proc.stdout)
+    commands = [["gen", "hat2", "--n", "2"],
+                ["op", "inv", "--group", "hat2", "x.json"],
+                ["project", "pi", "q.json"],
+                ["classify", "q.json"],
+                ["decompose", "x.json"],
+                ["oracle", "compose", "F.json", "G.json"],
+                ["verify", "rbsl1", "--n", "1", "--trials", "1"]]
+    proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [False] * 6 + [True]
+
+
+def test_the_package_serves_the_suite_names():
+    from jetframes import ALL_SUITE_NAMES, SuiteReport, run_suite, run_suites
+
+    assert (ALL_SUITE_NAMES, SuiteReport, run_suite, run_suites) == (
+        suites.ALL_SUITE_NAMES, suites.SuiteReport, suites.run_suite,
+        suites.run_suites)
+    assert not hasattr(jetframes, "no_such_name")
+
+
+def test_the_cli_spells_the_suite_names_in_registry_order():
+    assert cli.SUITE_NAMES == suites.ALL_SUITE_NAMES

@@ -21,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["tools/verify_jobs.py", "--rounds", "1", "--trials", "2", "--json"],
     ["tools/law_sweep.py", "--json"],
-], ids=["verify_jobs", "law_sweep"])
+    ["tools/startup.py", "--runs", "1", "--json"],
+], ids=["verify_jobs", "law_sweep", "startup"])
 def test_tool_exits_0_with_a_json_report(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,

@@ -1,0 +1,92 @@
+"""What a ``jetframes`` process spends on start-up, module by module.
+
+Per package module: its bytes, the median ms of compiling it, and the KB that
+compile adds to a fresh interpreter's peak RSS.  Per fresh process (one that
+imports ``jetframes.cli``, one ``gen hat2 --n 2``): the median wall ms, the
+``wait4`` peak RSS, and the package modules it loads.  Children run in the
+environment as given (with ``PYTHONDONTWRITEBYTECODE`` set, every process
+compiles the package).  This process compiles none of it, so its own peak,
+which Linux also counts in a spawned child's, stays below the children's.
+
+Run from the root of a checkout::
+
+    PYTHONPATH=src python3 tools/startup.py [--runs 5] [--json]
+"""
+
+import argparse
+import importlib.util
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+# Run in a fresh interpreter: the median compile ms of the file argv[1] over
+# argv[2] compiles, and the KB the first compile adds to the peak RSS.
+_COMPILE = """
+import resource, statistics, sys, time
+src = open(sys.argv[1]).read()
+before, ms = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    compile(src, sys.argv[1], "exec")
+    ms.append((time.perf_counter() - start) * 1e3)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(statistics.median(ms), rss)
+"""
+
+PROCESSES = {"import jetframes.cli": ["-c", "import jetframes.cli"],
+             "gen hat2 --n 2": ["-m", "jetframes", "gen", "hat2", "--n", "2"]}
+
+
+def _process(argv: list[str], runs: int) -> dict:
+    walls, peaks = [], []
+    for _ in range(runs):
+        start = time.perf_counter()
+        pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ,
+                             file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
+                                            os.O_WRONLY, 0)])
+        _, status, usage = os.wait4(pid, 0)
+        walls.append((time.perf_counter() - start) * 1e3)
+        peaks.append(usage.ru_maxrss)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise SystemExit(f"{' '.join(argv)} exited with {status}")
+    trace = subprocess.run([sys.executable, "-X", "importtime", *argv], check=True,
+                           capture_output=True, text=True).stderr
+    loaded = [line.split("|")[-1].strip() for line in trace.splitlines()]
+    return {"wall_ms": round(statistics.median(walls), 1),
+            "peak_rss_kb": statistics.median(peaks),
+            "modules": sorted(m for m in loaded if m.split(".")[0] == "jetframes")}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--json", action="store_true")
+    args = parser.parse_args()
+    package = importlib.util.find_spec("jetframes").submodule_search_locations[0]
+    modules = {}
+    for path in sorted(Path(package).glob("*.py")):
+        out = subprocess.run([sys.executable, "-c", _COMPILE, str(path),
+                              str(args.runs)], check=True, capture_output=True,
+                             text=True).stdout.split()
+        modules[path.stem] = {"bytes": path.stat().st_size,
+                              "compile_ms": round(float(out[0]), 2),
+                              "compile_rss_kb": int(out[1])}
+    doc = {"python": sys.version.split()[0], "runs": args.runs,
+           "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+           "modules": modules,
+           "processes": {name: _process(argv, args.runs)
+                         for name, argv in PROCESSES.items()}}
+    if args.json:
+        print(json.dumps(doc, indent=1))
+        return 0
+    for name, row in {**modules, **doc["processes"]}.items():
+        print(f"{name:<20}", *(f"{key} {value}" for key, value in row.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

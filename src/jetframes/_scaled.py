@@ -22,8 +22,9 @@ by the minors of the input.
 Every contraction and sum of bilinear maps is one call of ``s_law``, which
 forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
 pass: each group law, inverse and conjugation passes all its terms at once,
-and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``, ``s_add`` and
-``s_neg`` are the one-term (or plain-sum) cases.  It packs the last index of
+and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right`` and ``s_add``
+are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and ``s_skew``
+work entrywise, with no contraction to pack.  It packs the last index of
 each bilinear map into one integer per row (Kronecker substitution: entry j
 is weighted by 2^(k j)), so each of its contractions is O(n^3) multiply-adds
 of small ints with packed ints, and the terms are added while packed.  The
@@ -328,7 +329,8 @@ def s_add(*terms: Bil) -> Bil:
 
 
 def s_neg(f: Bil) -> Bil:
-    return s_law((-1, None, f, None, None))
+    ints, den = f
+    return [[[-e for e in row] for row in plane] for plane in ints], den
 
 
 def s_sym(f: Bil) -> Bil:

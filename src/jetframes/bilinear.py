@@ -24,20 +24,20 @@ converts rationals once; compositions and parts run on the stored ints
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _scaled as sc
-from .matrices import Scaled, SquareMatrix, same_n
+from .matrices import Scaled, SquareMatrix, same_n, value_type
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_type
 class Bilinear(Scaled):
+    """A bilinear map R^n x R^n -> R^n, stored as ``ints`` over ``den``."""
+
     n: int
     ints: tuple[tuple[tuple[int, ...], ...], ...]
     den: int
-    _view: tuple | None = field(default=None, repr=False, compare=False)
     _reduce = staticmethod(sc.reduce_bil)
 
     def __init__(self, n: int, coeffs: Sequence[Sequence[Sequence[Fraction]]]) -> None:

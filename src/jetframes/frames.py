@@ -25,7 +25,6 @@ composed projection ``proj_tilde22``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
@@ -41,36 +40,44 @@ from .groups import (
     mul_hat2,
     skew_factor,
 )
-from .matrices import Checked, SquareMatrix
+from .matrices import Checked, SquareMatrix, value_type
 
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class NonHolFrame(Checked):
+    """A non-holonomic frame (x, a, b, f)."""
+
     x: Point
     a: SquareMatrix
     b: SquareMatrix
     f: Bilinear
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class SemiHolFrame(Checked):
+    """A semi-holonomic frame (x, a, f)."""
+
     x: Point
     a: SquareMatrix
     f: Bilinear
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class HolFrame(Checked):
+    """A holonomic frame (x, a, f): f is symmetric."""
+
     x: Point
     a: SquareMatrix
     f: Bilinear
     _symmetric = (is_symmetric, "holonomic frame needs a symmetric bilinear part")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class LinFrame(Checked):
+    """A linear frame (x, a)."""
+
     x: Point
     a: SquareMatrix
 
@@ -160,7 +167,7 @@ def fiber_hat22_contains(q: HolFrame, p: SemiHolFrame) -> bool:
 # the extension model of semi-holonomic frames
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ExtClass(Checked):
     """A class [(p, k)] with p holonomic and k a GHat2 element.
 

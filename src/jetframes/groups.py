@@ -40,7 +40,6 @@ makes class equality plain equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import _scaled as sc
@@ -48,9 +47,11 @@ from .bilinear import Bilinear, is_skew, is_symmetric, sym_part
 from .matrices import (
     Checked,
     SquareMatrix,
+    Value,
     mat_inv,
     mat_mul,
     same_n,
+    value_type,
 )
 
 # A (matrix, bilinear) pair: the components of a pair element, and the
@@ -69,15 +70,19 @@ class _Element(Checked):
         return cls._trusted(*mats, Bilinear.zero(n))
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GTilde2(_Element):
+    """A triple (a, b, f); law (aa', bb', a o f' + f(a', b'))."""
+
     a: SquareMatrix
     b: SquareMatrix
     f: Bilinear
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GHat2(_Element):
+    """A pair (a, f); law (aa', a o f' + f(a', a'))."""
+
     a: SquareMatrix
     f: Bilinear
 
@@ -87,8 +92,10 @@ class GHat2(_Element):
         return cls._trusted(SquareMatrix.identity(h.n), h)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class G2(_Element):
+    """A pair (a, f) with f symmetric; the law of ``GHat2``."""
+
     a: SquareMatrix
     f: Bilinear
     _symmetric = (is_symmetric, "bilinear part must be symmetric")
@@ -97,14 +104,18 @@ class G2(_Element):
         return GHat2._trusted(self.a, self.f)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GTilde21(_Element):
+    """A pair (a, f); law (aa', f' + f(I, a'))."""
+
     a: SquareMatrix
     f: Bilinear
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GTilde22(_Element):
+    """A pair (l, h); the law of ``GTilde21``, canonical when h is skew."""
+
     l: SquareMatrix
     h: Bilinear
 
@@ -112,8 +123,10 @@ class GTilde22(_Element):
         return is_skew(self.h)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class T1nL1n(_Element):
+    """A pair (a, f); law (aa', f(a', I) + a o f'(I, a^-1))."""
+
     a: SquareMatrix
     f: Bilinear
 
@@ -340,7 +353,7 @@ def in_g1_x_a2(x: GHat2) -> bool:
 # the quotient by skew maps
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class QuotClassHat(_Element):
     """A class of GHat2 elements that differ by a right factor (I, skew).
 
@@ -396,8 +409,8 @@ def tau_inv(y: GHat2) -> T1nL1n:
 # the group tags
 
 
-@dataclass(frozen=True, slots=True)
-class Group:
+@value_type
+class Group(Value):
     """What a group tag stands for: the element type, its product, its inverse."""
 
     type: type

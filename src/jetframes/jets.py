@@ -20,7 +20,6 @@ and the group laws is a genuine cross-check of two implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -28,11 +27,13 @@ from .bilinear import Bilinear, is_symmetric
 from .errors import CompositionDomainError, NotAFrameError
 from .frames import NonHolFrame, Point
 from .groups import G2
-from .matrices import SquareMatrix, det
+from .matrices import SquareMatrix, Value, det, value_type
 
 
-@dataclass(frozen=True, slots=True)
-class Map2Jet:
+@value_type
+class Map2Jet(Value):
+    """The 2-jet (base, value, jac, hess) of a map R^n -> R^n."""
+
     base: Point
     value: Point
     jac: SquareMatrix
@@ -55,8 +56,8 @@ class Map2Jet:
         return cls(base, base, SquareMatrix.identity(n), Bilinear.zero(n))
 
 
-@dataclass(frozen=True, slots=True)
-class FMJetData:
+@value_type
+class FMJetData(Value):
     """Raw 1-jet data of a frame-field map r -> (phi(r), phi_lin(r)).
 
     ``phi0`` and ``phi_lin`` are the values at 0 of the base map and the

@@ -14,6 +14,8 @@ which only reduces by the common gcd.  ``entries`` is the ``Fraction`` view,
 built on first access and then kept (documents and the plain-fraction
 cross-checks read it; values whose view is never read never hold one).
 
+``Value`` gives every value type of the package (the matrices, bilinear
+maps, group elements, frames, jets and group tags) its value semantics, and
 ``Checked`` is the base of the element and frame types: the one check of
 their invariants, and a trusted builder for results that satisfy them by
 construction.
@@ -21,23 +23,86 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import _scaled as sc
 from .errors import SingularMatrixError
 
 
-class Scaled:
-    """The storage shared by ``SquareMatrix`` and ``Bilinear``.
+class Value:
+    """An immutable value, keyed on the fields named in ``__match_args__``.
 
-    A subclass is a frozen dataclass with the fields ``n``, ``ints``, ``den``
-    and the cache ``_view``, and names the ``_scaled`` function that reduces
-    its kernel output to canonical form in ``_reduce``.
+    Construction (by position or by name, as ``dataclasses.replace`` calls
+    it), equality, hashing, ``repr`` and pickling all read those fields in
+    order, and ``__post_init__`` checks the invariants after construction.
+    A field cannot be assigned or deleted; private builders set fields with
+    ``object.__setattr__``.  A subclass is declared with ``value_type``.
     """
 
     __slots__ = ()
+    _key: Callable  # the fields as a tuple; set by ``value_type``
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__match_args__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):]
+                          if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields "
+                            + ", ".join(names))
+        self.__setstate__(args)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the invariants of the fields; none by default."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__) + ")"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._key(self)
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+def value_type(cls: type) -> type:
+    """Declare a ``Value`` subclass: a slots dataclass with at least two
+    fields, and no methods generated, since ``Value`` writes them once."""
+    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
+    cls._key = attrgetter(*cls.__match_args__)
+    return cls
+
+
+class Scaled(Value):
+    """The storage shared by ``SquareMatrix`` and ``Bilinear``.
+
+    A subclass is a value type with the fields ``n``, ``ints`` and ``den``,
+    and names the ``_scaled`` function that reduces its kernel output to
+    canonical form in ``_reduce``.  The cache ``_view`` is a slot here, not a
+    field, so it is not part of the value.
+    """
+
+    __slots__ = ("_view",)
     _reduce: Callable
 
     @staticmethod
@@ -50,6 +115,19 @@ class Scaled:
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_view", None)
+
+    def __setstate__(self, state) -> None:
+        self._set(*state)
+
+    def __eq__(self, other):
+        # faster than the generic key: the canonical form is unique, and
+        # equal ints have one shape
+        if other.__class__ is self.__class__:
+            return self.ints == other.ints and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ints, self.den))
 
     @classmethod
     def _of(cls, s):
@@ -72,12 +150,13 @@ class Scaled:
         return self._view
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@value_type
 class SquareMatrix(Scaled):
+    """An n x n rational matrix, stored as ``ints`` over ``den``."""
+
     n: int
     ints: tuple[tuple[int, ...], ...]
     den: int
-    _view: tuple | None = field(default=None, repr=False, compare=False)
     _reduce = staticmethod(sc.reduce_mat)
 
     def __init__(self, n: int, entries: Sequence[Sequence[Fraction]]) -> None:
@@ -156,10 +235,10 @@ def require_invertible(a: SquareMatrix, what: str) -> None:
         raise SingularMatrixError(f"{what} must be invertible")
 
 
-class Checked:
+class Checked(Value):
     """Base of the element and frame types, and the one check of their data.
 
-    A subclass is a frozen dataclass whose fields are its parts in order: a
+    A subclass is a value type whose fields are its parts in order: a
     frame's base point, one or two matrices, then a bilinear map (none in a
     linear frame).  The constructor (``__post_init__``) checks, in this
     order: every part has the dimension of the first matrix (a base point by
@@ -185,7 +264,7 @@ class Checked:
     @property
     def parts(self) -> tuple:
         """The fields in order: base point, matrix parts, bilinear part."""
-        return tuple(getattr(self, name) for name in self.__match_args__)
+        return self._key(self)
 
     @property
     def n(self) -> int:

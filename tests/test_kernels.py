@@ -70,6 +70,14 @@ def test_contractions_match_plain_loops(n):
     assert sc.bil_coeffs(sc.s_neg(g)) == _term_oracle(-1, None, x.f, None, None).coeffs
 
 
+def test_negation_matches_plain_loops_on_wide_coefficients():
+    f = _product(rand_hat2, mul_hat2, stream(41, "kernels-neg", 12), 12).f
+    assert max(abs(e) for plane in f.ints for row in plane for e in row) > 10**4
+    oracle = _term_oracle(-1, None, f, None, None)
+    assert sc.bil_coeffs(sc.s_neg(f.scaled)) == oracle.coeffs
+    assert -f == oracle and -oracle == f
+
+
 @pytest.mark.parametrize("n", [8, 12])
 def test_wide_inverse_multiplies_back(n):
     a = _product(rand_invertible, mat_mul, stream(42, "kernels-inv", n), n)

@@ -1,17 +1,38 @@
-"""Start-up: only ``verify`` imports ``suites``, the largest module.
+"""Start-up: only ``verify`` imports ``suites``, the largest module, and no
+value type has its methods generated.
 
 A process that compiles the package from source (``PYTHONDONTWRITEBYTECODE``)
-pays compile time and memory for every module it imports, used or not.
+pays compile time and memory for every module it imports, used or not.  It
+also runs every class statement: a frozen dataclass writes the source of six
+methods and compiles it with ``exec``, while a value type built by
+``matrices.value_type`` takes them from ``matrices.Value``.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
+
+import pytest
 
 import jetframes
 from jetframes import cli, suites
+
+# The dataclasses of every module that a CLI command other than ``verify``
+# loads; ``suites`` keeps its dataclasses (only ``verify`` pays for them).
+VALUE_TYPES = sorted(
+    (cls for info in pkgutil.iter_modules(jetframes.__path__)
+     if info.name not in ("__main__", "suites")
+     for cls in vars(importlib.import_module(f"jetframes.{info.name}")).values()
+     if isinstance(cls, type) and is_dataclass(cls)
+     and cls.__module__ == f"jetframes.{info.name}"),
+    key=lambda cls: cls.__qualname__)
+METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
+           "__delattr__")
 
 # Runs each argv in the first argument as ``python -m jetframes`` in this one
 # process and prints whether ``jetframes.suites`` was loaded after each.
@@ -64,3 +85,17 @@ def test_the_package_serves_the_suite_names():
 
 def test_the_cli_spells_the_suite_names_in_registry_order():
     assert cli.SUITE_NAMES == suites.ALL_SUITE_NAMES
+
+
+def test_the_value_types_are_found():
+    assert len(VALUE_TYPES) == 17
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_no_value_type_method_is_generated(cls):
+    # a method that dataclasses wrote and compiled with ``exec`` has the file
+    # name "<string>"; one inherited from ``object`` has no code at all
+    for name in METHODS:
+        code = getattr(getattr(cls, name), "__code__", None)
+        assert code is not None, f"{cls.__name__}.{name} is object's"
+        assert code.co_filename != "<string>", f"{cls.__name__}.{name} is generated"

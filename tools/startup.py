@@ -1,12 +1,16 @@
 """What a ``jetframes`` process spends on start-up, module by module.
 
-Per package module: its bytes, the median ms of compiling it, and the KB that
-compile adds to a fresh interpreter's peak RSS.  Per fresh process (one that
-imports ``jetframes.cli``, one ``gen hat2 --n 2``): the median wall ms, the
-``wait4`` peak RSS, and the package modules it loads.  Children run in the
-environment as given (with ``PYTHONDONTWRITEBYTECODE`` set, every process
-compiles the package).  This process compiles none of it, so its own peak,
-which Linux also counts in a spawned child's, stays below the children's.
+Per package module: its bytes, the median ms of compiling it, the KB that
+compile adds to a fresh interpreter's peak RSS, and the median ms of
+executing its compiled body once the package is imported (so the modules it
+imports are loaded, and what is timed is its own class statements, function
+definitions and tables; ``__main__`` is not executed, since it runs the
+CLI).  Per fresh process (one that imports ``jetframes.cli``, one ``gen hat2
+--n 2``): the median wall ms, the ``wait4`` peak RSS, and the package
+modules it loads.  Children run in the environment as given (with
+``PYTHONDONTWRITEBYTECODE`` set, every process compiles the package).  This
+process compiles none of it, so its own peak, which Linux also counts in a
+spawned child's, stays below the children's.
 
 Run from the root of a checkout::
 
@@ -24,17 +28,30 @@ import time
 from pathlib import Path
 
 # Run in a fresh interpreter: the median compile ms of the file argv[1] over
-# argv[2] compiles, and the KB the first compile adds to the peak RSS.
+# argv[3] compiles, the KB the first compile adds to the peak RSS, and the
+# median ms of executing it as a fresh copy of module argv[2] over argv[3]
+# runs (null for ``__main__``).
 _COMPILE = """
-import resource, statistics, sys, time
-src = open(sys.argv[1]).read()
+import importlib.util, json, resource, statistics, sys, time
+path, name, runs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+src = open(path).read()
 before, ms = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, []
-for _ in range(int(sys.argv[2])):
+for _ in range(runs):
     start = time.perf_counter()
-    compile(src, sys.argv[1], "exec")
+    code = compile(src, path, "exec")
     ms.append((time.perf_counter() - start) * 1e3)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-print(statistics.median(ms), rss)
+exec_ms = []
+if not name.endswith("__main__"):
+    import jetframes.cli, jetframes.suites
+    spec = importlib.util.find_spec(name)
+    for _ in range(runs):
+        module = importlib.util.module_from_spec(spec)
+        start = time.perf_counter()
+        exec(code, module.__dict__)
+        exec_ms.append((time.perf_counter() - start) * 1e3)
+print(json.dumps([statistics.median(ms), rss,
+                  statistics.median(exec_ms) if exec_ms else None]))
 """
 
 PROCESSES = {"import jetframes.cli": ["-c", "import jetframes.cli"],
@@ -69,12 +86,15 @@ def main() -> int:
     package = importlib.util.find_spec("jetframes").submodule_search_locations[0]
     modules = {}
     for path in sorted(Path(package).glob("*.py")):
-        out = subprocess.run([sys.executable, "-c", _COMPILE, str(path),
+        name = "jetframes" if path.stem == "__init__" else f"jetframes.{path.stem}"
+        out = subprocess.run([sys.executable, "-c", _COMPILE, str(path), name,
                               str(args.runs)], check=True, capture_output=True,
-                             text=True).stdout.split()
+                             text=True).stdout
+        compile_ms, rss, exec_ms = json.loads(out)
         modules[path.stem] = {"bytes": path.stat().st_size,
-                              "compile_ms": round(float(out[0]), 2),
-                              "compile_rss_kb": int(out[1])}
+                              "compile_ms": round(compile_ms, 2),
+                              "compile_rss_kb": rss,
+                              "exec_ms": None if exec_ms is None else round(exec_ms, 2)}
     doc = {"python": sys.version.split()[0], "runs": args.runs,
            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
            "modules": modules,

@@ -40,6 +40,8 @@ makes class equality plain equality.
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import Any, Callable
 
 from . import _scaled as sc
@@ -204,24 +206,32 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
         M[i][j][k] = sum_l F[i][l][k] C[l][j]
                    + sum_{l,m} A[i][l] G[l][j][m] B[m][k]
 
-    written here as explicit loops over the ``Fraction`` views so the
-    structural form above can be cross-checked against an independent
-    computation.
+    written here as explicit loops over the stored integers (``ints``/``den``),
+    m contracted first, so the structural form above can be cross-checked
+    against an independent computation that shares no code with ``s_law``.
     """
-    n = same_n(x.a, y.a)
-    A = x.a.entries
-    C = y.a.entries
-    B = mat_inv(x.a).entries
-    F = x.f.coeffs
-    G = y.f.coeffs
-    rng = range(n)
-    coeffs = tuple(
-        tuple(tuple(
-            sum(F[i][l][k] * C[l][j] for l in rng)
-            + sum(A[i][l] * G[l][j][m] * B[m][k] for l in rng for m in rng)
-            for k in rng) for j in rng)
-        for i in rng)
-    return T1nL1n(mat_mul(x.a, y.a), Bilinear(n, coeffs))
+    same_n(x.a, y.a)
+    A, Ad = x.a.scaled
+    C, Cd = y.a.scaled
+    B, Bd = mat_inv(x.a).scaled
+    F, Fd = x.f.scaled
+    G, Gd = y.f.scaled
+    den1 = Ad * Gd * Bd
+    den2 = Fd * Cd
+    common = lcm(den1, den2)
+    m1 = common // den1
+    m2 = common // den2
+    b_cols = list(zip(*B))
+    c_cols = list(zip(*C))
+    # gb[j][k][l] = sum_m G[l][j][m] B[m][k]; f_cols[i][k][l] = F[i][l][k]
+    gb = [[[sum(map(mul, row, col)) for row in Gj] for col in b_cols]
+          for Gj in zip(*G)]
+    f_cols = [list(zip(*Fi)) for Fi in F]
+    coeffs = [[[m1 * sum(map(mul, Ai, gb_jk)) + m2 * sum(map(mul, f_col, c_col))
+                for gb_jk, f_col in zip(gb_j, f_i)]
+               for gb_j, c_col in zip(gb, c_cols)]
+              for Ai, f_i in zip(A, f_cols)]
+    return T1nL1n(mat_mul(x.a, y.a), Bilinear._of((coeffs, common)))
 
 
 def mul_deleon_1(x: Pair, y: Pair) -> Pair:

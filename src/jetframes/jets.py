@@ -12,16 +12,19 @@ extra factor: the 1/2 lives in the evaluation above, not in the stored
 tensor.
 
 Everything here re-derives compositions and frame actions from the chain
-rule with its own index loops over the stored integers (``ints``/``den``)
-of matrices and bilinear maps.  It intentionally does not call the
-contraction kernels of the core algebra, so agreement between this module
-and the group laws is a genuine cross-check of two implementations.
+rule with its own loops over the stored integers (``ints``/``den``) of
+matrices and bilinear maps: each operand is transposed once, and every
+entry is an inner product of a row with a column.  It intentionally does
+not call the contraction kernels of the core algebra, so agreement between
+this module and the group laws is a genuine cross-check of two
+implementations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .bilinear import Bilinear, is_symmetric
 from .errors import CompositionDomainError, NotAFrameError
@@ -81,34 +84,49 @@ class FMJetData(Value):
         return self.phi_lin.n
 
 
+def _matmul(x, y) -> SquareMatrix:
+    """x y on scaled matrices, one inner product per entry."""
+    (xi, xd), (yi, yd) = x, y
+    cols = list(zip(*yi))
+    return SquareMatrix._of(([[sum(map(mul, row, col)) for col in cols] for row in xi],
+                             xd * yd))
+
+
+def _chain_rule(jac, f, hess, a, b) -> Bilinear:
+    """jac o f + hess(a, b) on scaled operands: the second-order chain rule.
+
+    Entry [k][l][j] is m1 * sum_m jac[k][m] f[m][l][j]
+    + m2 * sum_m a[m][l] (sum_p hess[k][m][p] b[p][j]), with m1 and m2
+    bringing the two sums to the lcm of their denominators.
+    """
+    (J, Jd), (F, Fd), (H, Hd), (A, Ad), (B, Bd) = jac, f, hess, a, b
+    den1 = Jd * Fd
+    den2 = Hd * Ad * Bd
+    common = lcm(den1, den2)
+    m1 = common // den1
+    m2 = common // den2
+    a_cols = list(zip(*A))
+    b_cols = list(zip(*B))
+    # f_cols[l][j][m] = f[m][l][j]; hb[k][j][m] = sum_p hess[k][m][p] b[p][j]
+    f_cols = [list(zip(*rows)) for rows in zip(*F)]
+    hb = [[[sum(map(mul, row, col)) for row in Hk] for col in b_cols] for Hk in H]
+    return Bilinear._of((
+        [[[m1 * sum(map(mul, Jk, f_col)) + m2 * sum(map(mul, a_col, hb_col))
+           for f_col, hb_col in zip(f_l, hb_k)]
+          for f_l, a_col in zip(f_cols, a_cols)]
+         for Jk, hb_k in zip(J, hb)],
+        common))
+
+
 def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:
     """Jet of g o f by the truncated chain rule; needs g.base == f.value."""
     if g.n != f.n:
         raise CompositionDomainError("jets of different dimension")
     if g.base != f.value:
         raise CompositionDomainError("outer jet is not based at the inner value")
-    n = g.n
-    gj, gjd = g.jac.ints, g.jac.den
-    fj, fjd = f.jac.ints, f.jac.den
-    gh, ghd = g.hess.ints, g.hess.den
-    fh, fhd = f.hess.ints, f.hess.den
-    rng = range(n)
-    jac = SquareMatrix._of(([[sum(gj[k][m] * fj[m][i] for m in rng) for i in rng]
-                             for k in rng], gjd * fjd))
-    # common denominator for gj.fh (gjd*fhd) and gh.fj.fj (ghd*fjd*fjd)
-    den1 = gjd * fhd
-    den2 = ghd * fjd * fjd
-    common = lcm(den1, den2)
-    m1 = common // den1
-    m2 = common // den2
-    # sum_{p,q} gh[k][p][q] fj[p][i] fj[q][j], contracted one slot at a time
-    ghf = [[[sum(gh[k][p][q] * fj[q][j] for q in rng) for j in rng]
-            for p in rng] for k in rng]
-    hess = Bilinear._of((
-        [[[m1 * sum(gj[k][m] * fh[m][i][j] for m in rng)
-           + m2 * sum(fj[p][i] * ghf[k][p][j] for p in rng)
-           for j in rng] for i in rng] for k in rng],
-        common))
+    fj = f.jac.scaled
+    jac = _matmul(g.jac.scaled, fj)
+    hess = _chain_rule(g.jac.scaled, f.hess.scaled, g.hess.scaled, fj, fj)
     return Map2Jet(f.base, g.value, jac, hess)
 
 
@@ -148,29 +166,8 @@ def left_act_diffeo(F: Map2Jet, q: NonHolFrame) -> NonHolFrame:
         raise CompositionDomainError("jet is not based at the frame's point")
     if det(F.jac) == 0:
         raise NotAFrameError("jet is not a local diffeomorphism")
-    n = q.n
-    J, Jd = F.jac.ints, F.jac.den
-    H, Hd = F.hess.ints, F.hess.den
-    A, Ad = q.a.ints, q.a.den
-    B, Bd = q.b.ints, q.b.den
-    f, fd = q.f.ints, q.f.den
-    rng = range(n)
-    a_new = SquareMatrix._of(([[sum(J[k][m] * A[m][i] for m in rng) for i in rng]
-                               for k in rng], Jd * Ad))
-    b_new = SquareMatrix._of(([[sum(J[k][m] * B[m][i] for m in rng) for i in rng]
-                               for k in rng], Jd * Bd))
-    den1 = Jd * fd
-    den2 = Hd * Ad * Bd
-    common = lcm(den1, den2)
-    m1 = common // den1
-    m2 = common // den2
-    # sum_{m,p} H[k][m][p] A[m][l] B[p][j], contracted one slot at a time
-    HB = [[[sum(H[k][m][p] * B[p][j] for p in rng) for j in rng]
-           for m in rng] for k in rng]
-    f_new = Bilinear._of((
-        [[[m1 * sum(J[k][m] * f[m][l][j] for m in rng)
-           + m2 * sum(A[m][l] * HB[k][m][j] for m in rng)
-           for j in rng] for l in rng] for k in rng],
-        common))
+    J = F.jac.scaled
+    f = _chain_rule(J, q.f.scaled, F.hess.scaled, q.a.scaled, q.b.scaled)
     # DF(x) is invertible (checked above), so a' and b' are
-    return NonHolFrame._trusted(F.value, a_new, b_new, f_new)
+    return NonHolFrame._trusted(F.value, _matmul(J, q.a.scaled),
+                                _matmul(J, q.b.scaled), f)

@@ -8,7 +8,8 @@ the two is a genuine two-route check.
 from fractions import Fraction
 from itertools import permutations
 
-from jetframes import Bilinear, SquareMatrix
+from jetframes import Bilinear, SquareMatrix, T1nL1n, mat_inv, mat_mul
+from jetframes.matrices import same_n
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,31 @@ def ref_mul_hat2(x, y):
 def ref_mul_tilde21(x, y):
     eye = SquareMatrix.identity(x.n)
     return ref_matmul(x.a, y.a), ref_add(y.f, ref_pre(x.f, eye, y.a))
+
+
+def ref_mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
+    """The raw coordinate law of ``T1nL1n`` as O(n^5) loops over the
+    ``Fraction`` views:
+
+        M[i][j][k] = sum_l F[i][l][k] C[l][j]
+                   + sum_{l,m} A[i][l] G[l][j][m] B[m][k]
+
+    with F = x.f, G = y.f, A = x.a, C = y.a and B = A^-1.
+    """
+    n = same_n(x.a, y.a)
+    A = x.a.entries
+    C = y.a.entries
+    B = mat_inv(x.a).entries
+    F = x.f.coeffs
+    G = y.f.coeffs
+    rng = range(n)
+    coeffs = tuple(
+        tuple(tuple(
+            sum(F[i][l][k] * C[l][j] for l in rng)
+            + sum(A[i][l] * G[l][j][m] * B[m][k] for l in rng for m in rng)
+            for k in rng) for j in rng)
+        for i in rng)
+    return T1nL1n(mat_mul(x.a, y.a), Bilinear(n, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Law-level sweep: median microseconds per call of the group laws at each n.
 
-Times ``mul_hat2``, ``inv_hat2``, ``conj_hat2`` and ``mul_t1n`` at
-n = 1, 2, 4, 8, 12 on two kinds of input: ``draw``, single generator draws
-(the coefficient size the suites use), and ``product``, products of three
-draws (the wider coefficients of library use).  The timing loop is the
+Times the kernel laws ``mul_hat2``, ``inv_hat2``, ``conj_hat2`` and
+``mul_t1n``, and the independent second routes ``left_act_diffeo``,
+``g2_law_via_jets`` and ``mul_t1n_coordinate``, at n = 1, 2, 4, 8, 12 on
+two kinds of input: ``draw``, single generator draws (the coefficient size
+the suites use), and ``product``, products of three draws (the wider
+coefficients of library use; the action's frame and jet are built as the
+ops-large benchmark builds them).  The timing loop is the
 benchmark's layer sweep (``perfbench.sweep``): each sample repeats the call
 until it lasts at least ``MIN_SAMPLE_S`` there, and the median of its ``K``
 samples is reported.  Every timed call is checked once against its exact
@@ -24,13 +27,15 @@ import json
 import sys
 from pathlib import Path
 
+from jetframes import bilinear, frames, jets, matrices
 from jetframes import groups as G
 from jetframes import randgen as rg
 
 sys.path.append(str(Path(__file__).resolve().parent.parent))
 from perfbench.sweep import NS, _median_us  # noqa: E402
 
-OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n")
+OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n", "left_act_diffeo",
+       "g2_law_via_jets", "mul_t1n_coordinate")
 KINDS = ("draw", "product")
 
 
@@ -46,19 +51,32 @@ def _inputs(seed: int, kind: str, n: int):
 
     x, y = make(rg.rand_hat2, G.mul_hat2), make(rg.rand_hat2, G.mul_hat2)
     s, t = make(rg.rand_t1n, G.mul_t1n), make(rg.rand_t1n, G.mul_t1n)
+    p, r = make(rg.rand_g2, G.mul_g2), make(rg.rand_g2, G.mul_g2)
+    q = frames.act_nonhol(rg.rand_nonhol(rng, n), make(rg.rand_tilde2, G.mul_tilde2))
+    jet = jets.Map2Jet(q.x, rg.rand_point(rng, n), p.a, p.f)
     return {
         "mul_hat2": (lambda i: G.mul_hat2(x, y)),
         "inv_hat2": (lambda i: G.inv_hat2(x)),
         "conj_hat2": (lambda i: G.conj_hat2(x, y)),
         "mul_t1n": (lambda i: G.mul_t1n(s, t)),
-    }, (x, y, s, t)
+        "left_act_diffeo": (lambda i: jets.left_act_diffeo(jet, q)),
+        "g2_law_via_jets": (lambda i: jets.g2_law_via_jets(p, r)),
+        "mul_t1n_coordinate": (lambda i: G.mul_t1n_coordinate(s, t)),
+    }, (x, y, s, t, p, r, q, jet)
 
 
-def _check(x, y, s, t) -> None:
+def _check(x, y, s, t, p, r, q, jet) -> None:
     e = G.GHat2.identity(x.n)
+    f = (bilinear.post_compose(jet.jac, q.f)
+         + bilinear.pre_compose(jet.hess, q.a, q.b))
+    pushed = frames.NonHolFrame(jet.value, matrices.mat_mul(jet.jac, q.a),
+                                matrices.mat_mul(jet.jac, q.b), f)
     ok = (G.mul_hat2(x, G.inv_hat2(x)) == e
           and G.conj_hat2(x, y) == G.mul_hat2(G.mul_hat2(x, y), G.inv_hat2(x))
-          and G.tau(G.mul_t1n(s, t)) == G.mul_hat2(G.tau(s), G.tau(t)))
+          and G.tau(G.mul_t1n(s, t)) == G.mul_hat2(G.tau(s), G.tau(t))
+          and jets.left_act_diffeo(jet, q) == pushed
+          and jets.g2_law_via_jets(p, r) == G.mul_g2(p, r)
+          and G.mul_t1n_coordinate(s, t) == G.mul_t1n(s, t))
     if not ok:
         raise SystemExit(f"wrong result at n = {x.n}")
 
@@ -86,10 +104,10 @@ def main(argv=None) -> int:
         print(json.dumps({"seed": args.seed, "unit": "us", "median_us": table}))
         return 0
     print(f"median us per call, seed {args.seed}")
-    print(f"{'kind':8} {'op':10}" + "".join(f"{f'n={n}':>10}" for n in NS))
+    print(f"{'kind':8} {'op':18}" + "".join(f"{f'n={n}':>10}" for n in NS))
     for kind, ops in table.items():
         for op, row in ops.items():
-            print(f"{kind:8} {op:10}" + "".join(f"{row[n]:>10}" for n in NS))
+            print(f"{kind:8} {op:18}" + "".join(f"{row[n]:>10}" for n in NS))
     return 0
 
 

@@ -21,23 +21,24 @@ by the minors of the input.
 
 Every contraction and sum of bilinear maps is one call of ``s_law``, which
 forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
-pass: each group law, inverse and conjugation passes all its terms at once,
-and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right`` and ``s_add``
-are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and ``s_skew``
-work entrywise, with no contraction to pack.  It packs the last index of
-each bilinear map into one integer per row (Kronecker substitution: entry j
-is weighted by 2^(k j)), so each of its contractions is O(n^3) multiply-adds
-of small ints with packed ints, and the terms are added while packed.  The
-field width k comes from an exact bound on the output entries (stated and
-proved at ``s_law``), so the final unpack is exact; nothing is approximate.
+pass: each group law and inverse passes all its terms at once (a conjugation
+makes two calls), and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``
+and ``s_add`` are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and
+``s_skew`` work entrywise, with no contraction to pack.  It packs the last
+index of each bilinear map into one integer per row (Kronecker substitution:
+entry j is weighted by 2^(k j)), so each of its contractions is O(n^3)
+multiply-adds of small ints with packed ints, and the terms are added while
+packed.  The field width k is an exact bound on the output entries (proved
+at ``s_law``), so the unpack by shift and mask is exact, and a result past
+it raises ``OverflowError``; nothing is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from operator import lshift, mul
+from math import gcd, lcm, prod
+from operator import add, lshift, mul, sub
 from typing import Optional, Sequence
 
 from .errors import SingularMatrixError
@@ -222,24 +223,18 @@ def s_law(*terms: Term) -> Bil:
 
         k >= 1 + ceil(log2 T) + max_t [bits(f) + sum_m (bits(m) + ceil(log2 n))].
 
-    k is rounded up to whole bytes.  P is additive and P(v) * m = P(m v), so
-    the packed result equals P(out) exactly, whatever the intermediate
-    fields hold.  With every |out_j| < 2^(k-1), adding the offset
-    sum_j 2^(k-1) 2^(k j) makes each field out_j + 2^(k-1), a value in
-    [0, 2^k) that carries into no other field; xor with the same offset
-    then flips each field's top bit, which turns it into the k-bit two's
-    complement of out_j, read back bytewise.  Nothing is rounded or
-    tolerated: the unpack is exact because the bound holds.
+    k is exactly this bound.  P is additive and P(v) * m = P(m v), so the
+    packed result x equals P(out) exactly, whatever the intermediate fields
+    hold.  With every |out_j| < 2^(k-1), y = x + sum_j 2^(k-1) 2^(k j) holds
+    each out_j + 2^(k-1) in its own k-bit field, in [0, 2^k) and carrying
+    into no other, so out_j = ((y >> k j) & (2^k - 1)) - 2^(k-1).  Then
+    0 <= y < 2^(n k); a y with y >> (n k) nonzero (too large, or negative)
+    breaks the bound and raises ``OverflowError`` rather than unpack wrong
+    fields.  Nothing is rounded or tolerated.
     """
     n = len(terms[0][2][0])
     log_n = (n - 1).bit_length()
-    dens = []
-    for _, c, f, a, b in terms:
-        den = f[1]
-        for m in (c, a, b):
-            if m is not None:
-                den *= m[1]
-        dens.append(den)
+    dens = [prod(m[1] for m in term[1:] if m is not None) for term in terms]
     den = dens[0] if len(terms) == 1 else lcm(*dens)
     prepared = []
     width = 0
@@ -263,7 +258,7 @@ def s_law(*terms: Term) -> Bil:
                 scale = 1
         width = max(width, bits)
         prepared.append((scale, *mats, fi))
-    k = (1 + (len(terms) - 1).bit_length() + width + 7) // 8 * 8
+    k = 1 + (len(terms) - 1).bit_length() + width
     shifts = range(0, k * n, k)
 
     total = None
@@ -284,18 +279,18 @@ def s_law(*terms: Term) -> Bil:
         total = rows if total is None else [
             [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, rows)]
 
-    size = k // 8
-    nbytes = size * n
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-    starts = range(0, nbytes, size)
-    from_bytes = int.from_bytes
+    half = 1 << (k - 1)
+    mask = (1 << k) - 1
+    offset = sum(half << s for s in shifts)
+    top = k * n
     out = []
     for row in total:
         plane = []
         for x in row:
-            buf = ((x + offset) ^ offset).to_bytes(nbytes, "little")
-            plane.append([from_bytes(buf[s:s + size], "little", signed=True)
-                          for s in starts])
+            y = x + offset
+            if y >> top:
+                raise OverflowError("s_law: a field exceeds its width")
+            plane.append([((y >> s) & mask) - half for s in shifts])
         out.append(plane)
     return out, den
 
@@ -335,17 +330,9 @@ def s_neg(f: Bil) -> Bil:
 
 def s_sym(f: Bil) -> Bil:
     ints, den = f
-    n = len(ints)
-    rng = range(n)
-    out = [[[ints[k][i][j] + ints[k][j][i] for j in rng] for i in rng]
-           for k in rng]
-    return out, 2 * den
+    return [[list(map(add, r, c)) for r, c in zip(p, zip(*p))] for p in ints], 2 * den
 
 
 def s_skew(f: Bil) -> Bil:
     ints, den = f
-    n = len(ints)
-    rng = range(n)
-    out = [[[ints[k][i][j] - ints[k][j][i] for j in rng] for i in rng]
-           for k in rng]
-    return out, 2 * den
+    return [[list(map(sub, r, c)) for r, c in zip(p, zip(*p))] for p in ints], 2 * den

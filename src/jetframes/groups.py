@@ -6,10 +6,10 @@ written once, on components (``law_tilde2``, ``law_hat2``, ``law_tilde21``),
 and both the products here and the frame actions in ``frames`` call it.
 Each group still gets its own element type, so elements of different groups
 never mix.  Products, inverses and conjugations are all exact: the bilinear
-part of each is one call of the fused kernel ``_scaled.s_law`` on the terms
-+-c o f(a, b) of its formula.  Every operation that combines operands first
-checks that they share one dimension (``matrices.same_n``, ``ValueError``
-otherwise).
+part of each is one call (two for a conjugation) of the fused kernel
+``_scaled.s_law`` on the terms +-c o f(a, b) of its formula.  Every
+operation that combines operands first checks that they share one dimension
+(``matrices.same_n``, ``ValueError`` otherwise).
 
 The element types are ``matrices.Checked`` dataclasses whose fields are
 their parts in order, matrices first, so one check serves every constructor:
@@ -322,16 +322,16 @@ def inv_deleon_2(x: Pair) -> Pair:
 
 
 def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
-    """outer * inner * outer^-1 in closed form."""
+    """(a, f)(b, g)(a, f)^-1 = (c, H(u, u)) for u = a^-1, c = a b u and
+    H = a o g + f(b, b) - c o f, as f(b u, b u) = f(b, b)(u, u) and
+    c o f(u, u) = (c o f)(u, u)."""
     same_n(outer.a, inner.a)
     a, f = outer.a.scaled, outer.f.scaled
     b, g = inner.a.scaled, inner.f.scaled
-    a_inv = sc.s_matinv(a)
-    aba = sc.s_matmul(sc.s_matmul(a, b), a_inv)
-    ba = sc.s_matmul(b, a_inv)
-    bilinear = sc.s_law((-1, aba, f, a_inv, a_inv), (1, a, g, a_inv, a_inv),
-                        (1, None, f, ba, ba))
-    return GHat2._trusted(SquareMatrix._of(aba), Bilinear._of(bilinear))
+    u = sc.s_matinv(a)
+    c = sc.s_matmul(sc.s_matmul(a, b), u)
+    h = sc.s_law((1, a, g, None, None), (1, None, f, b, b), (-1, c, f, None, None))
+    return GHat2._trusted(SquareMatrix._of(c), Bilinear._of(sc.s_pre(h, u, u)))
 
 
 def skew_factor(a: SquareMatrix, f: Bilinear) -> Bilinear:

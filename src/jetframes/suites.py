@@ -864,7 +864,8 @@ def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
 def _run_items(items, trials: int, seed: int) -> list:
     """The ``[failures, first counterexample, seconds]`` of each
     ``(suite, property index, n)`` item; the counterexample is a JSON
-    document."""
+    document.  A property that raises an ``Exception`` fails its trial, with
+    the exception's type and message as its witness."""
     results = []
     for name, index, n in items:
         prop = SUITES[name].properties[index]
@@ -872,7 +873,10 @@ def _run_items(items, trials: int, seed: int) -> list:
         first = None
         start = time.perf_counter()
         for trial in range(trials):
-            held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
+            try:
+                held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
+            except Exception as exc:
+                held, witness = False, dict(error=type(exc).__name__, message=str(exc))
             if not held:
                 failures += 1
                 if first is None:

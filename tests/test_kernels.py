@@ -205,8 +205,9 @@ def test_law_kernel_is_exact_at_the_width_bound(n, sign):
     for shape in _SHAPES:
         for bits in range(1, 17):
             terms = _edge_terms(shape, n, bits, sign)
-            # a width one bit past a byte boundary rounds up by 7 bits, so
-            # these are the cases a field one bit narrower would overflow
+            # the field is exactly as wide as the bound asks, so every case
+            # reaches it; those one bit past a byte boundary are the ones a
+            # byte-rounded field left 7 bits of slack
             hits += _need(terms, n, bits) % 8 == 1
             assert _law(*terms) == _law_oracle(*terms), (shape, bits)
     assert hits
@@ -215,7 +216,8 @@ def test_law_kernel_is_exact_at_the_width_bound(n, sign):
 @pytest.mark.parametrize("shape", [[(1, 0, 0)], [(1, 0, 0)] * 3])
 def test_law_kernel_is_exact_at_the_width_bound_n12(shape):
     n = 12
-    # two bit lengths whose width lands one bit past a byte boundary
+    # two bit lengths whose width lands one bit past a byte boundary, where
+    # a byte-rounded field had the most slack; the exact field has none
     chosen = [b for b in range(5, 40)
               if _need(_edge_terms(shape, n, b, 1), n, b) % 8 == 1][:2]
     assert len(chosen) == 2
@@ -245,6 +247,34 @@ def test_law_kernel_with_mixed_denominators():
     out = _law(*terms)
     assert out.den > 1
     assert out == _law_oracle(*terms)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_law_kernel_raises_when_its_width_is_too_small(monkeypatch, sign):
+    # with every operand reported 0 bits wide, the fields are far too narrow
+    # for wide entries of either sign: the unpack must raise, not return
+    # wrong fields
+    n = 8
+    x = _product(rand_hat2, mul_hat2, stream(48, "kernels-guard", n), n)
+    m, f = _filled(n, sign * ((1 << 40) - 1))
+    monkeypatch.setattr(sc, "_bits", lambda ints: 0)
+    for terms in ([(1, m, f, m, m)], [(sign, x.a, x.f, x.a, None)],
+                  [(1, None, f, None, None), (-1, x.a, x.f, None, None)]):
+        with pytest.raises(OverflowError):
+            _law(*terms)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_conjugation_is_the_product_with_the_inverse(n):
+    rng = stream(49, "kernels-conj", n)
+    outer = _product(rand_hat2, mul_hat2, rng, n)
+    inner = _product(rand_hat2, mul_hat2, rng, n)
+    h = _product(rand_hat2, mul_hat2, rng, n).f
+    assert max(abs(e) for plane in outer.f.ints for row in plane for e in row) > 10**4
+    for y in (inner, G.GHat2.from_bilinear(h)):
+        assert G.conj_hat2(outer, y) == mul_hat2(mul_hat2(outer, y),
+                                                 G.inv_hat2(outer))
+    assert G.conj_hat2(G.GHat2.identity(n), inner) == inner
 
 
 @pytest.mark.parametrize("n", [4, 5])

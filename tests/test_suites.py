@@ -144,15 +144,40 @@ def test_without_fork_the_items_run_in_this_process(monkeypatch):
     assert [p.trials_run for p in reports[0].properties] == [4] * 4
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_raising_property_is_a_counted_failure(monkeypatch, cores):
+    """An exception in a property fails its trial, and the first failure's
+    witness names the exception next to (seed, suite, property, n, trial)."""
+    def raises(q, p):
+        raise OverflowError(f"too wide at n = {p.n}")
+
+    monkeypatch.setattr(suites, "fiber_hat22_contains", raises)
+    docs = {p["name"]: p for p in _docs(monkeypatch, cores, 1, ["rbsl2"],
+                                        (1, 2), 2)[0]["properties"]}
+    prop = docs["fiber_membership_matches_projection"]
+    assert not prop["passed"] and prop["failures"] == prop["trials_run"] == 4
+    assert prop["counterexample"] == {
+        "suite": "rbsl2", "property": "fiber_membership_matches_projection",
+        "n": 1, "trial": 0, "seed": 1, "error": "OverflowError",
+        "message": "too wide at n = 1"}
+    assert docs["skew_orbit_inside_fiber"]["failures"] == 4
+
+
 def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):
-    def boom(n, rng):
+    # a raising property is a counted failure, so the worker is made to fail
+    # outside it: in turning a failed trial's witness into documents
+    def fails(n, rng):
+        return False, {"n": n}
+
+    def boom(n):
         raise ZeroDivisionError(f"boom at n = {n}")
 
     def timeout(*_):
         raise AssertionError("run_suites hung after a worker failed")
 
-    monkeypatch.setitem(SUITES, "boom", Suite("boom", "raises",
-                                              (Property("raises", boom),)))
+    monkeypatch.setitem(SUITES, "boom", Suite("boom", "fails",
+                                              (Property("fails", fails),)))
+    monkeypatch.setattr(suites, "_witness", boom)
     monkeypatch.setattr(suites, "_cores", lambda: 2)
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(60)

@@ -1,16 +1,16 @@
 """Law-level sweep: median microseconds per call of the group laws at each n.
 
-Times the kernel laws ``mul_hat2``, ``inv_hat2``, ``conj_hat2`` and
-``mul_t1n``, and the independent second routes ``left_act_diffeo``,
-``g2_law_via_jets`` and ``mul_t1n_coordinate``, at n = 1, 2, 4, 8, 12 on
-two kinds of input: ``draw``, single generator draws (the coefficient size
-the suites use), and ``product``, products of three draws (the wider
-coefficients of library use; the action's frame and jet are built as the
-ops-large benchmark builds them).  The timing loop is the
-benchmark's layer sweep (``perfbench.sweep``): each sample repeats the call
-until it lasts at least ``MIN_SAMPLE_S`` there, and the median of its ``K``
-samples is reported.  Every timed call is checked once against its exact
-identity.
+Times the kernel laws ``mul_hat2``, ``inv_hat2``, ``conj_hat2``,
+``mul_t1n``, ``mul_tilde2``, ``inv_tilde2`` and ``decompose_hat2``, and the
+independent second routes ``left_act_diffeo``, ``g2_law_via_jets`` and
+``mul_t1n_coordinate``, at n = 1, 2, 4, 8, 12 on two kinds of input:
+``draw``, single generator draws (the coefficient size the suites use), and
+``product``, products of three draws (the wider coefficients of library use;
+the action's frame and jet are built as the ops-large benchmark builds
+them).  The timing loop is the benchmark's layer sweep (``perfbench.sweep``):
+each sample repeats the call until it lasts at least ``MIN_SAMPLE_S`` there,
+and the median of its ``K`` samples is reported.  Every timed call is checked
+once against its exact identity, the same identity as in ops-large.
 
 Run from the root of a checkout::
 
@@ -34,8 +34,9 @@ from jetframes import randgen as rg
 sys.path.append(str(Path(__file__).resolve().parent.parent))
 from perfbench.sweep import NS, _median_us  # noqa: E402
 
-OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n", "left_act_diffeo",
-       "g2_law_via_jets", "mul_t1n_coordinate")
+OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n", "mul_tilde2",
+       "inv_tilde2", "decompose_hat2", "left_act_diffeo", "g2_law_via_jets",
+       "mul_t1n_coordinate")
 KINDS = ("draw", "product")
 
 
@@ -54,19 +55,26 @@ def _inputs(seed: int, kind: str, n: int):
     p, r = make(rg.rand_g2, G.mul_g2), make(rg.rand_g2, G.mul_g2)
     q = frames.act_nonhol(rg.rand_nonhol(rng, n), make(rg.rand_tilde2, G.mul_tilde2))
     jet = jets.Map2Jet(q.x, rg.rand_point(rng, n), p.a, p.f)
+    u, v = make(rg.rand_tilde2, G.mul_tilde2), make(rg.rand_tilde2, G.mul_tilde2)
     return {
         "mul_hat2": (lambda i: G.mul_hat2(x, y)),
         "inv_hat2": (lambda i: G.inv_hat2(x)),
         "conj_hat2": (lambda i: G.conj_hat2(x, y)),
         "mul_t1n": (lambda i: G.mul_t1n(s, t)),
+        "mul_tilde2": (lambda i: G.mul_tilde2(u, v)),
+        "inv_tilde2": (lambda i: G.inv_tilde2(u)),
+        "decompose_hat2": (lambda i: G.decompose_hat2(y)),
         "left_act_diffeo": (lambda i: jets.left_act_diffeo(jet, q)),
         "g2_law_via_jets": (lambda i: jets.g2_law_via_jets(p, r)),
         "mul_t1n_coordinate": (lambda i: G.mul_t1n_coordinate(s, t)),
-    }, (x, y, s, t, p, r, q, jet)
+    }, (x, y, s, t, p, r, q, jet, u, v)
 
 
-def _check(x, y, s, t, p, r, q, jet) -> None:
+def _check(x, y, s, t, p, r, q, jet, u, v) -> None:
     e = G.GHat2.identity(x.n)
+    e2 = G.GTilde2.identity(x.n)
+    u_inv = G.inv_tilde2(u)
+    sym, skew = G.decompose_hat2(y)
     f = (bilinear.post_compose(jet.jac, q.f)
          + bilinear.pre_compose(jet.hess, q.a, q.b))
     pushed = frames.NonHolFrame(jet.value, matrices.mat_mul(jet.jac, q.a),
@@ -74,6 +82,10 @@ def _check(x, y, s, t, p, r, q, jet) -> None:
     ok = (G.mul_hat2(x, G.inv_hat2(x)) == e
           and G.conj_hat2(x, y) == G.mul_hat2(G.mul_hat2(x, y), G.inv_hat2(x))
           and G.tau(G.mul_t1n(s, t)) == G.mul_hat2(G.tau(s), G.tau(t))
+          and G.mul_tilde2(G.mul_tilde2(u, v), G.inv_tilde2(v)) == u
+          and G.mul_tilde2(u, u_inv) == e2 == G.mul_tilde2(u_inv, u)
+          and bilinear.is_symmetric(sym.f) and bilinear.is_skew(skew)
+          and G.mul_hat2(sym, G.GHat2.from_bilinear(skew)) == y
           and jets.left_act_diffeo(jet, q) == pushed
           and jets.g2_law_via_jets(p, r) == G.mul_g2(p, r)
           and G.mul_t1n_coordinate(s, t) == G.mul_t1n(s, t))

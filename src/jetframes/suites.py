@@ -1,17 +1,24 @@
 """Named verification suites over seeded random instances.
 
-Each suite is a tuple of properties, most of them plain functions that carry
-their property's name; a factory-built one is named by its ``Property``.  A
-property takes a dimension and a dedicated random stream, checks one exact
-identity on freshly generated data and returns ``(held, witness)``: whether
-the identity held, and a dict of the raw values that make up its
-counterexample (``{}`` for a vacuous trial).  A witness holds only values
-the check has already computed, so a passing trial does no work for it.  The
-runner executes every property for each requested dimension and trial index,
-with the per-trial stream derived from ``(seed, suite, property, n, trial)``;
-it counts a failure whenever ``held`` is false and turns the witness of the
-first failure alone into documents (``_witness``), so any failure is
-reproducible from the (seed, trial-index) pair printed in the report.
+Each suite is a tuple of properties.  A property takes a dimension and a
+dedicated random stream, checks one exact identity on freshly generated data
+and returns ``(held, witness)``: whether the identity held, and a dict of the
+raw values that make up its counterexample.  It is written in one of two ways:
+
+- a check on its inputs, declared with ``draws``: the witness is the inputs
+  by parameter name, then the extra values the check returns;
+- a plain ``(n, rng)`` function, for a property that draws after a check,
+  or draws an input that depends on an earlier one or may be absent.
+
+Either carries its property's name; a factory-built one is named by its
+``Property``.  A witness holds only values the check has already computed,
+so a passing trial does no work for it; a vacuous trial passes, so its
+witness is never reported.  The runner executes every property for each
+requested dimension and trial index, with the per-trial stream derived from
+``(seed, suite, property, n, trial)``; it counts a failure whenever ``held``
+is false and turns the witness of the first failure alone into documents
+(``_witness``), so any failure is reproducible from the (seed, trial-index)
+pair printed in the report.
 
 All comparisons are exact equality of rationals; there are no tolerances
 anywhere.
@@ -22,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from . import randgen as rg
@@ -89,21 +95,23 @@ from .groups import (
     tau_inv,
 )
 from .jets import Map2Jet, compose_2jets, g2_law_via_jets, left_act_diffeo
-from .matrices import SquareMatrix, mat_inv, mat_mul
+from .matrices import SquareMatrix, Value, mat_inv, mat_mul, value_type
 from .randgen import SplitMix64, stream
 from .serialize import to_doc
 
 PropertyFn = Callable[[int, SplitMix64], tuple[bool, dict[str, Any]]]
 
 
-@dataclass(frozen=True)
-class Property:
+@value_type
+class Property(Value):
+    """A named property; a tracer may replace ``fn`` in place."""
+
     name: str
     fn: PropertyFn
 
 
-@dataclass(frozen=True)
-class Suite:
+@value_type
+class Suite(Value):
     """A plain function in ``properties`` becomes the property of its name."""
 
     name: str
@@ -116,8 +124,8 @@ class Suite:
             for p in self.properties))
 
 
-@dataclass
-class PropertyResult:
+@value_type
+class PropertyResult(Value):
     name: str
     passed: bool
     trials_run: int
@@ -125,17 +133,17 @@ class PropertyResult:
     counterexample: dict | None
 
     def to_doc(self) -> dict[str, Any]:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
-@dataclass
-class SuiteReport:
+@value_type
+class SuiteReport(Value):
     suite: str
     ns: tuple[int, ...]
     trials: int
     seed: int
-    properties: list[PropertyResult] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    properties: tuple[PropertyResult, ...]
+    wall_time_s: float
 
     @property
     def passed(self) -> bool:
@@ -153,6 +161,30 @@ class SuiteReport:
         }
 
 
+def draws(*kinds: str) -> Callable[[Callable], PropertyFn]:
+    """``draws(*kinds)(check)``: the property, named after ``check``, that
+    passes it one ``randgen.rand_<kind>(rng, n)`` per kind, in order.
+
+    ``check`` returns ``held`` or ``(held, extra)``.  The witness is the
+    inputs by parameter name, then ``extra``, whose keys replace an input's
+    value in place.  Each generator is looked up when the trial runs, so one
+    replaced in ``randgen`` is the one called.
+    """
+    names = tuple(f"rand_{kind}" for kind in kinds)
+
+    def declare(check: Callable) -> PropertyFn:
+        params = check.__code__.co_varnames[:len(names)]
+
+        def prop(n, rng):
+            inputs = [getattr(rg, name)(rng, n) for name in names]
+            out = check(*inputs)
+            held, extra = out if type(out) is tuple else (out, {})
+            return held, dict(zip(params, inputs), **extra)
+        prop.__name__ = check.__name__
+        return prop
+    return declare
+
+
 def _witness(**objs: Any) -> dict[str, Any]:
     """The counterexample payload of a witness: values become their
     documents, while strings (reasons) and lists (check results) are kept as
@@ -168,38 +200,27 @@ def _witness(**objs: Any) -> dict[str, Any]:
 def _parts_commute(name: str, post: bool) -> Property:
     """transpose, sym_part and skew_part commute with a o f (``post``) or
     with the diagonal pre-composition f(a, a)."""
-    def prop(n, rng):
-        a = rg.rand_invertible(rng, n)
-        f = rg.rand_bilinear(rng, n)
-
+    @draws("invertible", "bilinear")
+    def prop(a, f):
         def compose(g):
             return post_compose(a, g) if post else pre_compose(g, a, a)
 
         return all(part(compose(f)) == compose(part(f))
-                   for part in (transpose, sym_part, skew_part)), dict(a=a, f=f)
+                   for part in (transpose, sym_part, skew_part))
     return Property(name, prop)
 
 
-def sym_plus_skew_recovers(n, rng):
-    f = rg.rand_bilinear(rng, n)
+@draws("bilinear")
+def sym_plus_skew_recovers(f):
     fs, fa = sym_part(f), skew_part(f)
-    held = (
-        fs + fa == f
-        and is_symmetric(fs)
-        and is_skew(fa)
-        and sym_part(fs) == fs
-        and skew_part(fs).is_zero()
-    )
-    return held, dict(f=f)
+    return (fs + fa == f and is_symmetric(fs) and is_skew(fa)
+            and sym_part(fs) == fs and skew_part(fs).is_zero())
 
 
-def post_and_pre_commute(n, rng):
-    a = rg.rand_invertible(rng, n)
-    b = rg.rand_invertible(rng, n)
-    c = rg.rand_invertible(rng, n)
-    f = rg.rand_bilinear(rng, n)
+@draws("invertible", "invertible", "invertible", "bilinear")
+def post_and_pre_commute(a, b, c, f):
     lhs = pre_compose(post_compose(a, f), b, c)
-    return lhs == post_compose(a, pre_compose(f, b, c)), dict(a=a, b=b, c=c, f=f)
+    return lhs == post_compose(a, pre_compose(f, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +307,18 @@ def _conj_keeps_part(name: str, symmetric: bool, key: str = "h") -> Property:
     return Property(name, prop)
 
 
-def conjugation_closed_form(n, rng):
-    x = rg.rand_hat2(rng, n)
-    y = rg.rand_hat2(rng, n)
+@draws("hat2", "hat2")
+def conjugation_closed_form(x, y):
     direct = conj_hat2(x, y)
     explicit = mul_hat2(mul_hat2(x, y), inv_hat2(x))
-    return direct == explicit, dict(x=x, y=y, closed_form=direct, triple=explicit)
+    return direct == explicit, dict(closed_form=direct, triple=explicit)
 
 
-def decompose_recompose(n, rng):
-    x = rg.rand_hat2(rng, n)
+@draws("hat2")
+def decompose_recompose(x):
     sym_el, skew = decompose_hat2(x)
     held = is_skew(skew) and mul_hat2(sym_el.as_hat2(), GHat2.from_bilinear(skew)) == x
-    return held, dict(x=x, sym=sym_el, skew=skew)
+    return held, dict(sym=sym_el, skew=skew)
 
 
 def decompose_unique(n, rng):
@@ -316,43 +336,39 @@ def decompose_unique(n, rng):
                       reason="symmetric perturbation also recomposes")
 
 
-def conjugation_ignores_outer_bilinear(n, rng):
-    a = rg.rand_invertible(rng, n)
-    f = rg.rand_bilinear(rng, n)
-    g = rg.rand_bilinear(rng, n)
+@draws("invertible", "bilinear", "bilinear")
+def conjugation_ignores_outer_bilinear(a, f, g):
     inner = GHat2.from_bilinear(g)
     with_f = conj_hat2(GHat2(a, f), inner)
-    without_f = conj_hat2(GHat2(a, Bilinear.zero(n)), inner)
-    return with_f == without_f, dict(a=a, f=f, g=g)
+    without_f = conj_hat2(GHat2(a, Bilinear.zero(a.n)), inner)
+    return with_f == without_f
 
 
 # ---------------------------------------------------------------------------
 # the quotient isomorphism
 
 
-def mu_homomorphism(n, rng):
-    c1 = rg.rand_quot_class(rng, n)
-    c2 = rg.rand_quot_class(rng, n)
+@draws("quot_class", "quot_class")
+def mu_homomorphism(c1, c2):
     lhs = mu(mul_quot(c1, c2))
     rhs = mul_g2(mu(c1), mu(c2))
     return lhs == rhs, dict(c1=c1.representative(), c2=c2.representative(),
                             mu_of_product=lhs, product_of_mu=rhs)
 
 
-def mu_injective(n, rng):
-    c1 = rg.rand_quot_class(rng, n)
-    c2 = rg.rand_quot_class(rng, n)
+@draws("quot_class", "quot_class")
+def mu_injective(c1, c2):
     held = c1 == c2 or mu(c1) != mu(c2)
     return held, dict(c1=c1.representative(), c2=c2.representative())
 
 
-def mu_surjective(n, rng):
-    g = rg.rand_g2(rng, n)
-    return mu(mu_inv(g)) == g, dict(g=g)
+@draws("g2")
+def mu_surjective(g):
+    return mu(mu_inv(g)) == g
 
 
-def mu_roundtrip(n, rng):
-    c = rg.rand_quot_class(rng, n)
+@draws("quot_class")
+def mu_roundtrip(c):
     return mu_inv(mu(c)) == c, dict(c=c.representative())
 
 
@@ -373,67 +389,56 @@ def coset_equality(n, rng):
 # the T1nL1n isomorphism
 
 
-def structural_equals_coordinate(n, rng):
-    x = rg.rand_t1n(rng, n)
-    y = rg.rand_t1n(rng, n)
-    return mul_t1n(x, y) == mul_t1n_coordinate(x, y), dict(x=x, y=y)
+@draws("t1n", "t1n")
+def structural_equals_coordinate(x, y):
+    return mul_t1n(x, y) == mul_t1n_coordinate(x, y)
 
 
-def tau_homomorphism(n, rng):
-    x = rg.rand_t1n(rng, n)
-    y = rg.rand_t1n(rng, n)
-    return tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y)), dict(x=x, y=y)
+@draws("t1n", "t1n")
+def tau_homomorphism(x, y):
+    return tau(mul_t1n(x, y)) == mul_hat2(tau(x), tau(y))
 
 
-def tau_roundtrip(n, rng):
-    x = rg.rand_t1n(rng, n)
-    y = rg.rand_hat2(rng, n)
-    return tau_inv(tau(x)) == x and tau(tau_inv(y)) == y, dict(x=x, y=y)
+@draws("t1n", "hat2")
+def tau_roundtrip(x, y):
+    return tau_inv(tau(x)) == x and tau(tau_inv(y)) == y
 
 
-def law_recovered_through_tau(n, rng):
-    x = rg.rand_t1n(rng, n)
-    y = rg.rand_t1n(rng, n)
+@draws("t1n", "t1n")
+def law_recovered_through_tau(x, y):
     recovered = tau_inv(mul_hat2(tau(x), tau(y)))
-    return recovered == mul_t1n(x, y), dict(x=x, y=y, recovered=recovered)
+    return recovered == mul_t1n(x, y), dict(recovered=recovered)
 
 
 # ---------------------------------------------------------------------------
 # symmetrization against products, and the projection's well-definedness
 
 
-def symmetrize_after_product(n, rng):
-    g = rg.rand_g2(rng, n)
-    k = rg.rand_hat2(rng, n)
+@draws("g2", "hat2")
+def symmetrize_after_product(g, k):
     product = mul_hat2(g.as_hat2(), k)
     symmetrized = mul_hat2(g.as_hat2(), GHat2(k.a, sym_part(k.f)))
-    held = symmetrized == GHat2(product.a, sym_part(product.f))
-    return held, dict(g=g, k=k, product=product)
+    return symmetrized == GHat2(product.a, sym_part(product.f)), dict(product=product)
 
 
-def symmetrize_after_frame_action(n, rng):
-    p = rg.rand_hol(rng, n)
-    k = rg.rand_hat2(rng, n)
+@draws("hol", "hat2")
+def symmetrize_after_frame_action(p, k):
     moved = act_semihol(embed_hol(p), k)
     direct = act_hol(p, G2(k.a, sym_part(k.f)))
-    return proj_hat22(moved) == direct, dict(p=p, k=k)
+    return proj_hat22(moved) == direct
 
 
-def projection_well_defined(n, rng):
-    p = rg.rand_hol(rng, n)
-    k = rg.rand_hat2(rng, n)
-    alpha = rg.rand_g2(rng, n)
+@draws("hol", "hat2", "g2")
+def projection_well_defined(p, k, alpha):
     p2 = act_hol(p, alpha)
     k2 = mul_hat2(inv_g2(alpha).as_hat2(), k)
     q1 = act_semihol(embed_hol(p), k)
     q2 = act_semihol(embed_hol(p2), k2)
     if q1 != q2:
-        return False, dict(p=p, k=k, alpha=alpha,
-                           reason="the two factorizations name different frames")
+        return False, dict(reason="the two factorizations name different frames")
     via1 = act_hol(p, G2(k.a, sym_part(k.f)))
     via2 = act_hol(p2, G2(k2.a, sym_part(k2.f)))
-    held = via1 == via2 == proj_hat22(q1)
-    return held, dict(p=p, k=k, alpha=alpha, via_first=via1, via_second=via2)
+    return via1 == via2 == proj_hat22(q1), dict(via_first=via1, via_second=via2)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +447,10 @@ def projection_well_defined(n, rng):
 
 def _hat22_keeps(name: str, linear: bool) -> Property:
     """proj_hat22 keeps the base point, or with ``linear`` the linear frame."""
-    def prop(n, rng):
-        p = rg.rand_semihol(rng, n)
+    @draws("semihol")
+    def prop(p):
         lower = proj_21 if linear else proj_20
-        return lower(p) == lower(proj_hat22(p)), dict(p=p)
+        return lower(p) == lower(proj_hat22(p))
     return Property(name, prop)
 
 
@@ -464,17 +469,15 @@ def fiber_membership_matches_projection(n, rng):
                       reason="membership disagrees with projection on a probe")
 
 
-def skew_orbit_inside_fiber(n, rng):
-    q = rg.rand_hol(rng, n)
-    h = rg.rand_skew(rng, n)
+@draws("hol", "skew")
+def skew_orbit_inside_fiber(q, h):
     moved = act_semihol(embed_hol(q), GHat2.from_bilinear(h))
-    return proj_hat22(moved) == q and fiber_hat22_contains(q, moved), dict(q=q, h=h)
+    return proj_hat22(moved) == q and fiber_hat22_contains(q, moved)
 
 
-def fiber_rejects_other_linear_part(n, rng):
-    q = rg.rand_hol(rng, n)
-    p = rg.rand_semihol(rng, n)
-    return p.a == q.a or not fiber_hat22_contains(q, p), dict(q=q, p=p)
+@draws("hol", "semihol")
+def fiber_rejects_other_linear_part(q, p):
+    return p.a == q.a or not fiber_hat22_contains(q, p)
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +492,11 @@ def skew_action_free(n, rng):
     return act_semihol(q, GHat2.from_bilinear(h)) != q, dict(q=q, h=h)
 
 
-def orbit_map_well_defined(n, rng):
-    q = rg.rand_semihol(rng, n)
-    h1 = rg.rand_skew(rng, n)
-    h2 = rg.rand_skew(rng, n)
+@draws("semihol", "skew", "skew")
+def orbit_map_well_defined(q, h1, h2):
     m1 = act_semihol(q, GHat2.from_bilinear(h1))
     m2 = act_semihol(q, GHat2.from_bilinear(h2))
-    return omega(m1) == omega(m2) == omega(q), dict(q=q, h1=h1, h2=h2)
+    return omega(m1) == omega(m2) == omega(q)
 
 
 def orbit_map_injective(n, rng):
@@ -517,23 +518,22 @@ def orbit_map_injective(n, rng):
     return True, {}
 
 
-def sigma_defining_equation(n, rng):
-    p = rg.rand_semihol(rng, n)
+@draws("semihol")
+def sigma_defining_equation(p):
     s = sigma(p)
     lhs = mul_hat2(GHat2(p.a, sym_part(p.f)), GHat2.from_bilinear(s))
-    return is_skew(s) and lhs == GHat2(p.a, p.f), dict(p=p, sigma=s)
+    return is_skew(s) and lhs == GHat2(p.a, p.f), dict(sigma=s)
 
 
-def sigma_by_group_quotient(n, rng):
-    p = rg.rand_semihol(rng, n)
+@draws("semihol")
+def sigma_by_group_quotient(p):
     quotient = mul_hat2(inv_hat2(GHat2(p.a, sym_part(p.f))), GHat2(p.a, p.f))
-    return quotient == GHat2.from_bilinear(sigma(p)), dict(p=p, quotient=quotient)
+    return quotient == GHat2.from_bilinear(sigma(p)), dict(quotient=quotient)
 
 
-def sigma_equivariance(n, rng):
-    p = rg.rand_semihol(rng, n)
-    h = rg.rand_skew(rng, n)
-    return sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h, dict(p=p, h=h)
+@draws("semihol", "skew")
+def sigma_equivariance(p, h):
+    return sigma(act_semihol(p, GHat2.from_bilinear(h))) == sigma(p) + h
 
 
 def extension_model_roundtrip(n, rng):
@@ -548,82 +548,72 @@ def extension_model_roundtrip(n, rng):
         p=p, k=k, reason="theta_inv(theta(c)) != c on a canonical class")
 
 
-def extension_class_invariant(n, rng):
-    p = rg.rand_hol(rng, n)
-    k = rg.rand_hat2(rng, n)
-    alpha = rg.rand_g2(rng, n)
+@draws("hol", "hat2", "g2")
+def extension_class_invariant(p, k, alpha):
     shifted = ext_class(act_hol(p, alpha), mul_hat2(inv_g2(alpha).as_hat2(), k))
-    return ext_class(p, k) == shifted, dict(p=p, k=k, alpha=alpha)
+    return ext_class(p, k) == shifted
 
 
-def extension_map_equivariant(n, rng):
-    p = rg.rand_hol(rng, n)
-    k = rg.rand_hat2(rng, n)
-    k2 = rg.rand_hat2(rng, n)
+@draws("hol", "hat2", "hat2")
+def extension_map_equivariant(p, k, k2):
     lhs = act_semihol(theta(ext_class(p, k)), k2)
     rhs = theta(ext_class(p, mul_hat2(k, k2)))
-    return lhs == rhs, dict(p=p, k=k, k2=k2)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
 # the composite projection to holonomic frames
 
 
-def action_free(n, rng):
-    q = rg.rand_nonhol(rng, n)
-    g = rg.rand_tilde22(rng, n)
-    if g == GTilde22.identity(n):
-        return True, {}
-    return act_tilde22(q, g) != q, dict(q=q, g=g)
+@draws("nonhol", "tilde22")
+def action_free(q, g):
+    # vacuous for the identity
+    return g == GTilde22.identity(g.n) or act_tilde22(q, g) != q
 
 
-def composite_definition(n, rng):
-    q = rg.rand_nonhol(rng, n)
-    return proj_tilde22(q) == proj_hat22(proj_pi(q)), dict(q=q)
+@draws("nonhol")
+def composite_definition(q):
+    return proj_tilde22(q) == proj_hat22(proj_pi(q))
 
 
-def staged_action_identity(n, rng):
-    q = rg.rand_nonhol(rng, n)
-    g = rg.rand_tilde22(rng, n)
-    eye = SquareMatrix.identity(n)
+@draws("nonhol", "tilde22")
+def staged_action_identity(q, g):
+    eye = SquareMatrix.identity(q.n)
     staged = act_nonhol(
-        act_nonhol(q, GTilde2(eye, g.l, Bilinear.zero(n))),
+        act_nonhol(q, GTilde2(eye, g.l, Bilinear.zero(q.n))),
         GTilde2(eye, eye, g.h),
     )
-    return act_tilde22(q, g) == staged, dict(q=q, g=g)
+    return act_tilde22(q, g) == staged
 
 
-def law_matches_tilde21(n, rng):
-    x = rg.rand_tilde22(rng, n)
-    y = rg.rand_tilde22(rng, n)
+@draws("tilde22", "tilde22")
+def law_matches_tilde21(x, y):
     z = mul_tilde22(x, y)
     w = mul_tilde21(GTilde21(x.l, x.h), GTilde21(y.l, y.h))
-    return z.l == w.a and z.h == w.f, dict(x=x, y=y)
+    return z.l == w.a and z.h == w.f
 
 
-def projection_invariant_on_orbits(n, rng):
-    q = rg.rand_nonhol(rng, n)
-    g = rg.rand_tilde22(rng, n)
+@draws("nonhol", "tilde22")
+def projection_invariant_on_orbits(q, g):
     after = proj_tilde22(act_tilde22(q, g))
     before = proj_tilde22(q)
-    return after == before, dict(q=q, g=g, projected=before,
-                                 projected_after_action=after)
+    return after == before, dict(projected=before, projected_after_action=after)
 
 
-def surjective_by_explicit_preimage(n, rng):
-    target = rg.rand_hol(rng, n)
-    eye = SquareMatrix.identity(n)
+@draws("hol")
+def surjective_by_explicit_preimage(target):
+    eye = SquareMatrix.identity(target.n)
     preimage_f = pre_compose(target.f, eye, mat_inv(target.a))
     preimage = NonHolFrame(target.x, target.a, target.a, preimage_f)
-    return proj_tilde22(preimage) == target, dict(target=target, preimage=preimage)
+    return proj_tilde22(preimage) == target, dict(preimage=preimage)
 
 
 # ---------------------------------------------------------------------------
 # the projection diagram
 
 
-def nonholonomic_frames(n, rng):
-    q = rg.rand_nonhol(rng, n)
+@draws("nonhol")
+def nonholonomic_frames(q):
     checks = [
         proj_20(q) == proj_10(proj_21(q)),
         proj_20(proj_pi(q)) == proj_20(q),
@@ -632,39 +622,38 @@ def nonholonomic_frames(n, rng):
         proj_21(proj_tilde22(q)) == proj_21(q),
         proj_tilde22(q) == proj_hat22(proj_pi(q)),
     ]
-    return all(checks), dict(q=q, checks=checks)
+    return all(checks), dict(checks=checks)
 
 
-def semiholonomic_frames(n, rng):
-    p = rg.rand_semihol(rng, n)
+@draws("semihol")
+def semiholonomic_frames(p):
     checks = [
         proj_20(p) == proj_10(proj_21(p)),
         proj_20(proj_hat22(p)) == proj_20(p),
         proj_21(proj_hat22(p)) == proj_21(p),
     ]
-    return all(checks), dict(p=p, checks=checks)
+    return all(checks), dict(checks=checks)
 
 
-def holonomic_frames(n, rng):
-    t = rg.rand_hol(rng, n)
+@draws("hol")
+def holonomic_frames(t):
     checks = [
         proj_20(t) == proj_10(proj_21(t)),
         proj_hat22(embed_hol(t)) == t,
         proj_hat22(embed_hol(proj_hat22(embed_hol(t)))) == proj_hat22(embed_hol(t)),
     ]
-    return all(checks), dict(t=t, checks=checks)
+    return all(checks), dict(checks=checks)
 
 
 # ---------------------------------------------------------------------------
 # the jet oracle
 
 
-def group_law_from_jets(n, rng):
-    p = rg.rand_g2(rng, n)
-    q = rg.rand_g2(rng, n)
+@draws("g2", "g2")
+def group_law_from_jets(p, q):
     via_jets = g2_law_via_jets(p, q)
     via_law = mul_g2(p, q)
-    return via_jets == via_law, dict(p=p, q=q, via_jets=via_jets, via_law=via_law)
+    return via_jets == via_law, dict(via_jets=via_jets, via_law=via_law)
 
 
 def composition_associative(n, rng):
@@ -679,11 +668,11 @@ def composition_associative(n, rng):
     return left == compose_2jets(h, compose_2jets(g, f)), dict(f=f, g=g, h=h)
 
 
-def identity_jet_neutral(n, rng):
-    f = rg.rand_map2jet(rng, n)
+@draws("map2jet")
+def identity_jet_neutral(f):
     left = compose_2jets(Map2Jet.identity(f.value), f)
     right = compose_2jets(f, Map2Jet.identity(f.base))
-    return left == f and right == f, dict(f=f)
+    return left == f and right == f
 
 
 def prolonged_action_functorial(n, rng):
@@ -847,17 +836,17 @@ def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
             for item, result in zip(share, output)}
     reports = []
     for name in names:
-        report = SuiteReport(suite=name, ns=ns, trials=trials, seed=seed)
+        props, wall_time_s = [], 0.0
         for index, prop in enumerate(SUITES[name].properties):
             results = [done[name, index, n] for n in ns]
             failures = sum(failed for failed, _, _ in results)
-            report.properties.append(PropertyResult(
+            props.append(PropertyResult(
                 name=prop.name, passed=failures == 0,
                 trials_run=len(ns) * trials, failures=failures,
                 counterexample=next((first for _, first, _ in results
                                      if first is not None), None)))
-            report.wall_time_s += sum(seconds for _, _, seconds in results)
-        reports.append(report)
+            wall_time_s += sum(seconds for _, _, seconds in results)
+        reports.append(SuiteReport(name, ns, trials, seed, tuple(props), wall_time_s))
     return reports
 
 

@@ -22,11 +22,10 @@ import pytest
 import jetframes
 from jetframes import cli, suites
 
-# The dataclasses of every module that a CLI command other than ``verify``
-# loads; ``suites`` keeps its dataclasses (only ``verify`` pays for them).
+# The dataclasses of every module of the package, the suite types included.
 VALUE_TYPES = sorted(
     (cls for info in pkgutil.iter_modules(jetframes.__path__)
-     if info.name not in ("__main__", "suites")
+     if info.name != "__main__"
      for cls in vars(importlib.import_module(f"jetframes.{info.name}")).values()
      if isinstance(cls, type) and is_dataclass(cls)
      and cls.__module__ == f"jetframes.{info.name}"),
@@ -88,7 +87,7 @@ def test_the_cli_spells_the_suite_names_in_registry_order():
 
 
 def test_the_value_types_are_found():
-    assert len(VALUE_TYPES) == 17
+    assert len(VALUE_TYPES) == 21
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)

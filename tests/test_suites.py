@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from jetframes import suites
+from jetframes import randgen, suites
 from jetframes.bilinear import Bilinear
 from jetframes.matrices import SquareMatrix
 from jetframes.randgen import stream
@@ -161,6 +161,26 @@ def test_a_raising_property_is_a_counted_failure(monkeypatch, cores):
         "n": 1, "trial": 0, "seed": 1, "error": "OverflowError",
         "message": "too wide at n = 1"}
     assert docs["skew_orbit_inside_fiber"]["failures"] == 4
+
+
+def test_declared_inputs_are_drawn_by_the_generator_of_the_trial(monkeypatch):
+    """A property declared with ``draws`` looks its generators up in
+    ``randgen`` when a trial runs, so one replaced there after import (as a
+    tracer replaces it) is the one called."""
+    def raises(rng, n):
+        raise LookupError(f"rand_t1n replaced at n = {n}")
+
+    monkeypatch.setattr(randgen, "rand_t1n", raises)
+    docs = {p["name"]: p for p in _docs(monkeypatch, 1, 7, ["grol4"], (1, 2),
+                                        2)[0]["properties"]}
+    for name in ("structural_equals_coordinate", "tau_homomorphism",
+                 "tau_roundtrip", "law_recovered_through_tau"):
+        assert docs[name]["failures"] == docs[name]["trials_run"] == 4, name
+        witness = docs[name]["counterexample"]
+        assert (witness["n"], witness["error"], witness["message"]) == (
+            1, "LookupError", "rand_t1n replaced at n = 1")
+    # the axiom factories draw through ``randgen.GROUP_GENERATORS``
+    assert docs["inverse_via_tau"]["passed"]
 
 
 def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):

@@ -5,6 +5,7 @@ A measurement recorded in a ``BENCH_*.json`` can only be repeated while the
 script that took it still runs; a refactor that breaks one fails here.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -24,11 +25,25 @@ ROOT = Path(__file__).resolve().parent.parent
     ["tools/startup.py", "--runs", "1", "--json"],
 ], ids=["verify_jobs", "law_sweep", "startup"])
 def test_tool_exits_0_with_a_json_report(argv):
+    assert _report(tuple(argv))
+
+
+@functools.cache
+def _report(argv: tuple[str, ...]):
     env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_startup_reports_the_line_and_byte_counts():
+    doc = _report(("tools/startup.py", "--runs", "1", "--json"))
+    paths = sorted((ROOT / "src" / "jetframes").glob("*.py"))
+    lines = {path.stem: len(path.read_text().splitlines()) for path in paths}
+    assert {name: row["lines"] for name, row in doc["modules"].items()} == lines
+    assert doc["package"] == {"lines": sum(lines.values()),
+                              "bytes": sum(path.stat().st_size for path in paths)}
 
 
 MAX_LINE = 88

@@ -1,8 +1,8 @@
 """What a ``jetframes`` process spends on start-up, module by module.
 
-Per package module: its bytes, the median ms of compiling it, the KB that
-compile adds to a fresh interpreter's peak RSS, and the median ms of
-executing its compiled body once the package is imported (so the modules it
+Per package module: its lines and bytes (and the package's totals of both),
+the median ms of compiling it, the KB that compile adds to a fresh
+interpreter's peak RSS, and the median ms of executing its compiled body once the package is imported (so the modules it
 imports are loaded, and what is timed is its own class statements, function
 definitions and tables; ``__main__`` is not executed, since it runs the
 CLI).  Per fresh process (one that imports ``jetframes.cli``, one ``gen hat2
@@ -91,19 +91,23 @@ def main() -> int:
                               str(args.runs)], check=True, capture_output=True,
                              text=True).stdout
         compile_ms, rss, exec_ms = json.loads(out)
-        modules[path.stem] = {"bytes": path.stat().st_size,
+        modules[path.stem] = {"lines": len(path.read_bytes().splitlines()),
+                              "bytes": path.stat().st_size,
                               "compile_ms": round(compile_ms, 2),
                               "compile_rss_kb": rss,
                               "exec_ms": None if exec_ms is None else round(exec_ms, 2)}
     doc = {"python": sys.version.split()[0], "runs": args.runs,
            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
            "modules": modules,
+           "package": {key: sum(row[key] for row in modules.values())
+                       for key in ("lines", "bytes")},
            "processes": {name: _process(argv, args.runs)
                          for name, argv in PROCESSES.items()}}
     if args.json:
         print(json.dumps(doc, indent=1))
         return 0
-    for name, row in {**modules, **doc["processes"]}.items():
+    for name, row in {**modules, "package": doc["package"],
+                      **doc["processes"]}.items():
         print(f"{name:<20}", *(f"{key} {value}" for key, value in row.items()))
     return 0
 

@@ -11,9 +11,9 @@ Subcommands:
 * ``verify SUITE ...``               -- named property suites; exit code 0
                                         only when every property passed
 
-``gen``, ``op`` and ``project`` read one table each, with a row per kind,
-operation or level; argument choices, input counts, ``--group`` and the
-kind checks all come from the rows.
+``op`` and ``project`` read one table each, with a row per operation or
+level; argument choices, input counts, ``--group`` and the kind checks all
+come from the rows.  ``gen`` draws a kind with ``randgen.rand_<kind>``.
 
 Documents are read from file paths ("-" for stdin) and written to stdout.
 Dimensions (``--n``, document ``n``) are capped at ``serialize.MAX_N`` and
@@ -73,11 +73,8 @@ from .serialize import (
     vector_to_doc,
 )
 
-# kind -> the generator of a random value of that kind
-_GEN = {**rg.GROUP_GENERATORS, "nonhol": rg.rand_nonhol, "semihol": rg.rand_semihol,
-        "hol": rg.rand_hol, "map2jet": rg.rand_map2jet}
-
-GEN_KINDS = tuple(_GEN)
+#: The kinds ``gen`` draws, each by ``randgen.rand_<kind>``.
+GEN_KINDS = (*GROUPS, "nonhol", "semihol", "hol", "map2jet")
 
 #: The names of ``suites.SUITES``, in order, spelled out so that building the
 #: parser does not import ``suites``: only ``verify`` runs it.
@@ -152,7 +149,7 @@ def _tagged(path: str, tag: str):
 def _cmd_gen(args) -> int:
     check_n(args.n, "--n")
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
-    value = _GEN[args.kind](rng, args.n)
+    value = getattr(rg, f"rand_{args.kind}")(rng, args.n)
     if args.origin:
         pinned = {key: (Fraction(0),) * args.n  # the base point fields
                   for key in ("x", "base", "value") if key in value.__match_args__}

@@ -6,7 +6,8 @@ with the base point fixed.  Each kind, and the linear frame (x, a), is a
 ``matrices.Checked`` dataclass whose fields are x, the matrices and the
 bilinear part in order, so one check serves every constructor: a base point
 and parts of one dimension, invertible matrices, and a symmetric f where the
-kind declares it (``HolFrame``).  Three kinds exist:
+kind declares it (``HolFrame``); ``ExtClass`` declares its canonical form
+the same way.  Three kinds exist:
 
 * ``NonHolFrame``  (x, a, b, f): two independent invertible matrices and an
   unrestricted bilinear part.
@@ -71,7 +72,7 @@ class HolFrame(Checked):
     x: Point
     a: SquareMatrix
     f: Bilinear
-    _symmetric = (is_symmetric, "holonomic frame needs a symmetric bilinear part")
+    _rule = (is_symmetric, "holonomic frame needs a symmetric bilinear part")
 
 
 @value_type
@@ -179,14 +180,8 @@ class ExtClass(Checked):
 
     p: HolFrame
     k: GHat2
-
-    def __post_init__(self) -> None:
-        if self.p.n != self.k.n:
-            raise ValueError("dimension mismatch between components")
-        if not self.k.a.is_identity():
-            raise ValueError("canonical class needs k = (I, h); use ext_class()")
-        if not is_skew(self.k.f):
-            raise ValueError("canonical class needs skew k.f; use ext_class()")
+    _rule = (lambda k: k.a.is_identity() and is_skew(k.f),
+             "canonical class needs k = (I, h) with h skew; use ext_class()")
 
 
 def ext_class(p: HolFrame, k: GHat2) -> ExtClass:

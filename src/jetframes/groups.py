@@ -100,7 +100,7 @@ class G2(_Element):
 
     a: SquareMatrix
     f: Bilinear
-    _symmetric = (is_symmetric, "bilinear part must be symmetric")
+    _rule = (is_symmetric, "bilinear part must be symmetric")
 
     def as_hat2(self) -> GHat2:
         return GHat2._trusted(self.a, self.f)
@@ -374,7 +374,7 @@ class QuotClassHat(_Element):
 
     a: SquareMatrix
     f_sym: Bilinear
-    _symmetric = (is_symmetric, "canonical representative must be symmetric")
+    _rule = (is_symmetric, "canonical representative must be symmetric")
 
     @classmethod
     def of(cls, x: GHat2) -> "QuotClassHat":

@@ -11,6 +11,11 @@ so a pair (a, f) with symmetric f encodes as jac = a, hess = f with no
 extra factor: the 1/2 lives in the evaluation above, not in the stored
 tensor.
 
+Both jet types are ``matrices.Checked`` types, checked by its one rule:
+parts of one dimension and, for ``Map2Jet``, a symmetric Hessian.  Their
+matrices may be singular (``_invertible = False``); ``left_act_diffeo`` and
+``frame_from_fm_map``, which need them invertible, raise ``NotAFrameError``.
+
 Everything here re-derives compositions and frame actions from the chain
 rule with its own loops over the stored integers (``ints``/``den``) of
 matrices and bilinear maps: each operand is transposed once, and every
@@ -30,28 +35,19 @@ from .bilinear import Bilinear, is_symmetric
 from .errors import CompositionDomainError, NotAFrameError
 from .frames import NonHolFrame, Point
 from .groups import G2
-from .matrices import SquareMatrix, Value, det, value_type
+from .matrices import Checked, SquareMatrix, det, value_type
 
 
 @value_type
-class Map2Jet(Value):
+class Map2Jet(Checked):
     """The 2-jet (base, value, jac, hess) of a map R^n -> R^n."""
 
     base: Point
     value: Point
     jac: SquareMatrix
     hess: Bilinear
-
-    def __post_init__(self) -> None:
-        n = self.jac.n
-        if len(self.base) != n or len(self.value) != n or self.hess.n != n:
-            raise ValueError("dimension mismatch between components")
-        if not is_symmetric(self.hess):
-            raise ValueError("hessian must be symmetric in its argument slots")
-
-    @property
-    def n(self) -> int:
-        return self.jac.n
+    _invertible = False
+    _rule = (is_symmetric, "hessian must be symmetric in its argument slots")
 
     @classmethod
     def identity(cls, base: Point) -> "Map2Jet":
@@ -60,7 +56,7 @@ class Map2Jet(Value):
 
 
 @value_type
-class FMJetData(Value):
+class FMJetData(Checked):
     """Raw 1-jet data of a frame-field map r -> (phi(r), phi_lin(r)).
 
     ``phi0`` and ``phi_lin`` are the values at 0 of the base map and the
@@ -73,15 +69,7 @@ class FMJetData(Value):
     phi_lin: SquareMatrix
     dphi: SquareMatrix
     dphi_lin: Bilinear
-
-    def __post_init__(self) -> None:
-        n = self.phi_lin.n
-        if len(self.phi0) != n or self.dphi.n != n or self.dphi_lin.n != n:
-            raise ValueError("dimension mismatch between components")
-
-    @property
-    def n(self) -> int:
-        return self.phi_lin.n
+    _invertible = False
 
 
 def _matmul(x, y) -> SquareMatrix:

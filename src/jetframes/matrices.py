@@ -16,8 +16,8 @@ cross-checks read it; values whose view is never read never hold one).
 
 ``Value`` gives every value type of the package (the matrices, bilinear
 maps, group elements, frames, jets and group tags) its value semantics, and
-``Checked`` is the base of the element and frame types: the one check of
-their invariants, and a trusted builder for results that satisfy them by
+``Checked`` is the base of the element, frame and jet types: the one check
+of their invariants, and a trusted builder for results that satisfy them by
 construction.
 """
 
@@ -236,16 +236,17 @@ def require_invertible(a: SquareMatrix, what: str) -> None:
 
 
 class Checked(Value):
-    """Base of the element and frame types, and the one check of their data.
+    """Base of the element, frame and jet types: the one check of their data.
 
-    A subclass is a value type whose fields are its parts in order: a
-    frame's base point, one or two matrices, then a bilinear map (none in a
-    linear frame).  The constructor (``__post_init__``) checks, in this
-    order: every part has the dimension of the first matrix (a base point by
-    its length), every matrix is invertible, and the last part satisfies the
-    predicate of ``_symmetric`` where a type declares it with its message
-    (``bilinear`` imports this module, so this module cannot import
-    ``is_symmetric``).
+    A subclass is a value type whose fields are its parts in order: base
+    points, matrices, then a last part (a bilinear map, but none in a linear
+    frame and an element in an extension class).  The constructor checks,
+    in this order: every part has the dimension ``n`` of the first part that
+    is not a base point (a base point by its length), every matrix is
+    invertible unless the type declares ``_invertible = False``, and the
+    last part satisfies the predicate of ``_rule`` where a type declares it
+    with its message (``bilinear`` imports this module, so this module
+    cannot import ``is_symmetric``).
 
     Results of a law, an inverse or a projection satisfy these by
     construction (det is multiplicative, the laws are closed) and are built
@@ -256,21 +257,23 @@ class Checked(Value):
     """
 
     __slots__ = ()
-    _symmetric: tuple[Callable[[object], bool], str] | None = None
+    _invertible = True
+    _rule: tuple[Callable[[object], bool], str] | None = None
 
     def __post_init__(self) -> None:
-        self._check(invertible=True)
+        self._check(invertible=self._invertible)
 
     @property
     def parts(self) -> tuple:
-        """The fields in order: base point, matrix parts, bilinear part."""
+        """The fields in order: base points, matrix parts, last part."""
         return self._key(self)
 
     @property
     def n(self) -> int:
         """The dimension of the first part that is not a base point."""
-        first, second = self.parts[:2]
-        return (second if isinstance(first, tuple) else first).n
+        for part in self.parts:
+            if not isinstance(part, tuple):
+                return part.n
 
     def _check(self, invertible: bool) -> None:
         """Raise when an invariant fails; compute det only if ``invertible``."""
@@ -285,8 +288,8 @@ class Checked(Value):
             for name, part in zip(names, parts):
                 if isinstance(part, SquareMatrix):
                     require_invertible(part, f"matrix part {name}")
-        if self._symmetric is not None and not self._symmetric[0](parts[-1]):
-            raise ValueError(self._symmetric[1])
+        if self._rule is not None and not self._rule[0](parts[-1]):
+            raise ValueError(self._rule[1])
 
     @classmethod
     def _generated(cls, *parts):

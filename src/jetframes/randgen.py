@@ -156,17 +156,6 @@ def rand_t1n(rng: SplitMix64, n: int) -> T1nL1n:
     return T1nL1n._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
-#: The generator of each group tag of ``groups.GROUPS``.
-GROUP_GENERATORS = {
-    "tilde2": rand_tilde2,
-    "hat2": rand_hat2,
-    "g2": rand_g2,
-    "tilde21": rand_tilde21,
-    "tilde22": rand_tilde22,
-    "t1n": rand_t1n,
-}
-
-
 def rand_quot_class(rng: SplitMix64, n: int) -> QuotClassHat:
     return QuotClassHat.of(rand_hat2(rng, n))
 

@@ -244,11 +244,12 @@ _DELEON = {
 
 
 def _law(tag: str):
-    """Generator, product, inverse and identity of a law, read from the tables
-    when a trial runs so that a function replaced there is the one called."""
+    """Generator (``randgen.rand_<tag>``), product, inverse and identity of a
+    law, read when a trial runs so that a function replaced there is the one
+    called."""
     if tag in GROUPS:
         group = GROUPS[tag]
-        return rg.GROUP_GENERATORS[tag], group.mul, group.inv, group.type.identity
+        return getattr(rg, f"rand_{tag}"), group.mul, group.inv, group.type.identity
     law = _DELEON[tag]
     return _deleon_gen, law.mul, law.inv, _deleon_identity
 

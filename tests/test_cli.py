@@ -363,6 +363,20 @@ def test_oracle_compose_domain_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("base", ["0"], "base point has wrong dimension"),
+    ("hess", [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+     "hessian must be symmetric in its argument slots"),
+])
+def test_oracle_compose_refuses_a_malformed_jet(capsys, tmp_path, field, value,
+                                                message):
+    doc = jet_to_doc(rand_map2jet(stream(96, "oraclebad"), 2))
+    doc[field] = value
+    path = write_doc(tmp_path, "f.json", doc)
+    code, out, err = run_cli(capsys, "oracle", "compose", path, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -94,9 +94,8 @@ def test_generators_do_not_recompute_the_determinant(monkeypatch):
 
     monkeypatch.setattr("jetframes.matrices.require_invertible", refuse)
     rng = stream(7, "generated", 3)
-    for gen in (*rg.GROUP_GENERATORS.values(), rg.rand_quot_class,
-                rg.rand_nonhol, rg.rand_semihol, rg.rand_hol):
-        assert gen(rng, 3).n == 3
+    for kind in (*G.GROUPS, "quot_class", "nonhol", "semihol", "hol"):
+        assert getattr(rg, f"rand_{kind}")(rng, 3).n == 3
 
 
 def test_generated_builds_keep_the_other_checks():

@@ -64,7 +64,7 @@ def _results(n: int):
     rng = rg.stream(7, "storage", n)
     out = []
     for tag, group in G.GROUPS.items():
-        gen = rg.GROUP_GENERATORS[tag]
+        gen = getattr(rg, f"rand_{tag}")
         x, y = gen(rng, n), gen(rng, n)
         out += [group.mul(x, y), group.inv(x), group.mul(x, group.inv(x))]
     x, y = rg.rand_hat2(rng, n), rg.rand_hat2(rng, n)
@@ -218,7 +218,7 @@ def test_builders_reject_dimensions_below_one(build, n):
 
 def _values(n: int) -> dict:
     rng = rg.stream(11, "mismatch", n)
-    values = {tag: rg.GROUP_GENERATORS[tag](rng, n) for tag in G.GROUPS}
+    values = {tag: getattr(rg, f"rand_{tag}")(rng, n) for tag in G.GROUPS}
     values.update(nonhol=rg.rand_nonhol(rng, n), semihol=rg.rand_semihol(rng, n),
                   hol=rg.rand_hol(rng, n))
     return values

@@ -30,7 +30,7 @@ N = 2
 FACTORIES = {
     SquareMatrix: rg.rand_invertible,
     Bilinear: rg.rand_bilinear,
-    **{G.GROUPS[tag].type: gen for tag, gen in rg.GROUP_GENERATORS.items()},
+    **{group.type: getattr(rg, f"rand_{tag}") for tag, group in G.GROUPS.items()},
     G.QuotClassHat: rg.rand_quot_class,
     G.Group: lambda rng, n: G.GROUPS[rng.choice(sorted(G.GROUPS))],
     fr.NonHolFrame: rg.rand_nonhol,

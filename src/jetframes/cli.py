@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
@@ -155,7 +154,8 @@ def _cmd_gen(args) -> int:
                   for key in ("x", "base", "value") if key in value.__match_args__}
         if not pinned:
             raise ParseError("--origin only applies to frames and jets")
-        value = replace(value, **pinned)
+        fields = dict(zip(value.__match_args__, value.parts))
+        value = type(value)(**fields | pinned)  # the constructor checks it
     _emit(to_doc(value))
     return 0
 

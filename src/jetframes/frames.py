@@ -3,7 +3,7 @@
 A frame is stored as its base point plus a group part; the right actions of
 the structure groups are then just the group laws applied to the group part,
 with the base point fixed.  Each kind, and the linear frame (x, a), is a
-``matrices.Checked`` dataclass whose fields are x, the matrices and the
+``matrices.Checked`` value type whose fields are x, the matrices and the
 bilinear part in order, so one check serves every constructor: a base point
 and parts of one dimension, invertible matrices, and a symmetric f where the
 kind declares it (``HolFrame``); ``ExtClass`` declares its canonical form

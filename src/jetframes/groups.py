@@ -11,7 +11,7 @@ part of each is one call (two for a conjugation) of the fused kernel
 operation that combines operands first checks that they share one dimension
 (``matrices.same_n``, ``ValueError`` otherwise).
 
-The element types are ``matrices.Checked`` dataclasses whose fields are
+The element types are ``matrices.Checked`` value types whose fields are
 their parts in order, matrices first, so one check serves every constructor:
 one dimension, invertible matrices, and a symmetric bilinear part where the
 type declares it (``G2``, ``QuotClassHat``).  The types:

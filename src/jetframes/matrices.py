@@ -23,13 +23,26 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import _scaled as sc
 from .errors import SingularMatrixError
+
+
+class _DataclassFields:
+    """``__dataclass_fields__`` of a value type, built on first access, so
+    that only a caller of ``is_dataclass``, ``fields`` or ``replace`` imports
+    ``dataclasses``.  Its decorator, with no method generated, caches the
+    fields on the class; a base of the value types has none."""
+
+    def __get__(self, obj, cls):
+        if "_key" not in cls.__dict__:
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import dataclass
+        dataclass(init=False, repr=False, eq=False, match_args=False)(cls)
+        return cls.__dataclass_fields__
 
 
 class Value:
@@ -44,6 +57,7 @@ class Value:
 
     __slots__ = ()
     _key: Callable  # the fields as a tuple; set by ``value_type``
+    __dataclass_fields__ = _DataclassFields()
 
     def __init__(self, *args, **kwargs) -> None:
         names = self.__match_args__
@@ -72,9 +86,11 @@ class Value:
             f"{name}={getattr(self, name)!r}" for name in self.__match_args__) + ")"
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
@@ -86,11 +102,15 @@ class Value:
 
 
 def value_type(cls: type) -> type:
-    """Declare a ``Value`` subclass: a slots dataclass with at least two
-    fields, and no methods generated, since ``Value`` writes them once."""
-    cls = dataclass(slots=True, init=False, repr=False, eq=False)(cls)
-    cls._key = attrgetter(*cls.__match_args__)
-    return cls
+    """Declare a ``Value`` subclass with at least two fields, its annotated
+    names in order: the class is rebuilt with them as ``__slots__`` and
+    ``__match_args__``, and ``Value`` writes its methods once."""
+    names = tuple(cls.__annotations__)
+    body = {key: value for key, value in cls.__dict__.items()
+            if key not in ("__dict__", "__weakref__")}
+    body.update(__slots__=names, __match_args__=names, _key=attrgetter(*names),
+                __qualname__=cls.__qualname__)
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 class Scaled(Value):

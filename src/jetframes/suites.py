@@ -126,6 +126,8 @@ class Suite(Value):
 
 @value_type
 class PropertyResult(Value):
+    """A property's trials and failures over every n, and a witness."""
+
     name: str
     passed: bool
     trials_run: int
@@ -138,6 +140,8 @@ class PropertyResult(Value):
 
 @value_type
 class SuiteReport(Value):
+    """A suite's property results at the dimensions ``ns``."""
+
     suite: str
     ns: tuple[int, ...]
     trials: int

@@ -1,11 +1,15 @@
-"""Start-up: only ``verify`` imports ``suites``, the largest module, and no
-value type has its methods generated.
+"""Start-up: only ``verify`` imports ``suites``, the largest module, no
+command imports ``dataclasses`` or ``inspect``, and no value type has its
+methods generated.
 
 A process that compiles the package from source (``PYTHONDONTWRITEBYTECODE``)
 pays compile time and memory for every module it imports, used or not.  It
-also runs every class statement: a frozen dataclass writes the source of six
-methods and compiles it with ``exec``, while a value type built by
-``matrices.value_type`` takes them from ``matrices.Value``.
+also runs every class statement.  A value type built by
+``matrices.value_type`` is a plain slots class that takes its methods from
+``matrices.Value``; a frozen dataclass would write the source of six methods
+and compile it with ``exec``, and importing ``dataclasses`` loads ``inspect``
+with ``ast``, ``dis`` and ``tokenize``.  ``dataclasses`` builds the metadata
+of a value type only when a caller asks for it.
 """
 
 import importlib
@@ -34,22 +38,28 @@ METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
            "__delattr__")
 
 # Runs each argv in the first argument as ``python -m jetframes`` in this one
-# process and prints whether ``jetframes.suites`` was loaded after each.
+# process and prints which modules of the second were loaded after each.
+MODULES = ("jetframes.suites", "dataclasses", "inspect")
 _RUN = """
 import json, runpy, sys
+commands, names = map(json.loads, sys.argv[1:])
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in commands:
     sys.argv = ["jetframes", *argv]
     try:
         runpy.run_module("jetframes", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         assert exc.code == 0, (argv, exc.code)
-    loaded.append("jetframes.suites" in sys.modules)
+    loaded.append([name in sys.modules for name in names])
 print(json.dumps(loaded))
 """
 
 
-def test_only_verify_imports_the_suites(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """Per command, from ``gen`` to ``verify``: which of ``MODULES`` one
+    process has loaded after running it and every command before it."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
     docs = {"x.json": ["hat2"], "q.json": ["nonhol"],
             "F.json": ["map2jet", "--origin"], "G.json": ["map2jet", "--origin"]}
@@ -65,12 +75,21 @@ def test_only_verify_imports_the_suites(tmp_path):
                 ["decompose", "x.json"],
                 ["oracle", "compose", "F.json", "G.json"],
                 ["verify", "rbsl1", "--n", "1", "--trials", "1"]]
-    proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", _RUN, json.dumps(commands),
+                           json.dumps(MODULES)],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == [False] * 6 + [True]
+    return dict(zip(MODULES, zip(*json.loads(proc.stdout.splitlines()[-1]))))
+
+
+def test_only_verify_imports_the_suites(loaded):
+    assert loaded["jetframes.suites"] == (False,) * 6 + (True,)
+
+
+@pytest.mark.parametrize("name", ["dataclasses", "inspect"])
+def test_no_command_imports(loaded, name):
+    assert loaded[name] == (False,) * 7
 
 
 def test_the_package_serves_the_suite_names():

@@ -31,6 +31,8 @@ def test_tool_exits_0_with_a_json_report(argv):
 @functools.cache
 def _report(argv: tuple[str, ...]):
     env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    if argv[0] == "tools/startup.py":  # it finds ``src`` from its own path
+        del env["PYTHONPATH"]
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -44,6 +46,16 @@ def test_startup_reports_the_line_and_byte_counts():
     assert {name: row["lines"] for name, row in doc["modules"].items()} == lines
     assert doc["package"] == {"lines": sum(lines.values()),
                               "bytes": sum(path.stat().st_size for path in paths)}
+
+
+def test_startup_lists_the_modules_beyond_a_bare_interpreter():
+    doc = _report(("tools/startup.py", "--runs", "1", "--json"))
+    for name, row in doc["processes"].items():
+        extra = set(row["extra_modules"])
+        assert {"argparse", "fractions", "json"} <= extra, name
+        assert not {"dataclasses", "inspect", "ast", "dis"} & extra, name
+        assert not {"os", "site"} & extra, name  # a bare interpreter loads them
+        assert not {m for m in extra if m.startswith("jetframes")}, name
 
 
 MAX_LINE = 88

@@ -1,20 +1,28 @@
 """Value semantics of every value type: copies, immutability, ``replace``.
 
 The matrices, bilinear maps, group elements, group tags, frames and jets
-are slots dataclasses whose methods come from one base, ``matrices.Value``,
-keyed on ``__match_args__``.  Each generated value must survive ``pickle``
-and both kinds of copy as an equal value with an equal hash, refuse every
-assignment and deletion, and re-run its invariant check when
-``dataclasses.replace`` builds a new one.
+are slots classes built by ``matrices.value_type``, whose methods come from
+one base, ``matrices.Value``, keyed on ``__match_args__``.  Each generated
+value must survive ``pickle`` and both kinds of copy as an equal value with
+an equal hash, refuse every assignment and deletion, and re-run its
+invariant check when ``dataclasses.replace`` builds a new one.  The
+dataclass metadata that ``replace`` reads is built on first request, so a
+fresh process checks it before anything has imported ``dataclasses``.
 """
 
 import copy
+import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jetframes
 from jetframes import frames as fr
 from jetframes import groups as G
 from jetframes import jets
@@ -127,3 +135,45 @@ def test_a_read_view_is_not_part_of_the_value(cls, view):
     restored = pickle.loads(pickle.dumps(seen))
     assert restored._view is None and restored == fresh
     assert getattr(restored, view) == getattr(seen, view)
+
+
+# Run in a fresh interpreter on the value types named in argv[1]: what the
+# package's dataclass metadata looks like before and after the first request.
+_LAZY = """
+import importlib, json, sys
+from jetframes import groups, matrices, randgen as rg
+seen = {"imported": "dataclasses" in sys.modules}
+try:
+    matrices.SquareMatrix.identity(2).n = 3
+except Exception as exc:
+    error = exc
+import dataclasses
+seen["frozen"] = type(error) is dataclasses.FrozenInstanceError
+types = [getattr(importlib.import_module(module), name)
+         for module, name in json.loads(sys.argv[1])]
+seen["fields"] = [[f.name for f in dataclasses.fields(cls)]
+                  == list(cls.__match_args__) != [] for cls in types]
+seen["bases"] = [dataclasses.is_dataclass(cls) for cls in (
+    matrices.Value, matrices.Scaled, matrices.Checked, groups._Element)]
+seen["replaced"] = [dataclasses.replace(value) == value for value in (
+    rg.rand_nonhol(rg.stream(1), 2), rg.rand_hat2(rg.stream(2), 2))]
+seen["refused"] = []
+for value in (matrices.SquareMatrix.identity(2), rg.rand_bilinear(rg.stream(3), 2)):
+    try:
+        dataclasses.replace(value)
+    except TypeError:
+        seen["refused"].append(type(value).__name__)
+print(json.dumps(seen))
+"""
+
+
+def test_dataclass_metadata_is_built_on_first_request():
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    names = [(cls.__module__, cls.__qualname__) for cls in VALUE_TYPES]
+    proc = subprocess.run([sys.executable, "-c", _LAZY, json.dumps(names)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "imported": False, "frozen": True, "fields": [True] * 21,
+        "bases": [False] * 4, "replaced": [True, True],
+        "refused": ["SquareMatrix", "Bilinear"]}

@@ -2,23 +2,25 @@
 
 Per package module: its lines and bytes (and the package's totals of both),
 the median ms of compiling it, the KB that compile adds to a fresh
-interpreter's peak RSS, and the median ms of executing its compiled body once the package is imported (so the modules it
-imports are loaded, and what is timed is its own class statements, function
-definitions and tables; ``__main__`` is not executed, since it runs the
-CLI).  Per fresh process (one that imports ``jetframes.cli``, one ``gen hat2
---n 2``): the median wall ms, the ``wait4`` peak RSS, and the package
-modules it loads.  Children run in the environment as given (with
+interpreter's peak RSS, and the median ms of executing its compiled body
+once the package is imported (so the modules it imports are loaded, and
+what is timed is its own class statements, function definitions and
+tables; ``__main__`` is not executed, since it runs the CLI).  Per fresh
+process (one that imports ``jetframes.cli``, one ``gen hat2 --n 2``): the
+median wall ms, the ``wait4`` peak RSS, the package modules it loads, and
+the other modules it loads beyond a bare ``python -c pass``, so a heavy
+import that comes back shows.  Children run in the environment as given,
+with this checkout's ``src`` first on ``PYTHONPATH`` (with
 ``PYTHONDONTWRITEBYTECODE`` set, every process compiles the package).  This
 process compiles none of it, so its own peak, which Linux also counts in a
 spawned child's, stays below the children's.
 
-Run from the root of a checkout::
+Run from anywhere::
 
-    PYTHONPATH=src python3 tools/startup.py [--runs 5] [--json]
+    python3 tools/startup.py [--runs 5] [--json]
 """
 
 import argparse
-import importlib.util
 import json
 import os
 import statistics
@@ -26,6 +28,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 # Run in a fresh interpreter: the median compile ms of the file argv[1] over
 # argv[3] compiles, the KB the first compile adds to the peak RSS, and the
@@ -58,11 +64,18 @@ PROCESSES = {"import jetframes.cli": ["-c", "import jetframes.cli"],
              "gen hat2 --n 2": ["-m", "jetframes", "gen", "hat2", "--n", "2"]}
 
 
-def _process(argv: list[str], runs: int) -> dict:
+def _loaded(argv: list[str]) -> set[str]:
+    """The modules a fresh ``python *argv`` imports, by ``-X importtime``."""
+    trace = subprocess.run([sys.executable, "-X", "importtime", *argv], env=ENV,
+                           check=True, capture_output=True, text=True).stderr
+    return {line.split("|")[-1].strip() for line in trace.splitlines()}
+
+
+def _process(argv: list[str], runs: int, bare: set[str]) -> dict:
     walls, peaks = [], []
     for _ in range(runs):
         start = time.perf_counter()
-        pid = os.posix_spawn(sys.executable, [sys.executable, *argv], os.environ,
+        pid = os.posix_spawn(sys.executable, [sys.executable, *argv], ENV,
                              file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
                                             os.O_WRONLY, 0)])
         _, status, usage = os.wait4(pid, 0)
@@ -70,12 +83,12 @@ def _process(argv: list[str], runs: int) -> dict:
         peaks.append(usage.ru_maxrss)
         if os.waitstatus_to_exitcode(status) != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {status}")
-    trace = subprocess.run([sys.executable, "-X", "importtime", *argv], check=True,
-                           capture_output=True, text=True).stderr
-    loaded = [line.split("|")[-1].strip() for line in trace.splitlines()]
+    loaded = _loaded(argv)
+    ours = {m for m in loaded if m.split(".")[0] == "jetframes"}
     return {"wall_ms": round(statistics.median(walls), 1),
             "peak_rss_kb": statistics.median(peaks),
-            "modules": sorted(m for m in loaded if m.split(".")[0] == "jetframes")}
+            "modules": sorted(ours),
+            "extra_modules": sorted(loaded - bare - ours)}
 
 
 def main() -> int:
@@ -83,25 +96,25 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
-    package = importlib.util.find_spec("jetframes").submodule_search_locations[0]
     modules = {}
-    for path in sorted(Path(package).glob("*.py")):
+    for path in sorted((SRC / "jetframes").glob("*.py")):
         name = "jetframes" if path.stem == "__init__" else f"jetframes.{path.stem}"
         out = subprocess.run([sys.executable, "-c", _COMPILE, str(path), name,
-                              str(args.runs)], check=True, capture_output=True,
-                             text=True).stdout
+                              str(args.runs)], env=ENV, check=True,
+                             capture_output=True, text=True).stdout
         compile_ms, rss, exec_ms = json.loads(out)
         modules[path.stem] = {"lines": len(path.read_bytes().splitlines()),
                               "bytes": path.stat().st_size,
                               "compile_ms": round(compile_ms, 2),
                               "compile_rss_kb": rss,
                               "exec_ms": None if exec_ms is None else round(exec_ms, 2)}
+    bare = _loaded(["-c", "pass"])
     doc = {"python": sys.version.split()[0], "runs": args.runs,
            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
            "modules": modules,
            "package": {key: sum(row[key] for row in modules.values())
                        for key in ("lines", "bytes")},
-           "processes": {name: _process(argv, args.runs)
+           "processes": {name: _process(argv, args.runs, bare)
                          for name, argv in PROCESSES.items()}}
     if args.json:
         print(json.dumps(doc, indent=1))

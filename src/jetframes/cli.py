@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, NoReturn
 
 from . import randgen as rg
 from .errors import (
@@ -322,18 +322,25 @@ def main(argv=None) -> int:
     if extra:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        code = args.fn(args)
-        sys.stdout.flush()
-        return code
+        return args.fn(args)
     except JetFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> NoReturn:
+    """The process entry: ``main``, a flush of stdout and stderr, then
+    ``os._exit``, so the process ends at its last write and skips the
+    interpreter's teardown.  When the reader of stdout has gone, the
+    unwritten rest is dropped and the process ends with 1, printing nothing."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
     except BrokenPipeError:
-        # The reader of stdout has gone.  Point stdout at devnull so that the
-        # interpreter's last flush of the unwritten rest reports nothing.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from jetframes import det, is_skew, sym_part
+from jetframes import cli
 from jetframes.cli import _OPS, main
 from jetframes.serialize import (
     bilinear_from_doc,
@@ -464,3 +465,120 @@ def test_closed_stdout_exits_1_without_traceback(n):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# ---------------------------------------------------------------------------
+# the process entry: main, a flush, then os._exit
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout block-buffered, as without PYTHONUNBUFFERED, so a lost flush shows
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+
+
+def run_entry(tmp_path, *argv):
+    return subprocess.run([sys.executable, "-m", "jetframes", *argv],
+                          cwd=tmp_path, env=ENV, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_entry_writes_the_whole_document_before_it_ends(capsys, tmp_path):
+    # the largest document: the flush before os._exit writes all of it
+    _, expected, _ = run_cli(capsys, "gen", "hat2", "--n", "40")
+    proc = run_entry(tmp_path, "gen", "hat2", "--n", "40")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
+def test_entry_writes_the_whole_error_line(capsys, tmp_path):
+    bad = write_doc(tmp_path, "bad.json", {"group": "hat2", "n": 1,
+                                           "a": [["1/0"]], "f": [[["0"]]]})
+    code, _, expected = run_cli(capsys, "op", "inv", "--group", "hat2", bad)
+    assert code == 2 and expected.startswith("error: ")
+    proc = run_entry(tmp_path, "op", "inv", "--group", "hat2", bad)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
+def test_entry_writes_the_whole_failing_report(tmp_path):
+    proc = run_entry(tmp_path, "verify", "rbst2", "--n", "1", "--trials", "1",
+                     "--json")
+    assert proc.returncode == 1, proc.stderr
+    [report] = json.loads(proc.stdout)
+    assert report["suite"] == "rbst2" and report["passed"] is False
+
+
+def test_no_process_outlives_verify():
+    # os._exit waits for no child: every worker is reaped before it runs
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetframes", "verify", "prel1", "--n", "1",
+         "--n", "2", "--trials", "1"],
+        stdout=subprocess.DEVNULL, env=ENV, start_new_session=True)
+    assert proc.wait(timeout=120) == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+class _Exited(Exception):
+    pass
+
+
+def _fake_exit(monkeypatch, streams):
+    """Make ``os._exit`` raise ``_Exited`` with its code and what each of
+    ``streams`` had flushed to its bytes when it was called."""
+    real_exit, pid = os._exit, os.getpid()
+
+    def _exit(code):
+        if os.getpid() != pid:  # a forked verify worker
+            real_exit(code)
+        raise _Exited(code, *(s.buffer.getvalue().decode() for s in streams))
+
+    monkeypatch.setattr(os, "_exit", _exit)
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["gen", "malformed"])
+def test_run_flushes_then_ends_with_the_code(capsys, monkeypatch, tmp_path,
+                                              bad):
+    argv = ["gen", "hat2", "--n", "2"]
+    if bad:
+        argv = ["op", "inv", "--group", "hat2",
+                write_doc(tmp_path, "bad.json", {"group": "hat2"})]
+    code, out, err = run_cli(capsys, *argv)
+    # text streams that hold what is written until they are flushed
+    stdout, stderr = streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+                                for _ in range(2)]
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    monkeypatch.setattr(sys, "argv", ["jetframes", *argv])
+    _fake_exit(monkeypatch, streams)
+    with pytest.raises(_Exited) as exc:
+        cli.run()
+    assert code == (2 if bad else 0)
+    assert exc.value.args == (code, out, err)
+
+
+def test_run_ends_with_1_when_the_reader_has_gone(monkeypatch):
+    class Gone(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    monkeypatch.setattr(sys, "argv", ["jetframes", "gen", "hat2", "--n", "1"])
+    _fake_exit(monkeypatch, [])
+    with pytest.raises(_Exited) as exc:
+        cli.run()
+    assert exc.value.args == (1,)
+
+
+def test_main_returns_its_code_and_never_calls_os_exit(capsys, monkeypatch,
+                                                       tmp_path):
+    _fake_exit(monkeypatch, [])
+    bad = write_doc(tmp_path, "bad.json", [])
+    assert main(["gen", "hat2", "--n", "1"]) == 0
+    assert main(["classify", bad]) == 2
+    assert main(["verify", "prel1", "--n", "1", "--n", "2", "--trials", "1"]) == 0
+
+
+def test_the_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert doc["project"]["scripts"] == {"jetframes": "jetframes.cli:run"}

@@ -38,11 +38,16 @@ METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
            "__delattr__")
 
 # Runs each argv in the first argument as ``python -m jetframes`` in this one
-# process and prints which modules of the second were loaded after each.
+# process and prints which modules of the second were loaded after each.  The
+# entry ends its process with ``os._exit``; here that raises ``SystemExit``
+# instead, so the next command runs.
 MODULES = ("jetframes.suites", "dataclasses", "inspect")
 _RUN = """
-import json, runpy, sys
+import json, os, runpy, sys
 commands, names = map(json.loads, sys.argv[1:])
+def _exit(code):
+    raise SystemExit(code)
+os._exit = _exit
 loaded = []
 for argv in commands:
     sys.argv = ["jetframes", *argv]

@@ -48,6 +48,12 @@ def test_startup_reports_the_line_and_byte_counts():
                               "bytes": sum(path.stat().st_size for path in paths)}
 
 
+def test_startup_times_each_process_by_wall_and_cpu():
+    doc = _report(("tools/startup.py", "--runs", "1", "--json"))
+    for name, row in doc["processes"].items():
+        assert row["wall_ms"] > 0 and row["cpu_ms"] > 0, name
+
+
 def test_startup_lists_the_modules_beyond_a_bare_interpreter():
     doc = _report(("tools/startup.py", "--runs", "1", "--json"))
     for name, row in doc["processes"].items():

@@ -7,9 +7,10 @@ once the package is imported (so the modules it imports are loaded, and
 what is timed is its own class statements, function definitions and
 tables; ``__main__`` is not executed, since it runs the CLI).  Per fresh
 process (one that imports ``jetframes.cli``, one ``gen hat2 --n 2``): the
-median wall ms, the ``wait4`` peak RSS, the package modules it loads, and
-the other modules it loads beyond a bare ``python -c pass``, so a heavy
-import that comes back shows.  Children run in the environment as given,
+median wall ms, the median CPU ms (user plus system time from ``wait4``),
+the ``wait4`` peak RSS, the package modules it loads, and the other modules
+it loads beyond a bare ``python -c pass``, so a heavy import that comes
+back shows.  Children run in the environment as given,
 with this checkout's ``src`` first on ``PYTHONPATH`` (with
 ``PYTHONDONTWRITEBYTECODE`` set, every process compiles the package).  This
 process compiles none of it, so its own peak, which Linux also counts in a
@@ -72,7 +73,7 @@ def _loaded(argv: list[str]) -> set[str]:
 
 
 def _process(argv: list[str], runs: int, bare: set[str]) -> dict:
-    walls, peaks = [], []
+    walls, cpus, peaks = [], [], []
     for _ in range(runs):
         start = time.perf_counter()
         pid = os.posix_spawn(sys.executable, [sys.executable, *argv], ENV,
@@ -80,12 +81,14 @@ def _process(argv: list[str], runs: int, bare: set[str]) -> dict:
                                             os.O_WRONLY, 0)])
         _, status, usage = os.wait4(pid, 0)
         walls.append((time.perf_counter() - start) * 1e3)
+        cpus.append((usage.ru_utime + usage.ru_stime) * 1e3)
         peaks.append(usage.ru_maxrss)
         if os.waitstatus_to_exitcode(status) != 0:
             raise SystemExit(f"{' '.join(argv)} exited with {status}")
     loaded = _loaded(argv)
     ours = {m for m in loaded if m.split(".")[0] == "jetframes"}
     return {"wall_ms": round(statistics.median(walls), 1),
+            "cpu_ms": round(statistics.median(cpus), 1),
             "peak_rss_kb": statistics.median(peaks),
             "modules": sorted(ours),
             "extra_modules": sorted(loaded - bare - ours)}

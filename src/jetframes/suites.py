@@ -812,16 +812,13 @@ def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
     """Run every property of the named suites at each n in ``ns``, one or
     more distinct integers >= 1.
 
-    The work items are ``(suite, property index, n)``; each runs all
-    ``trials`` trials of one property at one n.  They are dealt round-robin,
-    n-major, into one share per core of this process's affinity mask, at
-    most one per item.  Each share runs in a forked worker, or in this
-    process when there is one share or the platform cannot fork.  Every
-    trial draws from its own stream, and results are merged in (suite,
-    property, n) order, so the report does not depend on the cores apart
-    from ``wall_time_s``, which sums the item times.  The runner forks, so
-    a caller that runs threads should narrow its affinity mask to one core.
-    """
+    Each item ``(suite, property index, n)`` runs all ``trials`` trials of
+    one property at one n.  This process and ``min(cores, items) - 1``
+    forked workers, the cores being those of its affinity mask, take items
+    from one queue, largest n first.  Each trial draws from its own stream,
+    so the report does not depend on the cores apart from ``wall_time_s``,
+    which sums the item times.  The runner forks, so a caller that runs
+    threads should narrow its affinity mask to one core."""
     names, ns = tuple(names), tuple(ns)
     for name in names:
         if name not in SUITES:
@@ -831,14 +828,9 @@ def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
     if not (ns and all(type(n) is int and n >= 1 for n in ns)
             and len(set(ns)) == len(ns)):
         raise ValueError("ns must be one or more distinct integers >= 1")
-    items = [(name, index, n) for n in ns for name in names
+    items = [(name, index, n) for n in sorted(ns, reverse=True) for name in names
              for index in range(len(SUITES[name].properties))]
-    count = min(_cores(), len(items))
-    shares = [items[w::count] for w in range(count)] or [[]]
-    outputs = (_forked(shares, trials, seed) if count > 1
-               else [_run_items(shares[0], trials, seed)])
-    done = {item: result for share, output in zip(shares, outputs)
-            for item, result in zip(share, output)}
+    done = _pulled(items, trials, seed)
     reports = []
     for name in names:
         props, wall_time_s = [], 0.0
@@ -855,49 +847,47 @@ def run_suites(names, ns, trials: int, seed: int) -> list[SuiteReport]:
     return reports
 
 
-def _run_items(items, trials: int, seed: int) -> list:
-    """The ``[failures, first counterexample, seconds]`` of each
-    ``(suite, property index, n)`` item; the counterexample is a JSON
-    document.  A property that raises an ``Exception`` fails its trial, with
-    the exception's type and message as its witness."""
-    results = []
-    for name, index, n in items:
-        prop = SUITES[name].properties[index]
-        failures = 0
-        first = None
-        start = time.perf_counter()
-        for trial in range(trials):
-            try:
-                held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
-            except Exception as exc:
-                held, witness = False, dict(error=type(exc).__name__, message=str(exc))
-            if not held:
-                failures += 1
-                if first is None:
-                    first = {"suite": name, "property": prop.name, "n": n,
-                             "trial": trial, "seed": seed, **_witness(**witness)}
-        results.append([failures, first, time.perf_counter() - start])
-    return results
+def _run_item(name: str, index: int, n: int, trials: int, seed: int) -> list:
+    """The ``[failures, first counterexample, seconds]`` of an item, the
+    counterexample a JSON document.  A property that raises an ``Exception``
+    fails its trial, with the exception's type and message as its witness."""
+    prop = SUITES[name].properties[index]
+    failures, first, start = 0, None, time.perf_counter()
+    for trial in range(trials):
+        try:
+            held, witness = prop.fn(n, stream(seed, name, prop.name, n, trial))
+        except Exception as exc:
+            held, witness = False, dict(error=type(exc).__name__, message=str(exc))
+        if not held:
+            failures += 1
+            if first is None:
+                first = {"suite": name, "property": prop.name, "n": n,
+                         "trial": trial, "seed": seed, **_witness(**witness)}
+    return [failures, first, time.perf_counter() - start]
 
 
 def _cores() -> int:
-    """The number of cores in this process's affinity mask, or 1 where the
-    platform cannot fork or has no affinity mask."""
+    """The cores in this process's affinity mask; 1 without it or os.fork."""
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return 1
 
 
-def _forked(shares, trials: int, seed: int) -> list[list]:
-    """The ``_run_items`` output of each share, each run in a forked worker.
+_SLOTS = 1024  # queue entries of 4 bytes: any pipe holds 4096 bytes
 
-    A worker ends with ``os._exit``, so it runs no atexit handler and flushes
-    no inherited buffer.  Every worker is reaped before this returns or
-    raises; if one failed, this raises with its traceback, and if this
-    process is interrupted, the workers are killed first."""
-    workers, outputs = [], []
+
+def _pulled(items, trials: int, seed: int) -> dict:
+    """The ``_run_item`` result of each item.  The queue is a pipe of
+    ``min(items, _SLOTS)`` entries, written before the workers fork; entry k
+    stands for items k, k + _SLOTS, ...  Every worker is reaped before this
+    returns or raises, and killed first if this process is interrupted."""
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(k.to_bytes(4, "little")
+                            for k in range(min(len(items), _SLOTS))))
+    os.close(feed)
+    workers, texts = [], []
     try:
-        for share in shares:
+        for _ in range(min(_cores(), len(items)) - 1):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -905,40 +895,50 @@ def _forked(shares, trials: int, seed: int) -> list[list]:
                 os.close(read_fd)
                 os.close(write_fd)
                 raise
-            if pid == 0:
-                _worker(write_fd, share, trials, seed)
+            if pid == 0:  # a worker, which ends with os._exit: no atexit handlers
+                try:
+                    with open(write_fd, "w") as pipe:
+                        pipe.write(json.dumps(_pull(queue, items, trials, seed)))
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
             os.close(write_fd)
             workers.append((pid, read_fd))
-        for pid, read_fd in workers:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                outputs.append(pipe.read().decode())
+        outputs = [_pull(queue, items, trials, seed)]
+        texts = [open(fd, closefd=False).read() for _, fd in workers]
     finally:
+        os.close(queue)
         codes = []
         for pid, read_fd in workers:
             os.close(read_fd)
-            if len(outputs) < len(shares):
+            if len(texts) < len(workers):
                 import signal
                 os.kill(pid, signal.SIGKILL)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for w, code in enumerate(codes):
-        if code != 0:
-            raise RuntimeError(f"verify worker {w} exited with {code}:\n"
-                               f"{outputs[w]}")
-    return [json.loads(output) for output in outputs]
+    if any(codes):
+        raise RuntimeError(f"verify workers exited with {codes}")
+    outputs += map(json.loads, texts)
+    for _, error in outputs:
+        if error:
+            raise RuntimeError(error)
+    pairs = [pair for done, _ in outputs for pair in done]
+    if sorted(i for i, _ in pairs) != list(range(len(items))):
+        raise RuntimeError("verify items did not each come back once")
+    return {items[i]: result for i, result in pairs}
 
 
-def _worker(write_fd: int, share, trials: int, seed: int) -> None:
-    """Run ``share`` in a forked worker, write its output as JSON (or the
-    traceback of its failure) to ``write_fd`` and end the process."""
-    ok = False
-    try:
-        try:
-            text = json.dumps(_run_items(share, trials, seed))
-            ok = True
-        except Exception:
-            import traceback
-            text = traceback.format_exc()
-        with open(write_fd, "wb") as pipe:
-            pipe.write(text.encode())
-    finally:
-        os._exit(0 if ok else 1)
+def _pull(queue: int, items, trials: int, seed: int) -> list:
+    """``[pairs, error]``: the ``[index, result]`` of each item this process
+    takes from ``queue``, and None or, if an item failed outside its
+    properties, what stopped it: the item and the traceback."""
+    pairs = []
+    while entry := os.read(queue, 4):
+        for i in range(int.from_bytes(entry, "little"), len(items), _SLOTS):
+            try:
+                pairs.append([i, _run_item(*items[i], trials, seed)])
+            except Exception:
+                import traceback
+                name, index, n = items[i]
+                item = f"({name}, {SUITES[name].properties[index].name}, {n})"
+                return [pairs, f"verify item {item} failed:\n{traceback.format_exc()}"]
+    return [pairs, None]

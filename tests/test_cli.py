@@ -454,14 +454,14 @@ def test_verify_mutant_is_caught(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", ["40", "1"])
 def test_closed_stdout_exits_1_without_traceback(n):
-    # n = 40 fails while writing, n = 1 only at the final flush
+    # n = 40 fails while writing, n = 1 only at the final flush, since ENV
+    # leaves stdout block-buffered
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "jetframes", "gen", "hat2", "--n", n],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+            stdout=write_end, stderr=subprocess.PIPE, env=ENV, timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")

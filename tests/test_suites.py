@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -120,7 +121,8 @@ def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, cores):
 
 
 def test_a_run_forks_one_worker_per_item_up_to_the_cores(monkeypatch):
-    """A run forks min(cores, items) workers, and none for a single item."""
+    """A run forks min(cores, items) - 1 workers, as this process takes items
+    too: none for a single item, one for two items on 4 cores."""
     assert len(SUITES["rbsl1"].properties) == 1
     serial = [_docs(monkeypatch, 1, 0, ["rbsl1"], ns, 2) for ns in ([1], [1, 2])]
     fork, forks = os.fork, []
@@ -135,7 +137,25 @@ def test_a_run_forks_one_worker_per_item_up_to_the_cores(monkeypatch):
     assert _docs(monkeypatch, 4, 0, ["rbsl1"], [1], 2) == serial[0]
     assert forks == []
     assert _docs(monkeypatch, 4, 0, ["rbsl1"], [1, 2], 2) == serial[1]
-    assert len(forks) == 2
+    assert len(forks) == 1
+
+
+def test_items_are_taken_largest_n_first(monkeypatch):
+    """The queue holds the items largest n first and in (suite, property)
+    order within an n, so the costliest items start first; with one core,
+    this process takes them in queue order."""
+    run, taken = suites._run_item, []
+
+    def recorded(*args):
+        taken.append(args[:3])
+        return run(*args)
+
+    monkeypatch.setattr(suites, "_run_item", recorded)
+    monkeypatch.setattr(suites, "_cores", lambda: 1)
+    run_suites(["prel1", "rbsl1"], (2, 3, 1), 1, 0)
+    assert taken == [(name, index, n) for n in (3, 2, 1)
+                     for name in ("prel1", "rbsl1")
+                     for index in range(len(SUITES[name].properties))]
 
 
 def test_without_fork_the_items_run_in_this_process(monkeypatch):
@@ -181,32 +201,83 @@ def test_declared_inputs_are_drawn_by_the_generator_of_the_trial(monkeypatch):
             1, "LookupError", "rand_t1n replaced at n = 1")
 
 
-def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch):
-    # a raising property is a counted failure, so the worker is made to fail
-    # outside it: in turning a failed trial's witness into documents
+@pytest.fixture
+def deadline():
+    """A run that hangs fails its test after 60 s instead."""
+    def timeout(*_):
+        raise AssertionError("run_suites hung")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, tmp_path,
+                                                     deadline):
+    """An item that fails outside its property raises with the item and its
+    traceback, whether this process or a worker runs it, and leaves no
+    child.  A raising property is a counted failure, so the item is made to
+    fail in turning a failed trial's witness into documents: in the chosen
+    process only, while the other one waits in its witness until then."""
     def fails(n, rng):
         return False, {"n": n}
 
-    def boom(n):
-        raise ZeroDivisionError(f"boom at n = {n}")
-
-    def timeout(*_):
-        raise AssertionError("run_suites hung after a worker failed")
-
     monkeypatch.setitem(SUITES, "boom", Suite("boom", "fails",
                                               (Property("fails", fails),)))
-    monkeypatch.setattr(suites, "_witness", boom)
-    monkeypatch.setattr(suites, "_cores", lambda: 2)
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    try:
-        with pytest.raises(RuntimeError, match="ZeroDivisionError: boom"):
+    for where, cores in (("parent", 1), ("parent", 2), ("worker", 2)):
+        parent, failed = os.getpid(), tmp_path / f"{where}{cores}"
+
+        def boom(n):
+            if (os.getpid() == parent) == (where == "parent"):
+                failed.touch()
+                raise ZeroDivisionError(f"boom at n = {n}")
+            while not failed.exists():
+                time.sleep(0.01)
+            return {}
+
+        monkeypatch.setattr(suites, "_witness", boom)
+        monkeypatch.setattr(suites, "_cores", lambda: cores)
+        with pytest.raises(RuntimeError, match=(
+                r"(?s)^verify item \(boom, fails, [12]\) failed:\n"
+                r"Traceback .*ZeroDivisionError: boom at n = [12]\n$")):
             run_suites(["prel1", "boom"], (1, 2), 2, 0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_with_more_items_than_a_pipe_holds_completes(monkeypatch,
+                                                           deadline):
+    """16 400 trivial items: more 4-byte indices than a 64 KiB pipe holds,
+    and more than 64 KiB of results from a worker; on 8 cores, more
+    processes than this machine may have take items from the queue."""
+    props = tuple(Property(f"p{i}", lambda n, rng: (True, {}))
+                  for i in range(8200))
+    monkeypatch.setitem(SUITES, "many", Suite("many", "trivial", props))
+    for cores in (1, 2, 8):
+        [report] = _docs(monkeypatch, cores, 0, ["many"], (1, 2), 1)
+        assert [p["trials_run"] for p in report["properties"]] == [2] * 8200
+        assert report["passed"]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("change", [lambda pairs: pairs[1:],
+                                    lambda pairs: pairs + pairs[:1]],
+                         ids=["lost", "repeated"])
+def test_every_item_must_come_back_exactly_once(monkeypatch, cores, change):
+    """This process checks that each item's result came back once, so a
+    lost or a repeated result raises instead of being merged."""
+    pull = suites._pull
+
+    def changed(*args):
+        pairs, error = pull(*args)
+        return [change(pairs), error]
+
+    monkeypatch.setattr(suites, "_pull", changed)
+    monkeypatch.setattr(suites, "_cores", lambda: cores)
+    with pytest.raises(RuntimeError, match="did not each come back once"):
+        run_suites(["prel1"], (1, 2), 1, 0)
 
 
 @pytest.mark.parametrize("suite, prop", [

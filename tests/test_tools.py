@@ -39,6 +39,17 @@ def _report(argv: tuple[str, ...]):
     return json.loads(proc.stdout)
 
 
+def test_verify_jobs_reports_the_share_of_process_time_in_items():
+    # the summed item time over (wall time x processes): items run inside
+    # the processes' lifetimes, so the share is at most 1
+    doc = _report(("tools/verify_jobs.py", "--rounds", "1", "--trials", "2",
+                   "--json"))
+    assert {name: row["processes"] for name, row in doc["runs"].items()} == {
+        "one core": 1, "default": doc["usable_cpus"]}
+    for name, row in doc["runs"].items():
+        assert 0 < row["median_item_share"] <= 1, name
+
+
 def test_startup_reports_the_line_and_byte_counts():
     doc = _report(("tools/startup.py", "--runs", "1", "--json"))
     paths = sorted((ROOT / "src" / "jetframes").glob("*.py"))

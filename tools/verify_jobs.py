@@ -3,12 +3,15 @@
 Runs ``python3 -m jetframes verify all --json`` at acceptance scale
 (n = 1..4, 200 trials, seed 42) in fresh processes, once with its affinity
 mask narrowed to the first usable core (so the items run in that process)
-and once as it is (one forked worker per usable core) per round,
-alternating which goes first.  It prints, per setting, each run's wall time,
-their median, and the median of the report's summed ``wall_time_s`` (the
-time the items took, whichever worker ran them).  Every report must equal
-the first one apart from ``wall_time_s``, and the exit code must be 1
-(criterion 10 fails by design); otherwise the script exits with code 1.
+and once as it is (that process and one forked worker per further usable
+core take the items from one queue) per round, alternating which goes
+first.  It prints, per setting, each run's wall time, their median, the
+median of the report's summed ``wall_time_s`` (the time the items took,
+whichever process ran them) and the median share of the processes' time
+spent in items: summed item time over (wall time x processes).  Every
+report must equal the first one apart from ``wall_time_s``, and the exit
+code must be 1 (criterion 10 fails by design); otherwise the script exits
+with code 1.
 
 Run from the root of a checkout::
 
@@ -28,6 +31,9 @@ import time
 
 #: setting -> the affinity mask of its run (None: this process's own)
 SETTINGS = {"one core": {min(os.sched_getaffinity(0))}, "default": None}
+#: setting -> the processes of its run (verify all has more items than cores)
+PROCESSES = {name: len(cpus or os.sched_getaffinity(0))
+             for name, cpus in SETTINGS.items()}
 
 
 def _run(cpus: set[int] | None, trials: int,
@@ -73,7 +79,10 @@ def main() -> int:
     table = {
         name: {"wall_s": [round(w, 3) for w, _ in rs],
                "median_wall_s": round(statistics.median(w for w, _ in rs), 3),
-               "median_summed_item_s": round(statistics.median(s for _, s in rs), 3)}
+               "median_summed_item_s": round(statistics.median(s for _, s in rs), 3),
+               "processes": PROCESSES[name],
+               "median_item_share": round(statistics.median(
+                   s / (w * PROCESSES[name]) for w, s in rs), 3)}
         for name, rs in runs.items()}
     doc = {"trials": args.trials, "seed": args.seed, "ns": [1, 2, 3, 4],
            "usable_cpus": len(os.sched_getaffinity(0)), "runs": table}
@@ -82,10 +91,12 @@ def main() -> int:
         return 0
     print(f"verify all, n = 1..4, {args.trials} trials, seed {args.seed}, "
           f"{doc['usable_cpus']} usable cores, {args.rounds} rounds")
-    print(f"{'setting':<10} {'median wall s':>14} {'summed item s':>14}  runs")
+    print(f"{'setting':<10} {'median wall s':>14} {'summed item s':>14} "
+          f"{'item share':>11}  runs")
     for name, row in table.items():
         print(f"{name:<10} {row['median_wall_s']:>14.3f} "
-              f"{row['median_summed_item_s']:>14.3f}  {row['wall_s']}")
+              f"{row['median_summed_item_s']:>14.3f} "
+              f"{row['median_item_share']:>11.3f}  {row['wall_s']}")
     return 0
 
 

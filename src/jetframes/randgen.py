@@ -5,6 +5,12 @@ is one integer, advanced by the golden-gamma constant and finalized with two
 xor-multiply rounds.  It is implemented here in pure integer arithmetic, so
 identical (seed, path) inputs give identical streams on every platform.
 
+A stream computes its outputs in blocks of 8, then 16, 32 and 64, all at
+once: output t of a block sits in the 128-bit lane t of one integer, and the
+add, xor-shift and multiply steps act on every lane together.  Each lane is
+below 2**64 before a multiply, so no carry reaches the next lane, and the
+outputs are those of the one-at-a-time scheme, in the same order.
+
 Streams for independent work items are derived, never shared:
 ``stream(root_seed, *path)`` hashes the path integers (e.g. dimension and
 trial index) into the root seed one at a time with the same finalizer.
@@ -19,6 +25,9 @@ in {1, 2}.  Small exact values keep products readable and fast.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import length_hint
+from struct import Struct
 
 from .bilinear import Bilinear, skew_part, sym_part
 from .frames import HolFrame, NonHolFrame, SemiHolFrame
@@ -36,14 +45,16 @@ from .matrices import SquareMatrix, det
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _finalize(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=1024)
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -51,24 +62,70 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-class SplitMix64:
-    """Deterministic 64-bit generator; tiny state, cheap to fork."""
+#: The lane offsets of the largest block: (t + 1)·gamma mod 2**64 in lane t.
+_OFFSETS = sum(((t + 1) * _GAMMA & _MASK) << 128 * t for t in range(64))
 
-    __slots__ = ("_state",)
+
+def _plan(b: int) -> tuple:
+    """What a block of ``b`` outputs needs: b, 1 in every 128-bit lane, the
+    lane offsets, the mask of the low 64 bits of every lane, and the reader
+    of those bits."""
+    lanes = (1 << 128 * b) - 1
+    ones = lanes // ((1 << 128) - 1)
+    return b, ones, _OFFSETS & lanes, _MASK * ones, Struct("<" + "Q8x" * b).unpack
+
+
+_PLANS = tuple(map(_plan, (8, 16, 32, 64)))
+
+
+class SplitMix64:
+    """Deterministic 64-bit generator that computes its outputs a block at a
+    time; ``randint`` and ``choice`` read the current block."""
+
+    __slots__ = ("_block", "_last", "_level")
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._block = iter(())  # the outputs not yet drawn
+        self._last = seed & _MASK  # the state after the block's last output
+        self._level = 0  # the index in _PLANS of the next block
+
+    @property
+    def _state(self) -> int:
+        """The state after the last output drawn, as in the scalar scheme."""
+        return (self._last - length_hint(self._block) * _GAMMA) & _MASK
+
+    def _refill(self) -> int:
+        """Compute the next block and draw its first output."""
+        s, level = self._last, self._level
+        b, ones, offsets, low, unpack = _PLANS[level]
+        self._last = (s + b * _GAMMA) & _MASK
+        self._level = min(level + 1, len(_PLANS) - 1)
+        # The high half of every lane is 0 before each shift, so masking the
+        # low 64 bits of a lane leaves its own bits alone and drops those
+        # shifted in from the next lane; after the last step only the low
+        # half is read.
+        z = (s * ones + offsets) & low
+        z = ((z ^ ((z >> 30) & low)) * _MIX1) & low
+        z = ((z ^ ((z >> 27) & low)) * _MIX2) & low
+        z ^= z >> 31
+        self._block = block = iter(unpack(z.to_bytes(16 * b, "little")))
+        return next(block)
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _finalize(self._state)
+        return self.randint(0, _MASK)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform-enough integer in [lo, hi]; spans here are tiny."""
-        return lo + self.next_u64() % (hi - lo + 1)
+        u = next(self._block, None)
+        if u is None:
+            u = self._refill()
+        return lo + u % (hi - lo + 1)
 
     def choice(self, seq):
-        return seq[self.next_u64() % len(seq)]
+        u = next(self._block, None)
+        if u is None:
+            u = self._refill()
+        return seq[u % len(seq)]
 
 
 def stream(root_seed: int, *path: int | str) -> SplitMix64:

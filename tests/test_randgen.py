@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import jetframes.frames as fr
@@ -24,6 +26,91 @@ def test_splitmix_reference_stream():
         7960286522194355700,
         487617019471545679,
     ]
+
+
+MASK, GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15
+
+
+def finalize(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def scalar_splitmix(seed: int, count: int) -> list[tuple[int, int]]:
+    """(output, state after it) for the first ``count`` outputs of SplitMix64
+    computed one at a time (Steele, Lea & Flood, OOPSLA 2014)."""
+    s, out = seed & MASK, []
+    for _ in range(count):
+        s = (s + GAMMA) & MASK
+        out.append((finalize(s), s))
+    return out
+
+
+# 0, 1 and 2**64 - 1, and a seed whose fourth state wraps to exactly 0 inside
+# the first block
+SEEDS = (0, 1, MASK, -4 * GAMMA & MASK)
+
+
+def test_the_wrapping_seed_wraps_inside_the_first_block():
+    assert scalar_splitmix(SEEDS[3], 4)[3][1] == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_outputs_and_states_match_the_scalar_stream(seed):
+    """Every output and the state after it, across the block boundaries
+    after 8, 24, 56, 120, 184, ... draws."""
+    rng = SplitMix64(seed)
+    assert rng._state == seed
+    for u, state in scalar_splitmix(seed, 1000):
+        assert (rng.next_u64(), rng._state) == (u, state)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interleaved_randint_and_choice_read_the_scalar_stream(seed):
+    rng, calls = SplitMix64(seed), 300
+    spans = [(-3, 3), (-4, 4), (0, 0), (5, 1 << 70)]
+    seqs = [(1, 2), "abc", range(10)]
+    for k, (u, state) in enumerate(scalar_splitmix(seed, calls)):
+        if k % 3 == 2:
+            seq = seqs[k % len(seqs)]
+            assert rng.choice(seq) == seq[u % len(seq)]
+        else:
+            lo, hi = spans[k % len(spans)]
+            assert rng.randint(lo, hi) == lo + u % (hi - lo + 1)
+        assert rng._state == state
+
+
+def test_outputs_do_not_depend_on_the_byte_order(monkeypatch):
+    """Blocks are unpacked as little-endian bytes whatever the platform's
+    order: each lane reads as its value mod 2**64, in lane order, whatever
+    its high half holds."""
+    monkeypatch.setattr(sys, "byteorder",
+                        "big" if sys.byteorder == "little" else "little")
+    rng = SplitMix64(7)
+    assert [rng.next_u64() for _ in range(200)] == [
+        u for u, _ in scalar_splitmix(7, 200)]
+    for b, *_, unpack in rg._PLANS:
+        lanes = [(t * GAMMA) & MASK for t in range(b)]
+        z = sum((v + (t + 1 << 64)) << 128 * t for t, v in enumerate(lanes))
+        assert list(unpack(z.to_bytes(16 * b, "little"))) == lanes
+
+
+def test_stream_derivation_is_unchanged_by_the_hash_cache():
+    def fnv1a64(text):
+        h = 0xCBF29CE484222325
+        for byte in text.encode("utf-8"):
+            h = ((h ^ byte) * 0x100000001B3) & MASK
+        return h
+
+    path = ("axioms", "mul_associative", 3, 17)
+    s = finalize(42)
+    for part in path:
+        key = fnv1a64(part) if isinstance(part, str) else part
+        s = finalize((s ^ key) + GAMMA & MASK)
+    for _ in range(2):  # a miss, then a hit
+        assert stream(42, *path)._state == s
+    assert rg._fnv1a64.cache_info().maxsize is not None
 
 
 def test_streams_are_deterministic():

@@ -107,10 +107,14 @@ def test_reports_do_not_depend_on_jobs(monkeypatch, seed):
 def test_first_counterexample_does_not_depend_on_jobs(monkeypatch, cores):
     """With every matrix and bilinear comparison false, most properties fail
     at every n, so the first counterexample is picked from several items.
-    Items are dealt n-major, so the items of one property at n and at n + 1
-    go to different workers unless ``cores`` divides the property count."""
+    The processes pull items from one queue, and which process runs which
+    item depends on timing, so the items of one property at n and at n + 1
+    may come back from different processes, in either order; the report
+    must still name the trial at the smallest n."""
     per_n = sum(len(suite.properties) for suite in SUITES.values())
-    assert per_n % 4 != 0  # so on 4 cores they always do
+    # the queue holds a property's items at n and n + 1 per_n entries apart,
+    # so even processes that took entries strictly in turn would split them
+    assert per_n % 4 != 0
     for cls in (SquareMatrix, Bilinear):
         monkeypatch.setattr(cls, "__eq__", lambda self, other: False)
     serial = _docs(monkeypatch, 1, 42)

@@ -12,7 +12,8 @@ Conversions between ``Fraction`` arrays and the scaled form happen only at
 the edges: ``smat``/``sbil`` when a value is built from rationals (the public
 constructors, hence the parsers), ``mat_entries``/``bil_coeffs`` when the
 ``entries``/``coeffs`` views are read (documents, the plain-fraction
-cross-checks).
+cross-checks).  The views take any scaled form, canonical or not: each
+``Fraction`` reduces its own entry.
 
 Determinant and inverse share one fraction-free (Bareiss) elimination: the
 determinant by forward elimination, the inverse by Gauss-Jordan on
@@ -98,12 +99,12 @@ def reduce_bil(f: Bil) -> Bil:
 
 
 def mat_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
-    ints, den = reduce_mat(m)
+    ints, den = m
     return tuple(tuple(Fraction(e, den) for e in row) for row in ints)
 
 
 def bil_coeffs(f: Bil) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    ints, den = reduce_bil(f)
+    ints, den = f
     return tuple(tuple(tuple(Fraction(e, den) for e in row) for row in plane)
                  for plane in ints)
 
@@ -204,24 +205,24 @@ def s_law(*terms: Term) -> Bil:
     """sum_t sign_t * c_t o f_t(a_t, b_t) in one exact integer pass.
 
     Every term is brought to one common denominator L, the lcm of the term
-    denominators; its factor L/den_t and its sign are folded into its
-    smallest present matrix operand (into the packed rows when it has none).
-    The work is then Kronecker-packed over the last index j: a vector
-    (v_0, ..., v_{n-1}) is held as the one integer P(v) = sum_j v_j 2^(k j).
-    Each row of b becomes P(b[q]) (with b = I the rows of f are packed
-    directly), and the f, a and c contractions are inner products of small
-    ints with packed ints, n^3 big-int multiply-adds each; the terms are
-    added while still packed, and one signed unpack per packed row follows.
+    denominators: its factor s_t = sign_t * L/den_t multiplies its packed
+    rows once they are contracted.  The work is Kronecker-packed over the
+    last index j: a vector (v_0, ..., v_{n-1}) is held as the one integer
+    P(v) = sum_j v_j 2^(k j).  Each row of b becomes P(b[q]) (with b = I the
+    rows of f are packed directly), and the f, a and c contractions are
+    inner products of small ints with packed ints, n^3 big-int multiply-adds
+    each; the terms are added while still packed, and one signed unpack per
+    packed row follows.
 
-    Width.  Let bits(x) be the largest bit length of |entry| of x (a folded
-    factor s counts as ceil(log2 |s|) more bits of its operand), r_t the
+    Width.  Let bits(x) be the largest bit length of |entry| of x, r_t the
     number of matrices present in term t (each sums one index over n values)
-    and T the number of terms.  Every output entry of a
-    term is a sum of n^r_t products of one entry of each operand, so it is
-    below 2^(bits(f) + sum_m (bits(m) + ceil(log2 n))) in magnitude, and the
-    sum of T terms is below 2^(k - 1) when
+    and T the number of terms.  Every output entry of term t is s_t times a
+    sum of n^r_t products of one entry of each operand, so it is below
+    2^(ceil(log2 |s_t|) + bits(f) + sum_m (bits(m) + ceil(log2 n))) in
+    magnitude, and the sum of T terms is below 2^(k - 1) when
 
-        k >= 1 + ceil(log2 T) + max_t [bits(f) + sum_m (bits(m) + ceil(log2 n))].
+        k >= 1 + ceil(log2 T)
+               + max_t [ceil(log2 |s_t|) + bits(f) + sum_m (bits(m) + ceil(log2 n))].
 
     k is exactly this bound.  P is additive and P(v) * m = P(m v), so the
     packed result x equals P(out) exactly, whatever the intermediate fields
@@ -235,27 +236,17 @@ def s_law(*terms: Term) -> Bil:
     n = len(terms[0][2][0])
     log_n = (n - 1).bit_length()
     dens = [prod(m[1] for m in term[1:] if m is not None) for term in terms]
-    den = dens[0] if len(terms) == 1 else lcm(*dens)
+    den = lcm(*dens)
     prepared = []
     width = 0
     for (sign, c, f, a, b), d in zip(terms, dens):
-        mats = [c, a, b]
+        mats = [m if m is None else m[0] for m in (c, a, b)]
         fi = f[0]
-        bits = _bits(_flat(_flat(fi)))
-        least = None
-        for slot, m in enumerate(mats):
-            if m is not None:
-                mats[slot] = m = m[0]
-                m_bits = _bits(_flat(m))
-                bits += m_bits + log_n
-                if least is None or m_bits < least_bits:
-                    least, least_bits = slot, m_bits
         scale = sign * (den // d)
-        if scale != 1:
-            bits += (abs(scale) - 1).bit_length()
-            if least is not None:
-                mats[least] = [[e * scale for e in row] for row in mats[least]]
-                scale = 1
+        bits = (abs(scale) - 1).bit_length() + _bits(_flat(_flat(fi)))
+        for m in mats:
+            if m is not None:
+                bits += _bits(_flat(m)) + log_n
         width = max(width, bits)
         prepared.append((scale, *mats, fi))
     k = 1 + (len(terms) - 1).bit_length() + width

@@ -119,8 +119,9 @@ def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:
 
 
 def _jet_of_pair(a: SquareMatrix, f: Bilinear) -> Map2Jet:
+    """The jet at the origin of the parts of a checked ``G2``."""
     origin = (Fraction(0),) * a.n
-    return Map2Jet(origin, origin, a, f)
+    return Map2Jet._trusted(origin, origin, a, f)
 
 
 def g2_law_via_jets(p: G2, q: G2) -> G2:
@@ -135,7 +136,8 @@ def frame_from_fm_map(d: FMJetData) -> NonHolFrame:
         raise NotAFrameError("base-map derivative is singular")
     if det(d.phi_lin) == 0:
         raise NotAFrameError("frame part is singular")
-    return NonHolFrame(d.phi0, d.phi_lin, d.dphi, d.dphi_lin)
+    # d has one dimension, and both determinants were taken above
+    return NonHolFrame._trusted(d.phi0, d.phi_lin, d.dphi, d.dphi_lin)
 
 
 def left_act_diffeo(F: Map2Jet, q: NonHolFrame) -> NonHolFrame:

@@ -139,16 +139,6 @@ class Scaled(Value):
     def __setstate__(self, state) -> None:
         self._set(*state)
 
-    def __eq__(self, other):
-        # faster than the generic key: the canonical form is unique, and
-        # equal ints have one shape
-        if other.__class__ is self.__class__:
-            return self.ints == other.ints and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.ints, self.den))
-
     @classmethod
     def _of(cls, s):
         """The value of kernel output ``(ints, den)``, den > 0, reduced to
@@ -268,20 +258,20 @@ class Checked(Value):
     with its message (``bilinear`` imports this module, so this module
     cannot import ``is_symmetric``).
 
-    Results of a law, an inverse or a projection satisfy these by
-    construction (det is multiplicative, the laws are closed) and are built
-    with ``_trusted``, which skips the check; pointing ``_trusted`` at the
-    constructor re-checks every such result.  The generators build with
-    ``_generated``, which skips only the determinant of the matrices they
-    have just drawn as invertible.
+    A build checks whatever it takes that is not already a checked value:
+    the public constructors (hence the parsers), the builds from a caller's
+    base point and the outputs of the second routes check.  Results of a
+    law, an inverse or a projection hold the invariants by construction (det
+    is multiplicative, the laws are closed), and so do the generators' draws
+    (``rand_invertible`` has taken det, symmetric and skew parts are made
+    so, every part is drawn at one n); both are built with ``_trusted``,
+    which skips the check.  Pointing ``_trusted`` at the constructor
+    re-checks every such result.
     """
 
     __slots__ = ()
     _invertible = True
     _rule: tuple[Callable[[object], bool], str] | None = None
-
-    def __post_init__(self) -> None:
-        self._check(invertible=self._invertible)
 
     @property
     def parts(self) -> tuple:
@@ -295,8 +285,8 @@ class Checked(Value):
             if not isinstance(part, tuple):
                 return part.n
 
-    def _check(self, invertible: bool) -> None:
-        """Raise when an invariant fails; compute det only if ``invertible``."""
+    def __post_init__(self) -> None:
+        """Raise when an invariant fails."""
         names, parts, n = self.__match_args__, self.parts, self.n
         for part in parts:
             if isinstance(part, tuple):
@@ -304,20 +294,12 @@ class Checked(Value):
                     raise ValueError("base point has wrong dimension")
             elif part.n != n:
                 raise ValueError("dimension mismatch between components")
-        if invertible:
+        if self._invertible:
             for name, part in zip(names, parts):
                 if isinstance(part, SquareMatrix):
                     require_invertible(part, f"matrix part {name}")
         if self._rule is not None and not self._rule[0](parts[-1]):
             raise ValueError(self._rule[1])
-
-    @classmethod
-    def _generated(cls, *parts):
-        """An instance with fields ``parts`` whose matrix parts are known to
-        be invertible: every check of the constructor but the determinant."""
-        obj = cls._trusted(*parts)
-        obj._check(invertible=False)
-        return obj
 
     @classmethod
     def _trusted(cls, *parts):

@@ -19,7 +19,9 @@ String path components are hashed with FNV-1a, which is also stable.
 Sampling ranges follow one convention everywhere: matrix entries are integers
 in [-3, 3] (resampled until the determinant is nonzero when invertibility is
 required) and bilinear coefficients have numerator in [-4, 4] and denominator
-in {1, 2}.  Small exact values keep products readable and fast.
+in {1, 2}.  Small exact values keep products readable and fast.  The typed
+values hold their invariants by construction and are built with
+``Checked._trusted``; n, the one value a caller gives, is checked.
 """
 
 from __future__ import annotations
@@ -137,10 +139,12 @@ def stream(root_seed: int, *path: int | str) -> SplitMix64:
 
 
 def rand_point(rng: SplitMix64, n: int) -> tuple[Fraction, ...]:
+    SquareMatrix._check_dim(n)
     return tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
 
 
 def rand_matrix(rng: SplitMix64, n: int) -> SquareMatrix:
+    SquareMatrix._check_dim(n)
     return SquareMatrix._of(
         ([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], 1))
 
@@ -153,6 +157,7 @@ def rand_invertible(rng: SplitMix64, n: int) -> SquareMatrix:
 
 
 def rand_bilinear(rng: SplitMix64, n: int) -> Bilinear:
+    Bilinear._check_dim(n)
     # numerator, then denominator in {1, 2}, scaled to the denominator 2
     return Bilinear._of(([[[rng.randint(-4, 4) * (2 // rng.choice((1, 2)))
                             for _ in range(n)] for _ in range(n)]
@@ -189,28 +194,28 @@ def rand_nonzero_symmetric(rng: SplitMix64, n: int) -> Bilinear:
 
 
 def rand_tilde2(rng: SplitMix64, n: int) -> GTilde2:
-    return GTilde2._generated(rand_invertible(rng, n), rand_invertible(rng, n),
-                              rand_bilinear(rng, n))
+    return GTilde2._trusted(rand_invertible(rng, n), rand_invertible(rng, n),
+                            rand_bilinear(rng, n))
 
 
 def rand_hat2(rng: SplitMix64, n: int) -> GHat2:
-    return GHat2._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return GHat2._trusted(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_g2(rng: SplitMix64, n: int) -> G2:
-    return G2._generated(rand_invertible(rng, n), rand_symmetric(rng, n))
+    return G2._trusted(rand_invertible(rng, n), rand_symmetric(rng, n))
 
 
 def rand_tilde21(rng: SplitMix64, n: int) -> GTilde21:
-    return GTilde21._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return GTilde21._trusted(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_tilde22(rng: SplitMix64, n: int) -> GTilde22:
-    return GTilde22._generated(rand_invertible(rng, n), rand_skew(rng, n))
+    return GTilde22._trusted(rand_invertible(rng, n), rand_skew(rng, n))
 
 
 def rand_t1n(rng: SplitMix64, n: int) -> T1nL1n:
-    return T1nL1n._generated(rand_invertible(rng, n), rand_bilinear(rng, n))
+    return T1nL1n._trusted(rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_quot_class(rng: SplitMix64, n: int) -> QuotClassHat:
@@ -218,18 +223,18 @@ def rand_quot_class(rng: SplitMix64, n: int) -> QuotClassHat:
 
 
 def rand_nonhol(rng: SplitMix64, n: int) -> NonHolFrame:
-    return NonHolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
-                                  rand_invertible(rng, n), rand_bilinear(rng, n))
+    return NonHolFrame._trusted(rand_point(rng, n), rand_invertible(rng, n),
+                                rand_invertible(rng, n), rand_bilinear(rng, n))
 
 
 def rand_semihol(rng: SplitMix64, n: int) -> SemiHolFrame:
-    return SemiHolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
-                                   rand_bilinear(rng, n))
+    return SemiHolFrame._trusted(rand_point(rng, n), rand_invertible(rng, n),
+                                 rand_bilinear(rng, n))
 
 
 def rand_hol(rng: SplitMix64, n: int) -> HolFrame:
-    return HolFrame._generated(rand_point(rng, n), rand_invertible(rng, n),
-                               rand_symmetric(rng, n))
+    return HolFrame._trusted(rand_point(rng, n), rand_invertible(rng, n),
+                             rand_symmetric(rng, n))
 
 
 def rand_map2jet(rng: SplitMix64, n: int, base=None, value=None) -> Map2Jet:

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -20,3 +21,16 @@ def suite_reports():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def deadline(request):
+    """A test that hangs fails after 60 s instead."""
+    def timeout(*_):
+        raise AssertionError(f"{request.node.name} hung")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)

@@ -4,10 +4,9 @@ Each type is base points (frames and jets only), matrices and a bilinear
 map, all of one dimension; the matrices must be invertible except in a jet,
 and some types also need a symmetric bilinear part.  For every slot of
 every type, a value that breaks one rule must be refused with the error of
-that rule, and ``_generated`` must skip the determinant alone.  An
-extension class, whose parts are a frame and an element, has cases of its
-own, and every value type but the storage, tag and suite types must be
-checked by the one rule of ``matrices.Checked``.
+that rule.  An extension class, whose parts are a frame and an element, has
+cases of its own, and every value type but the storage, tag and suite types
+must be checked by the one rule of ``matrices.Checked``.
 """
 
 from fractions import Fraction
@@ -82,7 +81,7 @@ def _wrong_dimension(kind):
 def test_valid_fields_build_the_same_value_every_way(cls):
     fields = _valid(cls)
     built = cls(*fields)
-    assert built == cls._trusted(*fields) == cls._generated(*fields)
+    assert built == cls._trusted(*fields)
     assert built.n == N
 
 
@@ -91,8 +90,6 @@ def test_singular_matrix_is_refused(cls, slot):
     fields = _with(cls, slot, SquareMatrix.zero(N))
     with pytest.raises(SingularMatrixError, match="invertible"):
         cls(*fields)
-    # the generators have checked det themselves; every other check stays
-    assert cls._generated(*fields) == cls._trusted(*fields)
 
 
 @pytest.mark.parametrize("cls, slot", SINGULAR_SLOTS, ids=_ids(SINGULAR_SLOTS))
@@ -100,7 +97,7 @@ def test_singular_matrix_of_a_jet_is_accepted(cls, slot):
     """A jet's matrices may be singular: the operations that need them
     invertible (``left_act_diffeo``, ``frame_from_fm_map``) refuse them."""
     fields = _with(cls, slot, SquareMatrix.zero(N))
-    assert cls(*fields) == cls._trusted(*fields) == cls._generated(*fields)
+    assert cls(*fields) == cls._trusted(*fields)
 
 
 @pytest.mark.parametrize("cls, slot", SLOTS, ids=_ids(SLOTS))
@@ -108,9 +105,8 @@ def test_part_of_another_dimension_is_refused(cls, slot):
     kind = TYPES[cls][0][slot]
     fields = _with(cls, slot, _wrong_dimension(kind))
     match = "base point" if kind == "x" else "dimension"
-    for build in (cls, cls._generated):
-        with pytest.raises(ValueError, match=match):
-            build(*fields)
+    with pytest.raises(ValueError, match=match):
+        cls(*fields)
 
 
 @pytest.mark.parametrize("cls, slot", MATRIX_SLOTS, ids=_ids(MATRIX_SLOTS))
@@ -129,9 +125,8 @@ def test_symmetry_is_required_exactly_where_declared(cls):
     if not symmetric:
         assert getattr(cls(*fields), cls.__match_args__[-1]) == LOPSIDED
         return
-    for build in (cls, cls._generated):
-        with pytest.raises(ValueError, match="symmetric"):
-            build(*fields)
+    with pytest.raises(ValueError, match="symmetric"):
+        cls(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +145,24 @@ def _ext_fields(n=N, k=None):
 def test_canonical_extension_class_builds_the_same_value_every_way():
     fields = _ext_fields(k=G.GHat2(EYE, SKEW))
     built = fr.ExtClass(*fields)
-    assert built == fr.ExtClass._trusted(*fields) == fr.ExtClass._generated(*fields)
+    assert built == fr.ExtClass._trusted(*fields)
     assert built.n == N
 
 
 @pytest.mark.parametrize("k", [G.GHat2(SquareMatrix.from_rows([[2, 1], [1, 1]]), SKEW),
                                G.GHat2(EYE, LOPSIDED)], ids=["a-not-I", "h-not-skew"])
 def test_non_canonical_extension_class_is_refused(k):
-    for build in (fr.ExtClass, fr.ExtClass._generated):
-        with pytest.raises(ValueError, match=r"^canonical class needs k = \(I, h\) "
-                                             r"with h skew; use ext_class\(\)$"):
-            build(*_ext_fields(k=k))
+    with pytest.raises(ValueError, match=r"^canonical class needs k = \(I, h\) "
+                                         r"with h skew; use ext_class\(\)$"):
+        fr.ExtClass(*_ext_fields(k=k))
 
 
 @pytest.mark.parametrize("slot", [0, 1], ids=["p", "k"])
 def test_extension_class_part_of_another_dimension_is_refused(slot):
     fields = list(_ext_fields())
     fields[slot] = _ext_fields(N + 1)[slot]
-    for build in (fr.ExtClass, fr.ExtClass._generated):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            build(*fields)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fr.ExtClass(*fields)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ UNCHECKED = {SquareMatrix, Bilinear, G.Group, suites.Property,
                          ids=lambda cls: cls.__name__)
 def test_every_value_type_is_checked_by_the_one_rule(cls):
     assert issubclass(cls, Checked)
-    for name in ("__post_init__", "_check", "n"):
+    for name in ("__post_init__", "n"):
         assert name not in vars(cls), f"{cls.__name__} defines {name}"
 
 

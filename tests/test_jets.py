@@ -27,6 +27,7 @@ from jetframes import (
     post_compose,
     proj_21,
 )
+from jetframes import _scaled as sc
 from jetframes.randgen import (
     rand_g2,
     rand_map2jet,
@@ -165,6 +166,27 @@ def test_singular_data_is_not_a_frame():
     with pytest.raises(NotAFrameError):
         frame_from_fm_map(FMJetData(_origin(n), singular, _eye(n),
                                     Bilinear.zero(n)))
+
+
+def test_frame_from_fm_map_takes_each_determinant_once(monkeypatch):
+    """The two determinants that decide ``NotAFrameError`` are the only ones
+    taken: the frame is not checked a second time."""
+    taken = []
+    s_det = sc.s_det
+    monkeypatch.setattr(sc, "s_det", lambda m: taken.append(m) or s_det(m))
+    n = 2
+    phi_lin = SquareMatrix.from_rows([[1, 1], [0, 1]])
+    dphi = SquareMatrix.from_rows([[2, 0], [1, 1]])
+    frame = frame_from_fm_map(FMJetData(_origin(n), phi_lin, dphi,
+                                        Bilinear.zero(n)))
+    assert sorted(taken) == sorted([phi_lin.scaled, dphi.scaled])
+    assert frame == NonHolFrame(_origin(n), phi_lin, dphi, Bilinear.zero(n))
+    singular = SquareMatrix.zero(n)
+    for parts in ((phi_lin, singular), (singular, dphi)):
+        taken.clear()
+        with pytest.raises(NotAFrameError, match="singular"):
+            frame_from_fm_map(FMJetData(_origin(n), *parts, Bilinear.zero(n)))
+        assert len(taken) <= 2
 
 
 def test_explicit_quadratic_frame_field():

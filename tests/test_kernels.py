@@ -278,7 +278,7 @@ def test_conjugation_is_the_product_with_the_inverse(n):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_sign_folded_inverse_and_three_term_conjugation(n):
+def test_signed_inverse_and_three_term_conjugation(n):
     rng = stream(45, "kernels-law-inv", n)
     x = _product(rand_hat2, mul_hat2, rng, n)
     y = _product(rand_hat2, mul_hat2, rng, n)

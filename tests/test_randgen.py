@@ -2,10 +2,10 @@ import sys
 
 import pytest
 
-import jetframes.frames as fr
 import jetframes.groups as G
 import jetframes.randgen as rg
-from jetframes import Bilinear, SquareMatrix, det, is_skew, is_symmetric
+from jetframes import det, is_skew, is_symmetric
+from jetframes.cli import GEN_KINDS
 from jetframes.randgen import (
     SplitMix64,
     rand_bilinear,
@@ -185,16 +185,21 @@ def test_generators_do_not_recompute_the_determinant(monkeypatch):
         assert getattr(rg, f"rand_{kind}")(rng, 3).n == 3
 
 
-def test_generated_builds_keep_the_other_checks():
-    eye, lopsided = SquareMatrix.identity(2), Bilinear.single(2, 0, 0, 1)
-    with pytest.raises(ValueError, match="symmetric"):
-        G.G2._generated(eye, lopsided)
-    with pytest.raises(ValueError, match="symmetric"):
-        fr.HolFrame._generated((0, 0), eye, lopsided)
-    with pytest.raises(ValueError, match="base point"):
-        fr.NonHolFrame._generated((0,), eye, eye, lopsided)
-    with pytest.raises(ValueError, match="dimension"):
-        G.GHat2._generated(eye, Bilinear.zero(3))
-    # the determinant alone is left to the generator
-    singular = SquareMatrix.zero(2)
-    assert G.GHat2._generated(singular, lopsided).a == singular
+def test_every_draw_passes_the_constructor_check():
+    """The generators build with ``_trusted``: the constructor, given the
+    parts of any draw, must accept them and build the same value."""
+    for kind in (*GEN_KINDS, "quot_class"):
+        draw = getattr(rg, f"rand_{kind}")
+        for n in range(1, 5):
+            for seed in range(4):
+                v = draw(stream(seed, "checked", kind, n), n)
+                assert type(v)(*v.parts) == v, (kind, n, seed)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(f for f in vars(rg) if f.startswith("rand_")))
+def test_generators_reject_dimensions_below_one(name, n, deadline):
+    """n is the one value a generator takes from its caller: below 1 it is
+    refused, never drawn forever or built into a value no constructor takes."""
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        getattr(rg, name)(stream(5, "below-one", name), n)

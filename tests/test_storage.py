@@ -145,12 +145,17 @@ def test_every_route_to_a_bilinear_map_gives_the_same_value_and_hash():
 @pytest.mark.parametrize("n", NS)
 def test_views_are_the_fraction_arrays_of_the_stored_value(n):
     rng = rg.stream(11, "views", n)
+    two = ([[2 * (i == j) for i in range(n)] for j in range(n)], 2)  # I, scaled by 2
     for _ in range(3):
         x = G.mul_hat2(rg.rand_hat2(rng, n), rg.rand_hat2(rng, n))
         assert x.a.entries == sc.mat_entries(sc.smat(x.a.entries))
         assert x.f.coeffs == sc.bil_coeffs(sc.sbil(x.f.coeffs))
         assert x.a.entries == sc.mat_entries(x.a.scaled)
         assert x.f.coeffs == sc.bil_coeffs(x.f.scaled)
+        # kernel output need not be canonical: each Fraction reduces itself
+        m, f = sc.s_matmul(x.a.scaled, two), sc.s_pre(x.f.scaled, two, two)
+        assert (m[1], f[1]) == (2 * x.a.den, 4 * x.f.den)
+        assert (sc.mat_entries(m), sc.bil_coeffs(f)) == (x.a.entries, x.f.coeffs)
         # building from the view gives the stored value back
         assert SquareMatrix(n, x.a.entries) == x.a
         assert Bilinear(n, x.f.coeffs) == x.f

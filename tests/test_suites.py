@@ -1,6 +1,5 @@
 import json
 import os
-import signal
 import time
 
 import pytest
@@ -203,19 +202,6 @@ def test_declared_inputs_are_drawn_by_the_generator_of_the_trial(monkeypatch):
         witness = docs[name]["counterexample"]
         assert (witness["n"], witness["error"], witness["message"]) == (
             1, "LookupError", "rand_t1n replaced at n = 1")
-
-
-@pytest.fixture
-def deadline():
-    """A run that hangs fails its test after 60 s instead."""
-    def timeout(*_):
-        raise AssertionError("run_suites hung")
-
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
 
 
 def test_a_failing_worker_raises_and_leaves_no_child(monkeypatch, tmp_path,

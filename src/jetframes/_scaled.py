@@ -9,11 +9,12 @@ pass; no ``Fraction`` is made on the way.  Kernels read nested tuples or
 lists and return nested lists.  Nothing here is approximate.
 
 Conversions between ``Fraction`` arrays and the scaled form happen only at
-the edges: ``smat``/``sbil`` when a value is built from rationals (the public
-constructors, hence the parsers), ``mat_entries``/``bil_coeffs`` when the
-``entries``/``coeffs`` views are read (documents, the plain-fraction
+the public edges: ``smat``/``sbil`` when a value is built from rationals by
+the public constructors, ``mat_entries``/``bil_coeffs`` when the
+``entries``/``coeffs`` views are read (library callers, the plain-fraction
 cross-checks).  The views take any scaled form, canonical or not: each
-``Fraction`` reduces its own entry.
+``Fraction`` reduces its own entry.  Documents use neither: ``serialize``
+reads and writes the scaled form as text directly.
 
 Determinant and inverse share one fraction-free (Bareiss) elimination: the
 determinant by forward elimination, the inverse by Gauss-Jordan on

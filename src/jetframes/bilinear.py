@@ -39,14 +39,11 @@ class Bilinear(Scaled):
     ints: tuple[tuple[tuple[int, ...], ...], ...]
     den: int
     _reduce = staticmethod(sc.reduce_bil)
+    _rank = 3
+    _misshapen = "coeffs must form an {n}^3 array"
 
     def __init__(self, n: int, coeffs: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-        self._check_dim(n)
-        if len(coeffs) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in coeffs
-        ):
-            raise ValueError(f"coeffs must form an {n}^3 array")
+        self._check_shape(n, coeffs)
         # reduced fractions scale to a canonical form already
         ints, den = sc.sbil(coeffs)
         self._set(n, tuple(tuple(map(tuple, plane)) for plane in ints), den)

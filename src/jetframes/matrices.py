@@ -10,9 +10,11 @@ so the value is ints/den entrywise.  The form is unique, so equality and
 hashing compare the stored ints.  ``SquareMatrix(n, entries)`` converts
 rationals into this form once; operations hand ``scaled`` to the integer
 kernels of ``_scaled`` and build their result with the private ``_of``,
-which only reduces by the common gcd.  ``entries`` is the ``Fraction`` view,
-built on first access and then kept (documents and the plain-fraction
-cross-checks read it; values whose view is never read never hold one).
+which only reduces by the common gcd, and so does the document reader after
+the constructor's shape check.  ``entries`` is the ``Fraction`` view, built
+on first access and then kept (library callers and the plain-fraction
+cross-checks read it, documents do not; values whose view is never read
+never hold one).
 
 ``Value`` gives every value type of the package (the matrices, bilinear
 maps, group elements, frames, jets and group tags) its value semantics, and
@@ -118,17 +120,33 @@ class Scaled(Value):
 
     A subclass is a value type with the fields ``n``, ``ints`` and ``den``,
     and names the ``_scaled`` function that reduces its kernel output to
-    canonical form in ``_reduce``.  The cache ``_view`` is a slot here, not a
-    field, so it is not part of the value.
+    canonical form in ``_reduce``, the rank of its arrays in ``_rank`` and
+    its rejection of a misshapen array in ``_misshapen``.  The cache
+    ``_view`` is a slot here, not a field, so it is not part of the value.
     """
 
     __slots__ = ("_view",)
     _reduce: Callable
+    _rank: int
+    _misshapen: str
 
     @staticmethod
     def _check_dim(n: int) -> None:
         if n < 1:
             raise ValueError("dimension must be >= 1")
+
+    @classmethod
+    def _check_shape(cls, n: int, array) -> None:
+        """Raise ``ValueError`` unless ``array`` holds n entries at each of
+        its ``_rank`` levels: the one shape check of the constructor and of
+        the document reader, which builds with ``_of``."""
+        cls._check_dim(n)
+        level = [array]
+        for depth in range(cls._rank):
+            if depth:
+                level = [e for a in level for e in a]
+            if set(map(len, level)) != {n}:
+                raise ValueError(cls._misshapen.format(n=n))
 
     def _set(self, n: int, ints, den: int) -> None:
         object.__setattr__(self, "n", n)
@@ -168,11 +186,11 @@ class SquareMatrix(Scaled):
     ints: tuple[tuple[int, ...], ...]
     den: int
     _reduce = staticmethod(sc.reduce_mat)
+    _rank = 2
+    _misshapen = "entries must form an {n}x{n} array"
 
     def __init__(self, n: int, entries: Sequence[Sequence[Fraction]]) -> None:
-        self._check_dim(n)
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise ValueError(f"entries must form an {n}x{n} array")
+        self._check_shape(n, entries)
         # reduced fractions scale to a canonical form already
         ints, den = sc.smat(entries)
         self._set(n, tuple(map(tuple, ints)), den)

@@ -12,14 +12,25 @@ so round-trips are bit-exact.  Schemas:
   "a": [[...]], "b"?: [[...]], "f"?: [[[...]]]}
 * jet: {"base": [...], "value": [...], "jac": [[...]], "hess": [[[...]]]}
 
-One reader checks every document.  ``_rationals`` requires a JSON array of
-at most ``MAX_N`` entries at every level of a vector, matrix or bilinear
-array before it reads the entries; ``_LAYOUT`` gives the key of each field
-of each type; a tag must be a string and ``n`` a JSON integer (``check_n``).
+One reader checks every document.  ``_leaves`` requires a JSON array of at
+most ``MAX_N`` entries at every level of a vector, matrix or bilinear array;
+``_LAYOUT`` gives the key of each field of each type; a tag must be a string
+and ``n`` a JSON integer (``check_n``).  Every fault is reported in document
+order: the leaves before a misshapen level are read first.
+
+Matrix and bilinear arrays go between text and the stored ``(ints, den)``
+with no ``Fraction``: the reader takes an array's numerators and
+denominators as ints (``rats_from_strs``), checks its shape as the
+constructors do, rescales once to the lcm of the denominators as written
+(refused past ``MAX_DEN_DIGITS`` digits) and reduces with ``_of``; the
+writer prints each stored int over ``den`` with one gcd (``rats_to_strs``).
+Base points stay ``Fraction`` tuples.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import Any
 
 from .bilinear import Bilinear
@@ -27,13 +38,20 @@ from .errors import ParseError, SingularMatrixError
 from .frames import HolFrame, LinFrame, NonHolFrame, Point, SemiHolFrame
 from .groups import GROUPS, G2, GHat2, GTilde2, GTilde21, GTilde22, Pair, T1nL1n
 from .jets import Map2Jet
-from .matrices import SquareMatrix
-from .rational import rat_from_str, rat_to_str
+from .matrices import Scaled, SquareMatrix
+from .rational import rat_from_str, rat_to_str, rats_from_strs, rats_to_strs
 
 #: Largest dimension a document (or ``gen``/``verify --n``) may have.  A
 #: bilinear map holds n^3 coefficients and a contraction costs n^4 products,
 #: so the cap keeps every input within memory and time.
 MAX_N = 64
+
+#: Most decimal digits the common denominator of a matrix or bilinear array
+#: may have, taken over its denominators as written: the digit limit of one
+#: rational string.  Every stored int of the array is scaled to it, so an
+#: array of many distinct denominators would otherwise cost without bound.
+MAX_DEN_DIGITS = 4300
+_DEN_CAP = 10 ** MAX_DEN_DIGITS
 
 GroupElement = GTilde2 | GHat2 | G2 | GTilde21 | GTilde22 | T1nL1n
 Frame = NonHolFrame | SemiHolFrame | HolFrame | LinFrame
@@ -58,21 +76,50 @@ def check_n(n: Any, what: str) -> None:
         raise ParseError(f"{what} must be an integer between 1 and {MAX_N}")
 
 
-def _rationals(doc: Any, rank: int, what: str) -> tuple:
-    """The rank-``rank`` array of rational strings ``doc`` as nested tuples."""
-    if not isinstance(doc, list):
-        raise ParseError(f"{what} must be a JSON array at every level")
-    if len(doc) > MAX_N:
-        raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
-    if rank == 1:
-        return tuple(map(rat_from_str, doc))
-    return tuple(_rationals(e, rank - 1, what) for e in doc)
+def _leaves(doc: Any, rank: int, what: str) -> list:
+    """The strings of the rank-``rank`` array ``doc``, in document order, once
+    every level is a JSON array of at most ``MAX_N`` entries.  A level that
+    is not raises after the strings before it are checked."""
+    leaves: list = []
+
+    def walk(node: Any, rank: int) -> None:
+        if not isinstance(node, list) or len(node) > MAX_N:
+            rats_from_strs(leaves)
+            if not isinstance(node, list):
+                raise ParseError(f"{what} must be a JSON array at every level")
+            raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
+        if rank == 1:
+            leaves.extend(node)
+        else:
+            for e in node:
+                walk(e, rank - 1)
+
+    walk(doc, rank)
+    return leaves
 
 
-def _make(cls: type, *args: Any) -> Any:
-    """``cls(*args)``, with a value the constructor rejects as ``ParseError``."""
+def _scaled_from_doc(doc: Any, cls: type[Scaled], what: str) -> Scaled:
+    """The ``cls`` value of the array ``doc``, read straight into scaled form."""
+    nums, dens = rats_from_strs(_leaves(doc, cls._rank, what))
+    n = len(doc)
+    _make(cls._check_shape, n, doc)
+    den, distinct = 1, set(dens)
+    for d in distinct:  # the lcm, checked as it grows
+        den = lcm(den, d)
+        if den >= _DEN_CAP:
+            raise ParseError(f"{what} common denominator has more than "
+                             f"{MAX_DEN_DIGITS} digits")
+    scale = {d: den // d for d in distinct}
+    ints = list(map(mul, nums, map(scale.__getitem__, dens)))
+    for _ in range(cls._rank - 1):
+        ints = [ints[i:i + n] for i in range(0, len(ints), n)]
+    return cls._of((ints, den))
+
+
+def _make(build: Any, *args: Any) -> Any:
+    """``build(*args)``, with a value that it rejects as ``ParseError``."""
     try:
-        return cls(*args)
+        return build(*args)
     except (ValueError, SingularMatrixError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -88,25 +135,23 @@ def vector_to_doc(x: Point) -> list[str]:
 
 
 def vector_from_doc(doc: Any) -> Point:
-    return _rationals(doc, 1, "vector")
+    return tuple(map(rat_from_str, _leaves(doc, 1, "vector")))
 
 
 def matrix_to_doc(m: SquareMatrix) -> list[list[str]]:
-    return [[rat_to_str(e) for e in row] for row in m.entries]
+    return [rats_to_strs(row, m.den) for row in m.ints]
 
 
 def matrix_from_doc(doc: Any) -> SquareMatrix:
-    rows = _rationals(doc, 2, "matrix")
-    return _make(SquareMatrix, len(rows), rows)
+    return _scaled_from_doc(doc, SquareMatrix, "matrix")
 
 
 def _coeffs_to_doc(f: Bilinear) -> list:
-    return [[[rat_to_str(e) for e in row] for row in plane] for plane in f.coeffs]
+    return [[rats_to_strs(row, f.den) for row in plane] for plane in f.ints]
 
 
 def _coeffs_from_doc(doc: Any) -> Bilinear:
-    planes = _rationals(doc, 3, "bilinear")
-    return _make(Bilinear, len(planes), planes)
+    return _scaled_from_doc(doc, Bilinear, "bilinear")
 
 
 def bilinear_to_doc(f: Bilinear) -> dict[str, Any]:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parent.parent / "tools"))  # behaviour
 
 from jetframes.suites import run_suite  # noqa: E402
 

@@ -9,7 +9,10 @@ from fractions import Fraction
 from itertools import permutations
 
 from jetframes import Bilinear, SquareMatrix, T1nL1n, mat_inv, mat_mul
+from jetframes.errors import ParseError, SingularMatrixError
 from jetframes.matrices import same_n
+from jetframes.rational import rat_from_str, rat_to_str
+from jetframes.serialize import MAX_N
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +241,39 @@ def poly_compose_jets(outer, inner):
                  for p in inner_polys]
     outer_polys = jet_to_polys(outer)
     return [poly_compose_component(p, displaced) for p in outer_polys]
+
+
+# ---------------------------------------------------------------------------
+# the array codec through Fraction values: every string read by
+# ``rat_from_str`` into a Fraction array for the public constructor, and every
+# entry of the Fraction view written by ``rat_to_str``
+
+
+def _ref_rationals(doc, rank: int, what: str) -> tuple:
+    """The rank-``rank`` array of rational strings ``doc`` as nested tuples."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{what} must be a JSON array at every level")
+    if len(doc) > MAX_N:
+        raise ParseError(f"{what} is larger than the dimension cap {MAX_N}")
+    if rank == 1:
+        return tuple(map(rat_from_str, doc))
+    return tuple(_ref_rationals(e, rank - 1, what) for e in doc)
+
+
+def ref_array_from_doc(doc, rank: int):
+    """The matrix (rank 2) or bilinear map (rank 3) that the array ``doc``
+    holds, with a value the constructor rejects as ``ParseError``.  It has
+    no cap on the common denominator."""
+    cls, what = {2: (SquareMatrix, "matrix"), 3: (Bilinear, "bilinear")}[rank]
+    array = _ref_rationals(doc, rank, what)
+    try:
+        return cls(len(array), array)
+    except (ValueError, SingularMatrixError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def ref_array_to_doc(value):
+    """The document of a matrix or bilinear array from its Fraction view."""
+    if isinstance(value, SquareMatrix):
+        return [[rat_to_str(e) for e in row] for row in value.entries]
+    return [[[rat_to_str(e) for e in row] for row in plane] for plane in value.coeffs]

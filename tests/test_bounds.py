@@ -5,13 +5,20 @@ stub that fails the test, so a missing cap cannot run a huge job here.
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import jetframes
 from jetframes import cli, suites
 from jetframes.cli import MAX_TRIALS, main
 from jetframes.errors import ParseError
 from jetframes.serialize import (
+    MAX_DEN_DIGITS,
     MAX_N,
     bilinear_from_doc,
     frame_from_doc,
@@ -154,3 +161,56 @@ def test_binary_op_on_different_dimensions_is_a_cli_exit_2(capsys, tmp_path, op)
         code, err = _exit_code(capsys, "op", *op, *pair)
         assert code == 2 and "has n = " in err
         assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# the common denominator of an array
+
+
+def _primes_above(start: int, count: int) -> list[int]:
+    """The first ``count`` primes above ``start``, sieved in one segment."""
+    width = 20 * count
+    sieve = bytearray([1]) * width
+    for p in range(2, int((start + width) ** 0.5) + 1):
+        sieve[-start % p::p] = bytes(len(range(-start % p, width, p)))
+    return [start + i for i, prime in enumerate(sieve) if prime][:count]
+
+
+def test_common_denominator_of_the_digit_limit_is_read():
+    den = 10 ** (MAX_DEN_DIGITS - 1)  # MAX_DEN_DIGITS digits
+    m = matrix_from_doc([[f"1/{den}", "2/5"], ["1/2", "0"]])
+    assert m.den == den
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_common_denominator_past_the_digit_limit_is_refused(rank):
+    # 2^4300 and 5^4300 have 1295 and 3006 digits; their lcm 10^4300 has 4301
+    leaves = [f"1/{2 ** MAX_DEN_DIGITS}", f"1/{5 ** MAX_DEN_DIGITS}"]
+    with pytest.raises(ParseError, match=f"more than {MAX_DEN_DIGITS} digits"):
+        if rank == 2:
+            matrix_from_doc([leaves, ["1", "0"]])
+        else:
+            bilinear_from_doc({"n": 2, "coeffs": [[leaves, ["1", "0"]]] * 2})
+
+
+def test_array_of_many_prime_denominators_is_refused_in_a_process(tmp_path):
+    """A hat2 document at n = 16 whose 4096 coefficients have distinct
+    7-digit prime denominators: their lcm has about 24 600 digits, and every
+    stored int would be scaled to it.  The refusal comes as the lcm grows."""
+    n = 16
+    dens = iter(_primes_above(10 ** 6, n ** 3))
+    doc = {"group": "hat2", "n": n,
+           "a": [[str(int(i == j)) for j in range(n)] for i in range(n)],
+           "f": [[[f"1/{next(dens)}" for _ in range(n)] for _ in range(n)]
+                 for _ in range(n)]}
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "jetframes", "op", "inv",
+                           "--group", "hat2", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: bilinear common denominator has more than "
+                           f"{MAX_DEN_DIGITS} digits\n")

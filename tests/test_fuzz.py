@@ -3,24 +3,30 @@
 A reader returns a value or raises ``ParseError``, never anything else, and a
 command ends in exit code 0 with a document or exit code 2 with an ``error:``
 line.  The canonical document of a generated value round-trips byte for byte.
+The array codec, which goes between text and the scaled form, agrees with
+the ``Fraction`` route of ``exact_oracles`` on every array, valid or not.
 Sizes are capped in the strategies, so every example is small.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import ref_array_from_doc, ref_array_to_doc
 from jetframes import randgen as rg
+from jetframes import serialize
 from jetframes.bilinear import Bilinear
 from jetframes.cli import _OPS, _PROJECT, GEN_KINDS, main
 from jetframes.errors import ParseError
 from jetframes.groups import GROUPS
 from jetframes.matrices import SquareMatrix
-from jetframes.rational import rat_from_str, rat_to_str
+from jetframes.rational import rat_from_str, rat_to_str, rats_to_strs
 from jetframes.serialize import (
     MAX_N,
     bilinear_from_doc,
@@ -185,3 +191,92 @@ def test_arrays_round_trip(n, data):
         fractions, min_size=n, max_size=n), min_size=n, max_size=n),
         min_size=n, max_size=n))
     _round_trips(Bilinear(n, coeffs), bilinear_from_doc, bilinear_to_doc)
+
+
+# ---------------------------------------------------------------------------
+# the array codec against the Fraction route
+
+BIG = 10 ** 60 - 1  # parts of up to 60 digits
+numerators = st.integers(-9, 9) | st.integers(-BIG, BIG)
+denominators = st.integers(1, 12) | st.integers(1, BIG)
+rational_texts = (st.sampled_from(["0", "-0", "10/4", "-6/9", "0/7", "3/3"])
+                  | st.builds(str, numerators)
+                  | st.builds("{}/{}".format, numerators, denominators))
+TOO_LONG = "1" + "0" * 4300  # one digit past the limit of a part
+bad_leaves = st.sampled_from([
+    1, 0, None, True, 1.5, ["1"], {"1": "2"}, "01", "-01", "+1", " 1", "1 ",
+    "1 2", "1/2 3", "1/0", "1/02", "1/-2", "1/2/3", "x", "", "-", "1_0",
+    "\u0663", TOO_LONG, "1/" + TOO_LONG, "-" + TOO_LONG + "/7"])
+non_arrays = st.sampled_from(["1", "1/2", 1, None, {"0": "1"}])
+# the reader and the writer of the arrays of each rank
+CODEC = {2: (serialize.matrix_from_doc, serialize.matrix_to_doc),
+         3: (serialize._coeffs_from_doc, serialize._coeffs_to_doc)}
+
+
+def _node(holder, path):
+    """The list and index of the node at ``path`` under ``holder``, or None
+    where an earlier fault has put something other than a non-empty list."""
+    parent, index = holder, 0
+    for i in path:
+        node = parent[index]
+        if not isinstance(node, list) or not node:
+            return None
+        parent, index = node, i % len(node)
+    return parent, index
+
+
+@st.composite
+def faulty_arrays(draw, rank, n):
+    """A valid n^rank array of rational strings with up to three faults:
+    a bad leaf, a dropped entry (a jagged or empty array), a level of
+    ``MAX_N`` + 1 entries, or a level that is not an array."""
+    holder = [draw(arrays(rank, n, rational_texts))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["leaf", "drop", "extend", "replace", "leaf"]))
+        depth = rank if kind == "leaf" else draw(st.integers(0, rank - 1))
+        found = _node(holder, draw(st.lists(st.integers(0, 63), min_size=depth,
+                                            max_size=depth)))
+        if found is None:
+            continue
+        parent, index = found
+        node = parent[index]
+        if kind == "leaf":
+            parent[index] = draw(bad_leaves)
+        elif not isinstance(node, list):
+            continue
+        elif kind == "drop" and node:
+            del node[draw(st.integers(0, len(node) - 1))]
+        elif kind == "extend" and node:
+            node.extend([node[0]] * (MAX_N + 1 - len(node)))
+        else:
+            parent[index] = draw(non_arrays | st.just([]))
+    return holder[0]
+
+
+def _outcome(read, doc):
+    try:
+        return read(doc)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@FUZZ
+@given(rank=st.sampled_from([2, 3]), n=st.integers(1, 4), data=st.data())
+def test_array_reader_agrees_with_the_fraction_route(rank, n, data):
+    doc = data.draw(faulty_arrays(rank, n))
+    read, write = CODEC[rank]
+    value = _outcome(read, doc)
+    assert value == _outcome(lambda d: ref_array_from_doc(d, rank), doc)
+    if not isinstance(value, str):
+        assert write(value) == ref_array_to_doc(value)
+
+
+@FUZZ
+@given(den=denominators, canonical=st.booleans(), data=st.data())
+def test_writer_text_is_rat_to_str_of_each_entry(den, canonical, data):
+    multiples = st.integers(-3, 3).map(lambda k: k * den)
+    ints = data.draw(st.lists(numerators | multiples, max_size=6))
+    for d in (den, 1):
+        g = gcd(d, *ints) if canonical else 1  # canonical: gcd(ints, den) = 1
+        expected = [rat_to_str(Fraction(e, d)) for e in ints]
+        assert rats_to_strs([e // g for e in ints], d // g) == expected

@@ -1,8 +1,10 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from jetframes import ParseError, rat, rat_from_str, rat_to_str
+from jetframes import ParseError, rat, rat_from_str, rat_to_str, rational
 
 
 def test_lowest_terms_and_positive_denominator():
@@ -61,3 +63,25 @@ def test_parse_error_echoes_a_bounded_prefix(text):
 def test_parse_error_echoes_short_input_whole():
     with pytest.raises(ParseError, match=r"malformed rational '1/0'$"):
         rat_from_str("1/0")
+
+
+def test_grammar_needs_no_syntax_newer_than_python_3_10():
+    """Possessive repeats and atomic groups came to ``re`` in Python 3.11,
+    which the package does not require."""
+    for pattern in (rational._RAT, rational._NOT_RAT):
+        assert re.search(r"[*+?}]\+|\(\?>", pattern) is None, pattern
+
+
+def test_grammar_is_the_documented_one_on_every_short_string():
+    """Each string of up to five characters over an alphabet that meets every
+    case of the grammar passes exactly when it is in
+    ``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``, alone and first, inside or last
+    in a join of three strings."""
+    grammar = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+    for size in range(6):
+        for chars in itertools.product("-019/ \n", repeat=size):
+            text = "".join(chars)
+            expected = grammar.fullmatch(text) is not None
+            assert rational._in_grammar(text, 1) == expected, text
+            for join in (f"{text} 1 2", f"1 {text} -2/3", f"0 -1 {text}"):
+                assert rational._in_grammar(join, 3) == expected, join

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from jetframes import ParseError, proj_21, randgen
+import behaviour
+from jetframes import ParseError, _scaled, proj_21, randgen
 from jetframes.groups import GROUPS
 from jetframes.randgen import (
     rand_bilinear,
@@ -203,3 +204,25 @@ def test_semantic_invariants_enforced_on_parse():
     with pytest.raises(ParseError):
         frame_from_doc({"kind": "semihol", "n": 1, "x": ["0"],
                         "a": [["0"]], "f": [[["0"]]]})
+
+
+class FractionRoute(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise FractionRoute("a Fraction conversion was called")
+
+
+def test_commands_read_and_write_arrays_with_no_fraction(monkeypatch, tmp_path):
+    """The benchmark's cli-docs round at n = 2 and 3 gives the same bytes
+    with the Fraction conversions of ``_scaled`` patched to raise."""
+    monkeypatch.chdir(tmp_path)
+    cases = [argv for n in (2, 3) for argv in behaviour._cli_docs_cases(n).values()]
+    before = [behaviour.run(argv) for argv in cases]
+    for name in ("smat", "sbil", "mat_entries", "bil_coeffs"):
+        monkeypatch.setattr(_scaled, name, _refuse)
+    with pytest.raises(FractionRoute):
+        matrix_from_doc([["1"]]).entries  # the patch reaches the views
+    assert [behaviour.run(argv) for argv in cases] == before
+    assert all(record.startswith("exit 0\n") for record in before)

@@ -95,7 +95,7 @@ from .jets import (
     g2_law_via_jets,
     left_act_diffeo,
 )
-from .matrices import SquareMatrix, det, is_invertible, mat_inv, mat_mul
+from .matrices import SquareMatrix, det, mat_inv, mat_mul
 from .rational import Rational, rat, rat_from_str, rat_to_str
 
 __version__ = "0.1.0"

@@ -1,12 +1,15 @@
 """Private integer-scaled kernels behind the exact public operations.
 
-A scaled value is ``(nested ints, positive int denominator)``: the rational
-array equals ints/den entrywise.  ``SquareMatrix`` and ``Bilinear`` store
-their values in this form, canonical (gcd(all ints, den) = 1), so the
-public operations hand their stored ints to these kernels and build the
-result from the kernel output with ``reduce_mat``/``reduce_bil``, one gcd
-pass; no ``Fraction`` is made on the way.  Kernels read nested tuples or
-lists and return nested lists.  Nothing here is approximate.
+A scaled value is ``(ints, den)``, den > 0: the rational array equals
+ints/den entrywise.  ``ints`` is n flat int rows, the rows of a matrix or
+the planes of a bilinear map in row-major order (``coeffs[k][i][j]`` is
+``ints[k][i*n + j]``), so its length is the dimension n.  ``SquareMatrix``
+and ``Bilinear`` store their values in this form, canonical (gcd(all ints,
+den) = 1), so the public operations hand their stored ints to these kernels
+and build the result from the kernel output with ``reduce``, one gcd pass;
+no ``Fraction`` is made on the way.  Kernels read rows that are tuples or
+lists and return lists; ``s_matmul`` and ``s_law``, the kernels that combine
+operands, refuse operands of different n.  Nothing here is approximate.
 
 Conversions between ``Fraction`` arrays and the scaled form happen only at
 the public edges: ``smat``/``sbil`` when a value is built from rationals by
@@ -40,14 +43,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import SingularMatrixError
 
-# (ints, den); the ints are nested lists or nested tuples
-Mat = tuple[Sequence[Sequence[int]], int]
-Bil = tuple[Sequence[Sequence[Sequence[int]]], int]
+# (ints, den); the ints are n rows of n (matrix) or n^2 (bilinear) ints,
+# lists or tuples
+Mat = Bil = tuple[Sequence[Sequence[int]], int]
 # one term of ``s_law``: (sign, c, f, a, b) for sign * c o f(a, b); None
 # stands for the identity matrix
 Term = tuple[int, Optional[Mat], Bil, Optional[Mat], Optional[Mat]]
@@ -66,9 +69,7 @@ def smat(entries) -> Mat:
 
 
 def sbil(coeffs) -> Bil:
-    den = lcm(*{e.denominator for plane in coeffs for row in plane for e in row})
-    return [[[e.numerator * (den // e.denominator) for e in row]
-             for row in plane] for plane in coeffs], den
+    return smat([tuple(_flat(plane)) for plane in coeffs])
 
 
 def _common(den: int, rows) -> int:
@@ -80,23 +81,14 @@ def _common(den: int, rows) -> int:
     return den
 
 
-def reduce_mat(m: Mat) -> Mat:
-    """Canonical form of a scaled matrix: nested tuples, gcd(ints, den) = 1."""
-    ints, den = m
+def reduce(s: Mat) -> Mat:
+    """Canonical form of a scaled matrix or bilinear map: a tuple of int
+    tuples, gcd(ints, den) = 1."""
+    ints, den = s
     g = _common(den, ints)
     if g == 1:
         return tuple(map(tuple, ints)), den
     return tuple(tuple(e // g for e in row) for row in ints), den // g
-
-
-def reduce_bil(f: Bil) -> Bil:
-    """Canonical form of a scaled bilinear map, as ``reduce_mat``."""
-    ints, den = f
-    g = _common(den, (row for plane in ints for row in plane))
-    if g == 1:
-        return tuple(tuple(map(tuple, plane)) for plane in ints), den
-    return (tuple(tuple(tuple(e // g for e in row) for row in plane)
-                  for plane in ints), den // g)
 
 
 def mat_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
@@ -106,8 +98,9 @@ def mat_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
 
 def bil_coeffs(f: Bil) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     ints, den = f
-    return tuple(tuple(tuple(Fraction(e, den) for e in row) for row in plane)
-                 for plane in ints)
+    n = len(ints)
+    return tuple(tuple(tuple(Fraction(e, den) for e in plane[r:r + n])
+                       for r in range(0, n * n, n)) for plane in ints)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +110,8 @@ def bil_coeffs(f: Bil) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
 def s_matmul(a: Mat, b: Mat) -> Mat:
     ai, ad = a
     bi, bd = b
+    if len(ai) != len(bi):
+        raise ValueError(f"dimension mismatch: {len(ai)} vs {len(bi)}")
     cols = list(zip(*bi))
     return [[sum(map(mul, row, col)) for col in cols] for row in ai], ad * bd
 
@@ -235,6 +230,7 @@ def s_law(*terms: Term) -> Bil:
     fields.  Nothing is rounded or tolerated.
     """
     n = len(terms[0][2][0])
+    starts = range(0, n * n, n)
     log_n = (n - 1).bit_length()
     dens = [prod(m[1] for m in term[1:] if m is not None) for term in terms]
     den = lcm(*dens)
@@ -243,10 +239,14 @@ def s_law(*terms: Term) -> Bil:
     for (sign, c, f, a, b), d in zip(terms, dens):
         mats = [m if m is None else m[0] for m in (c, a, b)]
         fi = f[0]
+        if len(fi) != n:
+            raise ValueError(f"dimension mismatch: {n} vs {len(fi)}")
         scale = sign * (den // d)
-        bits = (abs(scale) - 1).bit_length() + _bits(_flat(_flat(fi)))
+        bits = (abs(scale) - 1).bit_length() + _bits(_flat(fi))
         for m in mats:
             if m is not None:
+                if len(m) != n:
+                    raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
                 bits += _bits(_flat(m)) + log_n
         width = max(width, bits)
         prepared.append((scale, *mats, fi))
@@ -256,10 +256,12 @@ def s_law(*terms: Term) -> Bil:
     total = None
     for scale, c, a, b, fi in prepared:
         if b is None:
-            rows = [[sum(map(lshift, frow, shifts)) for frow in fk] for fk in fi]
+            rows = [[sum(map(lshift, fk[r:r + n], shifts)) for r in starts]
+                    for fk in fi]
         else:
             packed = [sum(map(lshift, brow, shifts)) for brow in b]
-            rows = [[sum(map(mul, frow, packed)) for frow in fk] for fk in fi]
+            rows = [[sum(map(mul, fk[r:r + n], packed)) for r in starts]
+                    for fk in fi]
         if a is not None:
             acols = list(zip(*a))
             rows = [[sum(map(mul, acol, rk)) for acol in acols] for rk in rows]
@@ -277,13 +279,10 @@ def s_law(*terms: Term) -> Bil:
     top = k * n
     out = []
     for row in total:
-        plane = []
-        for x in row:
-            y = x + offset
-            if y >> top:
-                raise OverflowError("s_law: a field exceeds its width")
-            plane.append([((y >> s) & mask) - half for s in shifts])
-        out.append(plane)
+        ys = list(map(offset.__add__, row))
+        if min(ys) < 0 or max(ys) >> top:  # some y >> top is nonzero
+            raise OverflowError("s_law: a field exceeds its width")
+        out.append([((y >> s) & mask) - half for y in ys for s in shifts])
     return out, den
 
 
@@ -317,14 +316,19 @@ def s_add(*terms: Bil) -> Bil:
 
 def s_neg(f: Bil) -> Bil:
     ints, den = f
-    return [[[-e for e in row] for row in plane] for plane in ints], den
+    return [list(map(neg, plane)) for plane in ints], den
+
+
+def swapped(plane: Sequence[int], n: int) -> tuple[int, ...]:
+    """``plane`` with its argument indices swapped: row i is ``plane[i::n]``."""
+    return tuple(_flat(plane[i::n] for i in range(n)))
 
 
 def s_sym(f: Bil) -> Bil:
     ints, den = f
-    return [[list(map(add, r, c)) for r, c in zip(p, zip(*p))] for p in ints], 2 * den
+    return [list(map(add, p, swapped(p, len(ints)))) for p in ints], 2 * den
 
 
 def s_skew(f: Bil) -> Bil:
     ints, den = f
-    return [[list(map(sub, r, c)) for r, c in zip(p, zip(*p))] for p in ints], 2 * den
+    return [list(map(sub, p, swapped(p, len(ints)))) for p in ints], 2 * den

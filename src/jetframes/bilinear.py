@@ -15,8 +15,9 @@ Composition with matrices comes in two flavours:
 * ``pre_compose(f, a, b)`` is ``f(a, b)``: feed the first argument through
   ``a`` and the second through ``b``.
 
-Storage is the canonical scaled form of ``matrices``: ``ints[k][i][j]``
-over ``den``, den > 0, gcd(all ints, den) = 1.  ``Bilinear(n, coeffs)``
+Storage is the canonical scaled form of ``matrices``: coefficient
+``coeffs[k][i][j]`` is ``ints[k][i*n + j]`` over ``den`` (n planes, each
+row-major), den > 0, gcd(all ints, den) = 1.  ``Bilinear(n, coeffs)``
 converts rationals once; compositions and parts run on the stored ints
 (``_scaled`` kernels) and build their result with the private ``_of``;
 ``coeffs`` is the ``Fraction`` view, built on first access and kept.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import _scaled as sc
-from .matrices import Scaled, SquareMatrix, same_n, value_type
+from .matrices import Scaled, SquareMatrix, value_type
 
 
 @value_type
@@ -36,9 +37,8 @@ class Bilinear(Scaled):
     """A bilinear map R^n x R^n -> R^n, stored as ``ints`` over ``den``."""
 
     n: int
-    ints: tuple[tuple[tuple[int, ...], ...], ...]
+    ints: tuple[tuple[int, ...], ...]
     den: int
-    _reduce = staticmethod(sc.reduce_bil)
     _rank = 3
     _misshapen = "coeffs must form an {n}^3 array"
 
@@ -46,7 +46,7 @@ class Bilinear(Scaled):
         self._check_shape(n, coeffs)
         # reduced fractions scale to a canonical form already
         ints, den = sc.sbil(coeffs)
-        self._set(n, tuple(tuple(map(tuple, plane)) for plane in ints), den)
+        self._set(n, tuple(map(tuple, ints)), den)
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -61,26 +61,24 @@ class Bilinear(Scaled):
     @classmethod
     def zero(cls, n: int) -> "Bilinear":
         cls._check_dim(n)
-        return cls._of(([[[0] * n for _ in range(n)] for _ in range(n)], 1))
+        return cls._of(([[0] * (n * n) for _ in range(n)], 1))
 
     @classmethod
     def single(cls, n: int, k: int, i: int, j: int, value=1) -> "Bilinear":
         """Map with one nonzero coefficient; handy in tests and examples."""
         cls._check_dim(n)
         val = Fraction(value)
-        return cls._of(([[[val.numerator if (kk, ii, jj) == (k, i, j) else 0
-                           for jj in range(n)] for ii in range(n)]
-                         for kk in range(n)], val.denominator))
+        return cls._of(([[val.numerator if (kk, m) == (k, i * n + j) else 0
+                          for m in range(n * n)] for kk in range(n)],
+                        val.denominator))
 
     def is_zero(self) -> bool:
-        return not any(any(map(any, plane)) for plane in self.ints)
+        return not any(map(any, self.ints))
 
     def __add__(self, other: "Bilinear") -> "Bilinear":
-        same_n(self, other)
         return Bilinear._of(sc.s_add(self.scaled, other.scaled))
 
     def __sub__(self, other: "Bilinear") -> "Bilinear":
-        same_n(self, other)
         return Bilinear._of(sc.s_law((1, None, self.scaled, None, None),
                                      (-1, None, other.scaled, None, None)))
 
@@ -90,7 +88,7 @@ class Bilinear(Scaled):
 
 def transpose(f: Bilinear) -> Bilinear:
     """Swap the two argument slots: result[k][i][j] = f[k][j][i]."""
-    return Bilinear._of(([list(zip(*plane)) for plane in f.ints], f.den))
+    return Bilinear._of(([sc.swapped(plane, f.n) for plane in f.ints], f.den))
 
 
 def sym_part(f: Bilinear) -> Bilinear:
@@ -102,21 +100,19 @@ def skew_part(f: Bilinear) -> Bilinear:
 
 
 def is_symmetric(f: Bilinear) -> bool:
-    return all(plane == tuple(zip(*plane)) for plane in f.ints)
+    return all(plane == sc.swapped(plane, f.n) for plane in f.ints)
 
 
 def is_skew(f: Bilinear) -> bool:
     return all(x == -y for plane in f.ints
-               for row, col in zip(plane, zip(*plane)) for x, y in zip(row, col))
+               for x, y in zip(plane, sc.swapped(plane, f.n)))
 
 
 def post_compose(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a o f: result[l][i][j] = sum_k a[l][k] * f[k][i][j]."""
-    same_n(a, f)
     return Bilinear._of(sc.s_post(a.scaled, f.scaled))
 
 
 def pre_compose(f: Bilinear, a: SquareMatrix, b: SquareMatrix) -> Bilinear:
     """f(a, b): result[k][i][j] = sum_{p,q} f[k][p][q] * a[p][i] * b[q][j]."""
-    same_n(f, a, b)
     return Bilinear._of(sc.s_pre(f.scaled, a.scaled, b.scaled))

@@ -7,9 +7,9 @@ and both the products here and the frame actions in ``frames`` call it.
 Each group still gets its own element type, so elements of different groups
 never mix.  Products, inverses and conjugations are all exact: the bilinear
 part of each is one call (two for a conjugation) of the fused kernel
-``_scaled.s_law`` on the terms +-c o f(a, b) of its formula.  Every
-operation that combines operands first checks that they share one dimension
-(``matrices.same_n``, ``ValueError`` otherwise).
+``_scaled.s_law`` on the terms +-c o f(a, b) of its formula.  Operands of
+different dimensions raise ``ValueError`` in the kernels ``s_law`` and
+``s_matmul``, through which every operation that combines them passes.
 
 The element types are ``matrices.Checked`` value types whose fields are
 their parts in order, matrices first, so one check serves every constructor:
@@ -52,7 +52,6 @@ from .matrices import (
     Value,
     mat_inv,
     mat_mul,
-    same_n,
     value_type,
 )
 
@@ -142,7 +141,6 @@ def law_tilde2(
     a2: SquareMatrix, b2: SquareMatrix, f2: Bilinear,
 ) -> tuple[SquareMatrix, SquareMatrix, Bilinear]:
     """(a1, b1, f1)(a2, b2, f2) = (a1 a2, b1 b2, a1 o f2 + f1(a2, b2))."""
-    same_n(a1, b1, f1, a2, b2, f2)
     sa1, sa2, sb2 = a1.scaled, a2.scaled, b2.scaled
     bilinear = sc.s_law((1, sa1, f2.scaled, None, None), (1, None, f1.scaled, sa2, sb2))
     return (SquareMatrix._of(sc.s_matmul(sa1, sa2)),
@@ -151,7 +149,6 @@ def law_tilde2(
 
 def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, a1 o f2 + f1(a2, a2))."""
-    same_n(a1, f1, a2, f2)
     sa1, sa2 = a1.scaled, a2.scaled
     bilinear = sc.s_law((1, sa1, f2.scaled, None, None), (1, None, f1.scaled, sa2, sa2))
     return SquareMatrix._of(sc.s_matmul(sa1, sa2)), Bilinear._of(bilinear)
@@ -159,7 +156,6 @@ def law_hat2(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> 
 
 def law_tilde21(a1: SquareMatrix, f1: Bilinear, a2: SquareMatrix, f2: Bilinear) -> Pair:
     """(a1, f1)(a2, f2) = (a1 a2, f2 + f1(I, a2))."""
-    same_n(a1, f1, a2, f2)
     sa2 = a2.scaled
     bilinear = sc.s_law((1, None, f2.scaled, None, None),
                         (1, None, f1.scaled, None, sa2))
@@ -188,7 +184,6 @@ def mul_tilde22(x: GTilde22, y: GTilde22) -> GTilde22:
 
 
 def mul_t1n(x: T1nL1n, y: T1nL1n) -> T1nL1n:
-    same_n(x.a, y.a)
     a1, f1 = x.a.scaled, x.f.scaled
     a2, f2 = y.a.scaled, y.f.scaled
     a1_inv = sc.s_matinv(a1)
@@ -206,11 +201,15 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
         M[i][j][k] = sum_l F[i][l][k] C[l][j]
                    + sum_{l,m} A[i][l] G[l][j][m] B[m][k]
 
-    written here as explicit loops over the stored integers (``ints``/``den``),
-    m contracted first, so the structural form above can be cross-checked
-    against an independent computation that shares no code with ``s_law``.
+    written here as explicit loops over the stored integers (``ints``/``den``;
+    plane i of a bilinear map holds [j][k] at j*n + k), m contracted first,
+    so the structural form above can be cross-checked against an independent
+    computation that shares no code with ``s_law``, and so checks its own
+    operands' dimensions.
     """
-    same_n(x.a, y.a)
+    n = x.n
+    if y.n != n:
+        raise ValueError(f"dimension mismatch: {n} vs {y.n}")
     A, Ad = x.a.scaled
     C, Cd = y.a.scaled
     B, Bd = mat_inv(x.a).scaled
@@ -224,12 +223,11 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
     b_cols = list(zip(*B))
     c_cols = list(zip(*C))
     # gb[j][k][l] = sum_m G[l][j][m] B[m][k]; f_cols[i][k][l] = F[i][l][k]
-    gb = [[[sum(map(mul, row, col)) for row in Gj] for col in b_cols]
-          for Gj in zip(*G)]
-    f_cols = [list(zip(*Fi)) for Fi in F]
-    coeffs = [[[m1 * sum(map(mul, Ai, gb_jk)) + m2 * sum(map(mul, f_col, c_col))
-                for gb_jk, f_col in zip(gb_j, f_i)]
-               for gb_j, c_col in zip(gb, c_cols)]
+    gb = [[[sum(map(mul, row, col)) for row in rows] for col in b_cols]
+          for rows in ([Gl[r:r + n] for Gl in G] for r in range(0, n * n, n))]
+    f_cols = [[Fi[k::n] for k in range(n)] for Fi in F]
+    coeffs = [[m1 * sum(map(mul, Ai, gb_jk)) + m2 * sum(map(mul, f_col, c_col))
+               for gb_j, c_col in zip(gb, c_cols) for gb_jk, f_col in zip(gb_j, f_i)]
               for Ai, f_i in zip(A, f_cols)]
     return T1nL1n(mat_mul(x.a, y.a), Bilinear._of((coeffs, common)))
 
@@ -237,7 +235,6 @@ def mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
 def mul_deleon_1(x: Pair, y: Pair) -> Pair:
     """First alternative law on (a, f): (aa', a'^-1 o f(a', a') + f')."""
     (a, f), (a2, f2) = x, y
-    same_n(a, f, a2, f2)
     sa2 = a2.scaled
     bilinear = sc.s_law((1, sc.s_matinv(sa2), f.scaled, sa2, sa2),
                         (1, None, f2.scaled, None, None))
@@ -247,7 +244,6 @@ def mul_deleon_1(x: Pair, y: Pair) -> Pair:
 def mul_deleon_2(x: Pair, y: Pair) -> Pair:
     """Second alternative law on (a, f): (aa', f + a o f'(a^-1, a^-1))."""
     (a, f), (a2, f2) = x, y
-    same_n(a, f, a2, f2)
     sa = a.scaled
     a_inv = sc.s_matinv(sa)
     bilinear = sc.s_law((1, None, f.scaled, None, None),
@@ -325,7 +321,6 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
     """(a, f)(b, g)(a, f)^-1 = (c, H(u, u)) for u = a^-1, c = a b u and
     H = a o g + f(b, b) - c o f, as f(b u, b u) = f(b, b)(u, u) and
     c o f(u, u) = (c o f)(u, u)."""
-    same_n(outer.a, inner.a)
     a, f = outer.a.scaled, outer.f.scaled
     b, g = inner.a.scaled, inner.f.scaled
     u = sc.s_matinv(a)
@@ -336,13 +331,11 @@ def conj_hat2(outer: GHat2, inner: GHat2) -> GHat2:
 
 def skew_factor(a: SquareMatrix, f: Bilinear) -> Bilinear:
     """a^-1 o skew_part(f): the skew h with (a, f) = (a, sym_part(f)) * (I, h)."""
-    same_n(a, f)
     return Bilinear._of(sc.s_post(sc.s_matinv(a.scaled), sc.s_skew(f.scaled)))
 
 
 def contract_second(f: Bilinear, m: SquareMatrix) -> Bilinear:
     """f(I, m): feed the second argument slot of f through m."""
-    same_n(f, m)
     return Bilinear._of(sc.s_pre_right(f.scaled, m.scaled))
 
 

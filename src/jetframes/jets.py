@@ -18,16 +18,17 @@ matrices may be singular (``_invertible = False``); ``left_act_diffeo`` and
 
 Everything here re-derives compositions and frame actions from the chain
 rule with its own loops over the stored integers (``ints``/``den``) of
-matrices and bilinear maps: each operand is transposed once, and every
-entry is an inner product of a row with a column.  It intentionally does
-not call the contraction kernels of the core algebra, so agreement between
-this module and the group laws is a genuine cross-check of two
-implementations.
+matrices and bilinear maps, whose plane k holds [l][j] at l*n + j: each
+operand is transposed once, and every entry is an inner product of a row
+with a column.  It intentionally does not call the contraction kernels of
+the core algebra, so agreement between this module and the group laws is a
+genuine cross-check of two implementations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -93,15 +94,16 @@ def _chain_rule(jac, f, hess, a, b) -> Bilinear:
     common = lcm(den1, den2)
     m1 = common // den1
     m2 = common // den2
+    n = len(J)
     a_cols = list(zip(*A))
     b_cols = list(zip(*B))
-    # f_cols[l][j][m] = f[m][l][j]; hb[k][j][m] = sum_p hess[k][m][p] b[p][j]
-    f_cols = [list(zip(*rows)) for rows in zip(*F)]
-    hb = [[[sum(map(mul, row, col)) for row in Hk] for col in b_cols] for Hk in H]
+    # f_cols[l*n + j][m] = f[m][l][j]; hb[k][j][m] = sum_p hess[k][m][p] b[p][j]
+    f_cols = list(zip(*F))
+    hb = [[[sum(map(mul, row, col)) for row in rows] for col in b_cols]
+          for rows in ([Hk[r:r + n] for r in range(0, n * n, n)] for Hk in H)]
     return Bilinear._of((
-        [[[m1 * sum(map(mul, Jk, f_col)) + m2 * sum(map(mul, a_col, hb_col))
-           for f_col, hb_col in zip(f_l, hb_k)]
-          for f_l, a_col in zip(f_cols, a_cols)]
+        [[m1 * sum(map(mul, Jk, f_col)) + m2 * sum(map(mul, a_col, hb_col))
+          for f_col, (a_col, hb_col) in zip(f_cols, product(a_cols, hb_k))]
          for Jk, hb_k in zip(J, hb)],
         common))
 

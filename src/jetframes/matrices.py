@@ -4,17 +4,17 @@ Entry convention: ``entries[j][i]`` is the coefficient of ``E_j`` in the image
 of the basis vector ``E_i``, so rows index values and columns index arguments
 and matrix-vector action is the usual ``(a v)^j = sum_i entries[j][i] v^i``.
 
-A matrix is stored in canonical scaled form: integers ``ints`` (nested
-tuples) and a denominator ``den`` with den > 0 and gcd(all ints, den) = 1,
-so the value is ints/den entrywise.  The form is unique, so equality and
-hashing compare the stored ints.  ``SquareMatrix(n, entries)`` converts
-rationals into this form once; operations hand ``scaled`` to the integer
-kernels of ``_scaled`` and build their result with the private ``_of``,
-which only reduces by the common gcd, and so does the document reader after
-the constructor's shape check.  ``entries`` is the ``Fraction`` view, built
-on first access and then kept (library callers and the plain-fraction
-cross-checks read it, documents do not; values whose view is never read
-never hold one).
+A matrix is stored in canonical scaled form: integers ``ints`` (a tuple of
+n row tuples) and a denominator ``den`` with den > 0 and gcd(all ints,
+den) = 1, so the value is ints/den entrywise.  The form is unique, so
+equality and hashing compare the stored ints.  ``SquareMatrix(n, entries)``
+converts rationals into this form once; operations hand ``scaled`` to the
+integer kernels of ``_scaled``, which check that their operands share n,
+and build their result with the private ``_of``, which only reduces by the
+common gcd, and so does the document reader after the constructor's shape
+check.  ``entries`` is the ``Fraction`` view, built on first access and then
+kept (library callers and the plain-fraction cross-checks read it,
+documents do not; values whose view is never read never hold one).
 
 ``Value`` gives every value type of the package (the matrices, bilinear
 maps, group elements, frames, jets and group tags) its value semantics, and
@@ -119,14 +119,13 @@ class Scaled(Value):
     """The storage shared by ``SquareMatrix`` and ``Bilinear``.
 
     A subclass is a value type with the fields ``n``, ``ints`` and ``den``,
-    and names the ``_scaled`` function that reduces its kernel output to
-    canonical form in ``_reduce``, the rank of its arrays in ``_rank`` and
-    its rejection of a misshapen array in ``_misshapen``.  The cache
-    ``_view`` is a slot here, not a field, so it is not part of the value.
+    ``ints`` a tuple of n flat int tuples (rows, or row-major planes), and
+    names the rank of the arrays its constructor takes in ``_rank`` and its
+    rejection of a misshapen array in ``_misshapen``.  The cache ``_view``
+    is a slot here, not a field, so it is not part of the value.
     """
 
     __slots__ = ("_view",)
-    _reduce: Callable
     _rank: int
     _misshapen: str
 
@@ -160,8 +159,9 @@ class Scaled(Value):
     @classmethod
     def _of(cls, s):
         """The value of kernel output ``(ints, den)``, den > 0, reduced to
-        canonical form; the shape is the kernel's, so it is not checked."""
-        ints, den = cls._reduce(s)
+        canonical form by ``_scaled.reduce``; its n is the number of rows of
+        ``ints``, and the shape is the kernel's, so it is not checked."""
+        ints, den = sc.reduce(s)
         obj = object.__new__(cls)
         obj._set(len(ints), ints, den)
         return obj
@@ -185,7 +185,6 @@ class SquareMatrix(Scaled):
     n: int
     ints: tuple[tuple[int, ...], ...]
     den: int
-    _reduce = staticmethod(sc.reduce_mat)
     _rank = 2
     _misshapen = "entries must form an {n}x{n} array"
 
@@ -222,21 +221,7 @@ class SquareMatrix(Scaled):
         return mat_mul(self, other)
 
 
-def same_n(*values: Scaled) -> int:
-    """The dimension shared by ``values``; ``ValueError`` when they differ.
-
-    The kernels take the shape of their operands and ``_of`` does not check
-    it, so every operation that combines values calls this first.
-    """
-    n = values[0].n
-    if any(v.n != n for v in values):
-        raise ValueError("dimension mismatch: "
-                         + " vs ".join(str(v.n) for v in values))
-    return n
-
-
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    same_n(a, b)
     return SquareMatrix._of(sc.s_matmul(a.scaled, b.scaled))
 
 
@@ -251,10 +236,6 @@ def mat_inv(a: SquareMatrix) -> SquareMatrix:
     Raises ``SingularMatrixError`` when the determinant vanishes.
     """
     return SquareMatrix._of(sc.s_matinv(a.scaled))
-
-
-def is_invertible(a: SquareMatrix) -> bool:
-    return det(a) != 0
 
 
 def require_invertible(a: SquareMatrix, what: str) -> None:

@@ -159,9 +159,8 @@ def rand_invertible(rng: SplitMix64, n: int) -> SquareMatrix:
 def rand_bilinear(rng: SplitMix64, n: int) -> Bilinear:
     Bilinear._check_dim(n)
     # numerator, then denominator in {1, 2}, scaled to the denominator 2
-    return Bilinear._of(([[[rng.randint(-4, 4) * (2 // rng.choice((1, 2)))
-                            for _ in range(n)] for _ in range(n)]
-                          for _ in range(n)], 2))
+    return Bilinear._of(([[rng.randint(-4, 4) * (2 // rng.choice((1, 2)))
+                           for _ in range(n * n)] for _ in range(n)], 2))
 
 
 def rand_symmetric(rng: SplitMix64, n: int) -> Bilinear:

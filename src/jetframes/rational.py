@@ -7,7 +7,9 @@ arithmetic.  This module adds the string form used by every JSON document:
 
 ``rat_from_str``/``rat_to_str`` convert one ``Fraction`` (base points, and
 the public API); ``rats_from_strs``/``rats_to_strs`` convert whole arrays of
-strings to and from ints, with no ``Fraction``.
+strings to and from ints, with no ``Fraction``.  A number past the
+interpreter's limit on the digits of an int's text is refused: the readers
+raise ``ParseError``, the writers ``JetFramesError``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
-from .errors import ParseError, echo
+from .errors import JetFramesError, ParseError, echo
 
 Rational = Fraction
 
@@ -31,6 +33,8 @@ Rational = Fraction
 _RAT = r"-?(?:0|[1-9][0-9]*)(?:/[1-9][0-9]*)?"
 _NOT_RAT = rf" (?!{_RAT}(?: |\Z))"
 _numerator, _denominator = itemgetter(0), itemgetter(2)
+_TOO_LONG = ("cannot write the result: a number has more digits than the "
+             "interpreter's limit for the text of an int")
 
 
 def _in_grammar(text: str, count: int) -> bool:
@@ -54,7 +58,10 @@ def _text(p: int, q: int) -> str:
 
 
 def rat_to_str(value: Fraction) -> str:
-    return _text(value.numerator, value.denominator)
+    try:
+        return _text(value.numerator, value.denominator)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise JetFramesError(_TOO_LONG) from exc
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -103,6 +110,9 @@ def rats_from_strs(texts: list) -> tuple[list[int], list[int]]:
 def rats_to_strs(ints, den: int) -> list[str]:
     """The rational strings of ``ints`` over ``den`` > 0, each in lowest
     terms as ``rat_to_str`` writes it: one gcd per entry."""
-    if den == 1:
-        return list(map(str, ints))
-    return [_text(e // (g := gcd(e, den)), den // g) for e in ints]
+    try:
+        if den == 1:
+            return list(map(str, ints))
+        return [_text(e // (g := gcd(e, den)), den // g) for e in ints]
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise JetFramesError(_TOO_LONG) from exc

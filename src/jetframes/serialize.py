@@ -111,9 +111,8 @@ def _scaled_from_doc(doc: Any, cls: type[Scaled], what: str) -> Scaled:
                              f"{MAX_DEN_DIGITS} digits")
     scale = {d: den // d for d in distinct}
     ints = list(map(mul, nums, map(scale.__getitem__, dens)))
-    for _ in range(cls._rank - 1):
-        ints = [ints[i:i + n] for i in range(0, len(ints), n)]
-    return cls._of((ints, den))
+    step = len(ints) // n  # n rows of a matrix, n planes of a bilinear map
+    return cls._of(([ints[i:i + step] for i in range(0, len(ints), step)], den))
 
 
 def _make(build: Any, *args: Any) -> Any:
@@ -147,7 +146,9 @@ def matrix_from_doc(doc: Any) -> SquareMatrix:
 
 
 def _coeffs_to_doc(f: Bilinear) -> list:
-    return [[rats_to_strs(row, f.den) for row in plane] for plane in f.ints]
+    n = f.n
+    return [[plane[r:r + n] for r in range(0, n * n, n)]
+            for plane in (rats_to_strs(ints, f.den) for ints in f.ints)]
 
 
 def _coeffs_from_doc(doc: Any) -> Bilinear:

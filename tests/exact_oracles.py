@@ -10,7 +10,6 @@ from itertools import permutations
 
 from jetframes import Bilinear, SquareMatrix, T1nL1n, mat_inv, mat_mul
 from jetframes.errors import ParseError, SingularMatrixError
-from jetframes.matrices import same_n
 from jetframes.rational import rat_from_str, rat_to_str
 from jetframes.serialize import MAX_N
 
@@ -117,9 +116,12 @@ def ref_mul_t1n_coordinate(x: T1nL1n, y: T1nL1n) -> T1nL1n:
         M[i][j][k] = sum_l F[i][l][k] C[l][j]
                    + sum_{l,m} A[i][l] G[l][j][m] B[m][k]
 
-    with F = x.f, G = y.f, A = x.a, C = y.a and B = A^-1.
+    with F = x.f, G = y.f, A = x.a, C = y.a and B = A^-1; operands of
+    different dimensions raise ``ValueError``.
     """
-    n = same_n(x.a, y.a)
+    n = x.n
+    if y.n != n:
+        raise ValueError(f"dimension mismatch: {n} vs {y.n}")
     A = x.a.entries
     C = y.a.entries
     B = mat_inv(x.a).entries

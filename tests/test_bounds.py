@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ import pytest
 import jetframes
 from jetframes import cli, suites
 from jetframes.cli import MAX_TRIALS, main
-from jetframes.errors import ParseError
+from jetframes.errors import JetFramesError, ParseError
+from jetframes.rational import rat_to_str, rats_to_strs
 from jetframes.serialize import (
     MAX_DEN_DIGITS,
     MAX_N,
@@ -214,3 +216,42 @@ def test_array_of_many_prime_denominators_is_refused_in_a_process(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (f"error: bilinear common denominator has more than "
                            f"{MAX_DEN_DIGITS} digits\n")
+
+
+# Two n = 1 hat2 documents, each under every cap, whose product's bilinear
+# part has a 5001-digit denominator: past the interpreter's default limit of
+# 4300 digits for the text of an int, which the writer must refuse cleanly.
+_WIDE_DENS = (10 ** 2500 + 1, 10 ** 2500 + 3)
+_TOO_LONG = ("error: cannot write the result: a number has more digits than "
+             "the interpreter's limit for the text of an int\n")
+
+
+def _wide_docs(tmp_path) -> list[str]:
+    paths = []
+    for i, d in enumerate(_WIDE_DENS):
+        path = tmp_path / f"wide{i}.json"
+        path.write_text(json.dumps({"group": "hat2", "n": 1, "a": [["1"]],
+                                    "f": [[[f"1/{d}"]]]}))
+        paths.append(str(path))
+    return paths
+
+
+def test_result_past_the_digit_limit_is_an_error_not_a_traceback(capsys, tmp_path):
+    den = _WIDE_DENS[0] * _WIDE_DENS[1]
+    with pytest.raises(JetFramesError, match="cannot write the result"):
+        rats_to_strs([1], den)
+    with pytest.raises(JetFramesError, match="cannot write the result"):
+        rats_to_strs([den], 1)
+    with pytest.raises(JetFramesError, match="cannot write the result"):
+        rat_to_str(Fraction(1, den))
+    code = main(["op", "mul", "--group", "hat2", *_wide_docs(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", _TOO_LONG)
+
+
+def test_result_past_the_digit_limit_exits_2_in_a_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "jetframes", "op", "mul",
+                           "--group", "hat2", *_wide_docs(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _TOO_LONG)

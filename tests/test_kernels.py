@@ -72,7 +72,7 @@ def test_contractions_match_plain_loops(n):
 
 def test_negation_matches_plain_loops_on_wide_coefficients():
     f = _product(rand_hat2, mul_hat2, stream(41, "kernels-neg", 12), 12).f
-    assert max(abs(e) for plane in f.ints for row in plane for e in row) > 10**4
+    assert max(abs(e) for plane in f.ints for e in plane) > 10**4
     oracle = _term_oracle(-1, None, f, None, None)
     assert sc.bil_coeffs(sc.s_neg(f.scaled)) == oracle.coeffs
     assert -f == oracle and -oracle == f
@@ -173,7 +173,7 @@ def _law(*terms):
 
 def _filled(n, value):
     return (SquareMatrix._of(([[value] * n for _ in range(n)], 1)),
-            Bilinear._of(([[[value] * n for _ in range(n)] for _ in range(n)], 1)))
+            Bilinear._of(([[value] * (n * n) for _ in range(n)], 1)))
 
 
 def _need(terms, n, b):
@@ -227,7 +227,7 @@ def test_law_kernel_is_exact_at_the_width_bound_n12(shape):
         assert out == _law_oracle(*terms)
         # every entry is n^r (2^b - 1)^(r + 1) per term: the bound is reached
         r = sum(shape[0])
-        assert out.ints[0][0][0] == sign ** (r + 1) * len(shape) * (
+        assert out.ints[0][0] == sign ** (r + 1) * len(shape) * (
             n ** r * ((1 << bits) - 1) ** (r + 1))
 
 
@@ -270,7 +270,7 @@ def test_conjugation_is_the_product_with_the_inverse(n):
     outer = _product(rand_hat2, mul_hat2, rng, n)
     inner = _product(rand_hat2, mul_hat2, rng, n)
     h = _product(rand_hat2, mul_hat2, rng, n).f
-    assert max(abs(e) for plane in outer.f.ints for row in plane for e in row) > 10**4
+    assert max(abs(e) for plane in outer.f.ints for e in plane) > 10**4
     for y in (inner, G.GHat2.from_bilinear(h)):
         assert G.conj_hat2(outer, y) == mul_hat2(mul_hat2(outer, y),
                                                  G.inv_hat2(outer))
@@ -345,3 +345,40 @@ def test_every_routed_law_matches_the_public_compositions(n):
 def test_every_routed_law_matches_the_fraction_loops(n):
     _check_routes(n, 47, ref_post, ref_pre, ref_add,
                   lambda f: _term_oracle(-1, None, f, None, None))
+
+
+# ---------------------------------------------------------------------------
+# the dimension check of the combining kernels
+
+
+def _operands(n):
+    m, f = _filled(n, 1)
+    return m.scaled, f.scaled
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("slot", ["c", "f", "a", "b"])
+def test_law_kernel_refuses_an_operand_of_another_dimension(slot, n1, n2):
+    (m, f), (m2, f2) = _operands(n1), _operands(n2)
+    term = dict(c=m, f=f, a=m, b=m)
+    term[slot] = f2 if slot == "f" else m2
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sc.s_law((1, term["c"], term["f"], term["a"], term["b"]))
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2)])
+def test_law_kernel_refuses_terms_of_different_dimensions(n1, n2):
+    (m, f), (m2, f2) = _operands(n1), _operands(n2)
+    for second in ((-1, None, f2, None, None), (1, m2, f2, m2, m2),
+                   (1, None, f, m2, None)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sc.s_law((1, m, f, None, m), second)
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (1, 2)])
+def test_matmul_kernel_refuses_rows_of_another_dimension(n1, n2):
+    (m, _), (m2, _) = _operands(n1), _operands(n2)
+    for a, b in ((m, m2), (m2, m)):
+        with pytest.raises(ValueError, match=f"dimension mismatch: {len(a[0])} vs "
+                                             f"{len(b[0])}"):
+            sc.s_matmul(a, b)

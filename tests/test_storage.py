@@ -48,15 +48,15 @@ def _stored(value):
             yield from _stored(getattr(value, f.name))
 
 
-def _rows(v):
-    return v.ints if isinstance(v, SquareMatrix) else list(chain(*v.ints))
-
-
 def _is_canonical(v) -> bool:
-    rows = _rows(v)
+    """(ints, den) in lowest terms, ints a tuple of n int tuples: of n ints
+    for a matrix, of n^2 (one row-major plane each) for a bilinear map."""
+    rows = v.ints
+    width = v.n if isinstance(v, SquareMatrix) else v.n * v.n
     return (v.den > 0 and gcd(v.den, *chain(*rows)) == 1
             and type(v.ints) is tuple and all(type(r) is tuple for r in rows)
-            and all(type(e) is int for e in chain(*rows)))
+            and all(type(e) is int for e in chain(*rows))
+            and len(rows) == v.n and all(len(r) == width for r in rows))
 
 
 def _results(n: int):
@@ -106,7 +106,7 @@ def test_every_result_is_stored_canonically(n):
 def test_reduction_divides_by_the_common_gcd():
     # the kernel gives (2 * ints, 2); the stored form is ints over 1
     f = sym_part(Bilinear.from_coeffs([[[2, 4], [4, 6]], [[0, 2], [2, -8]]]))
-    assert (f.ints, f.den) == ((((2, 4), (4, 6)), ((0, 2), (2, -8))), 1)
+    assert (f.ints, f.den) == (((2, 4, 4, 6), (0, 2, 2, -8)), 1)
     assert (Bilinear.zero(2) - Bilinear.zero(2)).den == 1
     m = SquareMatrix._of(([[4, 6], [0, -2]], 8))
     assert (m.ints, m.den) == (((2, 3), (0, -1)), 4)

@@ -26,6 +26,7 @@ converts rationals once; compositions and parts run on the stored ints
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 from . import _scaled as sc
@@ -100,12 +101,15 @@ def skew_part(f: Bilinear) -> Bilinear:
 
 
 def is_symmetric(f: Bilinear) -> bool:
-    return all(plane == sc.swapped(plane, f.n) for plane in f.ints)
+    n = f.n
+    return all(plane[i * n:i * n + n] == plane[i::n]
+               for plane in f.ints for i in range(n))
 
 
 def is_skew(f: Bilinear) -> bool:
-    return all(x == -y for plane in f.ints
-               for x, y in zip(plane, sc.swapped(plane, f.n)))
+    n = f.n
+    return all(plane[i * n:i * n + n] == tuple(map(neg, plane[i::n]))
+               for plane in f.ints for i in range(n))
 
 
 def post_compose(a: SquareMatrix, f: Bilinear) -> Bilinear:

@@ -17,10 +17,11 @@ matrices may be singular (``_invertible = False``); ``left_act_diffeo`` and
 ``frame_from_fm_map``, which need them invertible, raise ``NotAFrameError``.
 
 Everything here re-derives compositions and frame actions from the chain
-rule with its own loops over the stored integers (``ints``/``den``) of
-matrices and bilinear maps, whose plane k holds [l][j] at l*n + j: each
-operand is transposed once, and every entry is an inner product of a row
-with a column.  It intentionally does not call the contraction kernels of
+rule with its own code over the stored integers (``ints``/``den``) of
+matrices and bilinear maps, whose plane k holds [l][j] at l*n + j: a product
+of matrices takes one inner product per entry, and the second-order term
+``_chain_rule`` carries the last index j packed into one integer (proved
+exact there).  It intentionally does not call the contraction kernels of
 the core algebra, so agreement between this module and the group laws is a
 genuine cross-check of two implementations.
 """
@@ -28,9 +29,9 @@ genuine cross-check of two implementations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain
 from math import lcm
-from operator import mul
+from operator import lshift, mul
 
 from .bilinear import Bilinear, is_symmetric
 from .errors import CompositionDomainError, NotAFrameError
@@ -81,31 +82,75 @@ def _matmul(x, y) -> SquareMatrix:
                              xd * yd))
 
 
+def _bits(rows) -> int:
+    """The largest bit length of |x| over the int rows ``rows``."""
+    return max(map(int.bit_length, chain.from_iterable(rows)))
+
+
 def _chain_rule(jac, f, hess, a, b) -> Bilinear:
     """jac o f + hess(a, b) on scaled operands: the second-order chain rule.
 
-    Entry [k][l][j] is m1 * sum_m jac[k][m] f[m][l][j]
-    + m2 * sum_m a[m][l] (sum_p hess[k][m][p] b[p][j]), with m1 and m2
-    bringing the two sums to the lcm of their denominators.
+    Entry [k][l][j] is sum_m jac[k][m] f[m][l][j]
+    + sum_m a[m][l] (sum_p hess[k][m][p] b[p][j]), over the lcm L of the
+    denominators of the two sums: jac is first scaled by L / (den jac den f)
+    and a by L / (den hess den a den b).
+
+    Packing.  The index j rides in one integer: a vector v_0..v_{n-1} is
+    held as V(v) = sum_j v_j 2^(w j).  The rows of b and the rows [l] of the
+    planes of f are packed once; then sum_p hess[k][m][p] V(b[p]) is
+    V(hess_k b)[m], and the packed entry [k][l] is
+    sum_m jac[k][m] V(f[m][l]) + sum_m a[m][l] V(hess_k b)[m].  That is
+    3 n^3 multiply-adds of a small int with a packed one in all, where
+    unpacked sums take 3 n^4 multiplies.  V is linear, so each packed entry
+    equals V(out[k][l]) exactly, whatever carries pass between its fields.
+
+    Width.  Let bits(x) be the largest bit length of |entry| of x, after the
+    scaling, and g = ceil(log2 n): a sum of n terms is below 2^g times the
+    bound of one.  So |first sum| < 2^(bits(jac) + bits(f) + g) and
+    |second sum| < 2^(bits(hess) + bits(a) + bits(b) + 2 g), and every
+    |out| < 2^(w - 1) for
+
+        w = 2 + max(bits(jac) + bits(f) + g, bits(hess) + bits(a) + bits(b) + 2 g).
+
+    Adding h = 2^(w-1) to each field puts out + h in [0, 2^w): one field,
+    carrying into no other, so (y >> w j) & (2^w - 1), less h, is entry j
+    of y = V(out + h).  A y below 0 or at least 2^(n w) cannot come from
+    fields in bounds: the unpack raises ``OverflowError`` for it rather than
+    read wrong fields.
     """
     (J, Jd), (F, Fd), (H, Hd), (A, Ad), (B, Bd) = jac, f, hess, a, b
     den1 = Jd * Fd
     den2 = Hd * Ad * Bd
     common = lcm(den1, den2)
-    m1 = common // den1
-    m2 = common // den2
+    if common != den1:
+        J = [[common // den1 * x for x in row] for row in J]
+    if common != den2:
+        A = [[common // den2 * x for x in row] for row in A]
     n = len(J)
+    g = (n - 1).bit_length()
+    w = 2 + max(_bits(J) + _bits(F) + g, _bits(H) + _bits(A) + _bits(B) + 2 * g)
+    fields = range(0, n * w, w)
+    starts = range(0, n * n, n)
+
+    def pack(v):
+        return sum(map(lshift, v, fields))
+
+    # f_cols[l][m] = V(f[m][l]), a_cols[l][m] = a[m][l]
+    f_cols = list(zip(*[[pack(Fm[r:r + n]) for r in starts] for Fm in F]))
     a_cols = list(zip(*A))
-    b_cols = list(zip(*B))
-    # f_cols[l*n + j][m] = f[m][l][j]; hb[k][j][m] = sum_p hess[k][m][p] b[p][j]
-    f_cols = list(zip(*F))
-    hb = [[[sum(map(mul, row, col)) for row in rows] for col in b_cols]
-          for rows in ([Hk[r:r + n] for r in range(0, n * n, n)] for Hk in H)]
-    return Bilinear._of((
-        [[m1 * sum(map(mul, Jk, f_col)) + m2 * sum(map(mul, a_col, hb_col))
-          for f_col, (a_col, hb_col) in zip(f_cols, product(a_cols, hb_k))]
-         for Jk, hb_k in zip(J, hb)],
-        common))
+    b_rows = [pack(row) for row in B]
+    h = 1 << (w - 1)
+    mask = (1 << w) - 1
+    lift = pack([h] * n)
+    out = []
+    for Jk, Hk in zip(J, H):
+        hb = [sum(map(mul, Hk[r:r + n], b_rows)) for r in starts]
+        ys = [sum(map(mul, Jk, f_col), sum(map(mul, a_col, hb), lift))
+              for f_col, a_col in zip(f_cols, a_cols)]
+        if min(ys) < 0 or max(ys) >> (n * w):
+            raise OverflowError("_chain_rule: a field exceeds its width")
+        out.append([((y >> s) & mask) - h for y in ys for s in fields])
+    return Bilinear._of((out, common))
 
 
 def compose_2jets(g: Map2Jet, f: Map2Jet) -> Map2Jet:

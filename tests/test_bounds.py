@@ -45,7 +45,21 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
-def test_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path):
+# The interpreter's default limit on the digits of an int's text, which
+# PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits can change or lift (0):
+# the tests of that limit pin it, in the process and in a child's environment.
+DIGIT_LIMIT = 4300
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_integer_too_long_to_convert_is_a_parse_error(capsys, tmp_path, digit_limit):
     path = tmp_path / "long.json"
     path.write_text("[" + "1" * 5000 + "]")
     code, err = _exit_code(capsys, "op", "inv", "--group", "hat2", str(path))
@@ -236,7 +250,8 @@ def _wide_docs(tmp_path) -> list[str]:
     return paths
 
 
-def test_result_past_the_digit_limit_is_an_error_not_a_traceback(capsys, tmp_path):
+def test_result_past_the_digit_limit_is_an_error_not_a_traceback(capsys, tmp_path,
+                                                               digit_limit):
     den = _WIDE_DENS[0] * _WIDE_DENS[1]
     with pytest.raises(JetFramesError, match="cannot write the result"):
         rats_to_strs([1], den)
@@ -250,7 +265,8 @@ def test_result_past_the_digit_limit_is_an_error_not_a_traceback(capsys, tmp_pat
 
 
 def test_result_past_the_digit_limit_exits_2_in_a_process(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(jetframes.__file__).parents[1]),
+           "PYTHONINTMAXSTRDIGITS": str(DIGIT_LIMIT)}
     proc = subprocess.run([sys.executable, "-m", "jetframes", "op", "mul",
                            "--group", "hat2", *_wide_docs(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=60)

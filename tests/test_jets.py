@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -7,6 +8,9 @@ from exact_oracles import (
     poly_compose_jets,
     poly_diff,
     polys_to_jet_data,
+    ref_add,
+    ref_post,
+    ref_pre,
 )
 from jetframes import (
     Bilinear,
@@ -28,6 +32,7 @@ from jetframes import (
     proj_21,
 )
 from jetframes import _scaled as sc
+from jetframes import jets
 from jetframes.randgen import (
     rand_g2,
     rand_map2jet,
@@ -327,3 +332,101 @@ def test_action_requires_matching_base():
 def test_hessian_must_be_symmetric():
     with pytest.raises(ValueError):
         Map2Jet(_origin(2), _origin(2), _eye(2), Bilinear.single(2, 0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the packed chain rule at its width bound
+
+
+def _full(n, bits, sign, den=1, bilinear=False):
+    """Every entry sign * (2^bits - 1) / den: a matrix, or a bilinear map."""
+    e = sign * ((1 << bits) - 1)
+    if bilinear:
+        return Bilinear._of(([[e] * (n * n) for _ in range(n)], den))
+    return SquareMatrix._of(([[e] * n for _ in range(n)], den))
+
+
+def _scales(dens):
+    """log2 of the powers of two by which the lcm of the two sums'
+    denominators ``dens`` multiplies jac and a."""
+    common = lcm(*dens)
+    return tuple((common // d).bit_length() - 1 for d in dens)
+
+
+def _width(n, bits, dens):
+    """The field width the proof of ``_chain_rule`` asks for."""
+    bj, bf, bh, ba, bb = bits
+    sj, sa = _scales(dens)
+    g = (n - 1).bit_length()
+    return 2 + max(bj + sj + bf + g, bh + ba + sa + bb + 2 * g)
+
+
+def _chain_edge(n, bits, sign, same_ab, dens=(1, 1)):
+    """jac o f + hess(a, b) on full operands of the given bit lengths, with
+    the sign on jac and hess (both sums take it) and dens the denominators
+    of jac and hess; checked against the Fraction loops.  Returns the
+    output field, the numerator over the lcm of the two sums' denominators,
+    and the width the bound asks for."""
+    bj, bf, bh, ba, bb = bits
+    jac, hess = _full(n, bj, sign, dens[0]), _full(n, bh, sign, dens[1], True)
+    f, a = _full(n, bf, 1, bilinear=True), _full(n, ba, 1)
+    b = a if same_ab else _full(n, bb, 1)
+    out = jets._chain_rule(jac.scaled, f.scaled, hess.scaled, a.scaled, b.scaled)
+    assert out == ref_add(ref_post(jac, f), ref_pre(hess, a, b)), (bits, dens)
+    field = Fraction(out.ints[0][0], out.den) * lcm(*dens)
+    assert field.denominator == 1
+    return field.numerator, _width(n, bits, dens)
+
+
+def _edge_bits(n, same_ab, dens):
+    """Bit lengths (jac, f, hess, a, b) that bring the two sums' bounds within
+    one bit of each other, where the sum of both terms reaches the bound."""
+    g = (n - 1).bit_length()
+    sj, sa = _scales(dens)
+    for bh in (2, 5):
+        for ba in (3, 6):
+            bb = ba if same_ab else ba + 2
+            second = bh + ba + sa + bb + 2 * g
+            for delta in (-1, 0, 1):
+                rest = second + delta - g - sj  # bj + bf
+                yield rest - rest // 2, rest // 2, bh, ba, bb
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("same_ab", [True, False], ids=["a=b", "a!=b"])
+def test_chain_rule_is_exact_at_the_width_bound(n, sign, same_ab):
+    # a = b as compose_2jets passes them, a != b as left_act_diffeo does; the
+    # second and third denominators scale jac, then a, by 2
+    hits = 0
+    for dens in ((1, 1), (1, 2), (2, 1)):
+        for bits in _edge_bits(n, same_ab, dens):
+            field, width = _chain_edge(n, bits, sign, same_ab, dens)
+            assert field * sign > 0
+            # past 2^(width - 2), one bit less of field would not hold it
+            hits += abs(field) > 1 << (width - 2)
+    assert hits
+
+
+@pytest.mark.parametrize("sign, same_ab", [(1, True), (-1, False)])
+def test_chain_rule_is_exact_at_the_width_bound_n12(sign, same_ab):
+    n = 12
+    bits = next(b for b in _edge_bits(n, same_ab, (1, 1))
+                if b[0] + b[1] == b[2] + b[3] + b[4] + 4)  # equal bounds
+    field, width = _chain_edge(n, bits, sign, same_ab)
+    bj, bf, bh, ba, bb = ((1 << x) - 1 for x in bits)
+    assert field == sign * (n * bj * bf + n * n * bh * ba * bb)
+    assert abs(field) > 1 << (width - 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chain_rule_raises_when_its_width_is_too_small(monkeypatch, sign):
+    # with every operand reported 0 bits wide, the fields are far too narrow
+    # for wide entries of either sign: the unpack must raise, not return
+    # wrong fields
+    n = 8
+    jac, hess = _full(n, 40, sign), _full(n, 40, sign, bilinear=True)
+    f, a = _full(n, 40, 1, bilinear=True), _full(n, 40, 1)
+    monkeypatch.setattr(jets, "_bits", lambda rows: 0)
+    with pytest.raises(OverflowError):
+        jets._chain_rule(jac.scaled, f.scaled, hess.scaled, a.scaled, a.scaled)

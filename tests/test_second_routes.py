@@ -7,6 +7,9 @@ coefficients of library use (products of three draws), not only on the
 single draws the suites use.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from exact_oracles import ref_mul_t1n_coordinate
@@ -58,6 +61,30 @@ def test_routes_give_the_same_values_without_the_kernel(n, monkeypatch):
     with pytest.raises(KernelCalled):
         groups.mul_t1n(s, t)  # the patch reaches the kernel routes
     assert [call() for call in calls] == before
+
+
+def _imported_modules(path: Path) -> list[str]:
+    """Every module the file imports, or imports a name from, as an absolute
+    dotted name (``from . import x`` in ``jetframes`` gives ``jetframes.x``:
+    x may be a module)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # jets.py sits in the package itself
+                base = f"jetframes.{base}" if base else "jetframes"
+            found.append(base)
+            found += [f"{base}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_jets_imports_nothing_from_the_kernel_module():
+    modules = _imported_modules(Path(jets.__file__))
+    assert "jetframes.bilinear" in modules  # the reader sees relative imports
+    assert not [m for m in modules
+                if m == "jetframes._scaled" or m.startswith("jetframes._scaled.")]
 
 
 # ---------------------------------------------------------------------------

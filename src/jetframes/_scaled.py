@@ -8,8 +8,9 @@ and ``Bilinear`` store their values in this form, canonical (gcd(all ints,
 den) = 1), so the public operations hand their stored ints to these kernels
 and build the result from the kernel output with ``reduce``, one gcd pass;
 no ``Fraction`` is made on the way.  Kernels read rows that are tuples or
-lists and return lists; ``s_matmul`` and ``s_law``, the kernels that combine
-operands, refuse operands of different n.  Nothing here is approximate.
+lists and return rows that are lists or, from ``s_law``'s plane path,
+tuples; ``s_matmul`` and ``s_law``, the kernels that combine operands,
+refuse operands of different n.  Nothing here is approximate.
 
 Conversions between ``Fraction`` arrays and the scaled form happen only at
 the public edges: ``smat``/``sbil`` when a value is built from rationals by
@@ -29,21 +30,22 @@ forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
 pass: each group law and inverse passes all its terms at once (a conjugation
 makes two calls), and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``
 and ``s_add`` are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and
-``s_skew`` work entrywise, with no contraction to pack.  It packs the last
-index of each bilinear map into one integer per row (Kronecker substitution:
-entry j is weighted by 2^(k j)), so each of its contractions is O(n^3)
-multiply-adds of small ints with packed ints, and the terms are added while
-packed.  The field width k is an exact bound on the output entries (proved
-at ``s_law``), so the unpack by shift and mask is exact, and a result past
-it raises ``OverflowError``; nothing is approximate.
+``s_skew`` work entrywise, with no contraction to pack.  It packs by
+Kronecker substitution and adds the terms while packed: small laws put each
+output plane in one integer of 64-bit lanes, the others each row of a plane
+in one integer of fields k bits wide, k an exact bound on the output
+entries (proved at ``s_law``).  A result past the bound raises
+``OverflowError``; nothing is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import add, lshift, mul, neg, sub
+from struct import Struct
 from typing import Optional, Sequence
 
 from .errors import SingularMatrixError
@@ -202,13 +204,8 @@ def s_law(*terms: Term) -> Bil:
 
     Every term is brought to one common denominator L, the lcm of the term
     denominators: its factor s_t = sign_t * L/den_t multiplies its packed
-    rows once they are contracted.  The work is Kronecker-packed over the
-    last index j: a vector (v_0, ..., v_{n-1}) is held as the one integer
-    P(v) = sum_j v_j 2^(k j).  Each row of b becomes P(b[q]) (with b = I the
-    rows of f are packed directly), and the f, a and c contractions are
-    inner products of small ints with packed ints, n^3 big-int multiply-adds
-    each; the terms are added while still packed, and one signed unpack per
-    packed row follows.
+    values once they are contracted.  The ints of the result are n rows
+    (lists or tuples, as the path gives them).
 
     Width.  Let bits(x) be the largest bit length of |entry| of x, r_t the
     number of matrices present in term t (each sums one index over n values)
@@ -220,17 +217,48 @@ def s_law(*terms: Term) -> Bil:
         k >= 1 + ceil(log2 T)
                + max_t [ceil(log2 |s_t|) + bits(f) + sum_m (bits(m) + ceil(log2 n))].
 
-    k is exactly this bound.  P is additive and P(v) * m = P(m v), so the
-    packed result x equals P(out) exactly, whatever the intermediate fields
-    hold.  With every |out_j| < 2^(k-1), y = x + sum_j 2^(k-1) 2^(k j) holds
-    each out_j + 2^(k-1) in its own k-bit field, in [0, 2^k) and carrying
-    into no other, so out_j = ((y >> k j) & (2^k - 1)) - 2^(k-1).  Then
-    0 <= y < 2^(n k); a y with y >> (n k) nonzero (too large, or negative)
-    breaks the bound and raises ``OverflowError`` rather than unpack wrong
-    fields.  Nothing is rounded or tolerated.
+    k is exactly this bound.  The work is Kronecker-packed (P is additive
+    and P(v) * m = P(m v), so a packed result equals the packing of the
+    output exactly, whatever the intermediate values hold) on one of two
+    paths, chosen by operand size:
+
+    Planes (k <= 64 and n <= ``_PLANE_N``, ``_law_planes``).  Each plane of
+    n^2 entries is one integer of 64-bit lanes: out[i][j] sits in lane
+    n i + j.  Row p of a is packed over i as Q_a(p) = sum_i a[p][i]
+    2^(64 n i) and row q of b over j as P_b(q) = sum_j b[q][j] 2^(64 j) (an
+    identity slot is the plain power of two).  With T[p][q] = Q_a(p) P_b(q),
+    the contraction of a plane g of f is the one sum sum_{p,q} g[p][q]
+    T[p][q], the c contraction is one sum per output plane, and the terms
+    are added as one integer per plane.  Since k <= 64, every |out| < 2^63,
+    so y = x + sum_l 2^63 2^(64 l) holds each out + 2^63 in its own lane,
+    in [0, 2^64) and carrying into no other; y xor the same offset holds
+    each out as a 64-bit two's complement lane, which one ``Struct`` unpack
+    reads.
+
+    Rows (otherwise, ``_law_rows``).  The last index j is packed with the
+    exact width k: a vector (v_0, ..., v_{n-1}) is held as the one integer
+    P(v) = sum_j v_j 2^(k j).  Each row of b becomes P(b[q]) (with b = I the
+    rows of f are packed directly), and the f, a and c contractions are
+    inner products of small ints with packed ints, n^3 big-int multiply-adds
+    each; the terms are added while still packed, and one signed unpack per
+    packed row follows.  With every |out_j| < 2^(k-1), y = x + sum_j 2^(k-1)
+    2^(k j) holds each out_j + 2^(k-1) in its own k-bit field, so out_j =
+    ((y >> k j) & (2^k - 1)) - 2^(k-1).
+
+    On either path 0 <= y < 2^(width of the packed value); a y outside it
+    (too large, or negative) breaks the bound and raises ``OverflowError``
+    rather than unpack wrong fields.  Nothing is rounded or tolerated.
     """
     n = len(terms[0][2][0])
-    starts = range(0, n * n, n)
+    k, den, prepared = _prepare(n, terms)
+    if k <= 64 and n <= _PLANE_N:
+        return _law_planes(n, prepared), den
+    return _law_rows(n, k, prepared), den
+
+
+def _prepare(n: int, terms: Sequence[Term]) -> tuple[int, int, list]:
+    """The width k of ``s_law``, the common denominator and the terms as
+    (scale, c, a, b, f) ints; refuses operands whose dimension is not n."""
     log_n = (n - 1).bit_length()
     dens = [prod(m[1] for m in term[1:] if m is not None) for term in terms]
     den = lcm(*dens)
@@ -250,9 +278,56 @@ def s_law(*terms: Term) -> Bil:
                 bits += _bits(_flat(m)) + log_n
         width = max(width, bits)
         prepared.append((scale, *mats, fi))
-    k = 1 + (len(terms) - 1).bit_length() + width
-    shifts = range(0, k * n, k)
+    return 1 + (len(terms) - 1).bit_length() + width, den, prepared
 
+
+# the largest n at which ``s_law`` packs whole planes: on single draws the
+# plane path is faster up to n = 6, about even at 7 and slower at 8, where
+# its n^2 lanes make each multiply too wide (``tools/law_sweep.py --n``)
+_PLANE_N = 6
+
+
+@cache
+def _lanes(n: int):
+    """The plane path's constants at n: the lane shifts of the first output
+    index and of the last, the lane offset, the plane width in bits and the
+    unpack of one plane."""
+    nn = n * n
+    return (range(0, 64 * nn, 64 * n), range(0, 64 * n, 64),
+            sum(1 << s for s in range(63, 64 * nn, 64)), 64 * nn,
+            Struct(f"<{nn}q").unpack)
+
+
+def _law_planes(n: int, prepared: list) -> list[tuple[int, ...]]:
+    """The plane path of ``s_law``: exact when every |out| < 2^63."""
+    outer, inner, offset, top, unpack = _lanes(n)
+    total = None
+    for scale, c, a, b, fi in prepared:
+        qa = [1 << s for s in outer] if a is None else [
+            sum(map(lshift, row, outer)) for row in a]
+        pb = [1 << s for s in inner] if b is None else [
+            sum(map(lshift, row, inner)) for row in b]
+        table = [x * y for x in qa for y in pb]
+        planes = [sum(map(mul, fk, table)) for fk in fi]
+        if c is not None:
+            planes = [sum(map(mul, crow, planes)) for crow in c]
+        if scale != 1:
+            planes = [x * scale for x in planes]
+        total = planes if total is None else list(map(add, total, planes))
+
+    out = []
+    for x in total:
+        y = x + offset
+        if y < 0 or y >> top:
+            raise OverflowError("s_law: a lane exceeds its width")
+        out.append(unpack((y ^ offset).to_bytes(top >> 3, "little")))
+    return out
+
+
+def _law_rows(n: int, k: int, prepared: list) -> list[list[int]]:
+    """The rows path of ``s_law``: exact when every |out| < 2^(k-1)."""
+    starts = range(0, n * n, n)
+    shifts = range(0, k * n, k)
     total = None
     for scale, c, a, b, fi in prepared:
         if b is None:
@@ -283,7 +358,7 @@ def s_law(*terms: Term) -> Bil:
         if min(ys) < 0 or max(ys) >> top:  # some y >> top is nonzero
             raise OverflowError("s_law: a field exceeds its width")
         out.append([((y >> s) & mask) - half for y in ys for s in shifts])
-    return out, den
+    return out
 
 
 # ---------------------------------------------------------------------------

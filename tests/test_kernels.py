@@ -4,8 +4,9 @@ The random inputs are products of three random elements, so their
 coefficients are much wider than the suites' single-digit draws; the pivot
 cases are written out by hand.  The fused law kernel ``s_law`` is checked at
 the edge of its packing width (every entry at +-(2^b - 1), one sign, so no
-sum cancels), with mixed denominators, and law by law against the public
-compositions.
+sum cancels), with mixed denominators, on each of its two packings (64-bit
+lanes per plane, fields of the exact width per row) and where it chooses
+between them, and law by law against the public compositions.
 """
 
 from fractions import Fraction
@@ -164,11 +165,23 @@ def _law_oracle(*terms):
     return total
 
 
+def _scaled_terms(terms):
+    return [(sign, *(None if m is None else m.scaled for m in (c, f, a, b)))
+            for sign, c, f, a, b in terms]
+
+
 def _law(*terms):
     """s_law on values: terms of (sign, c, f, a, b) with None for I."""
-    return Bilinear._of(sc.s_law(*[
-        (sign, *(None if m is None else m.scaled for m in (c, f, a, b)))
-        for sign, c, f, a, b in terms]))
+    return Bilinear._of(sc.s_law(*_scaled_terms(terms)))
+
+
+def _paths(*terms):
+    """The width k of ``s_law`` on the terms, and the plane path's and the
+    rows path's results, each called directly."""
+    n = terms[0][2].n
+    k, den, prepared = sc._prepare(n, _scaled_terms(terms))
+    return k, (Bilinear._of((sc._law_planes(n, prepared), den)),
+               Bilinear._of((sc._law_rows(n, k, prepared), den)))
 
 
 def _filled(n, value):
@@ -201,16 +214,19 @@ def _edge_terms(shape, n, bits, sign):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_law_kernel_is_exact_at_the_width_bound(n, sign):
-    hits = 0
+    hits = rows = 0
     for shape in _SHAPES:
         for bits in range(1, 17):
             terms = _edge_terms(shape, n, bits, sign)
-            # the field is exactly as wide as the bound asks, so every case
-            # reaches it; those one bit past a byte boundary are the ones a
-            # byte-rounded field left 7 bits of slack
-            hits += _need(terms, n, bits) % 8 == 1
+            # every entry reaches the bound k is computed from; a case with
+            # k <= 64 is packed in 64-bit lanes, any other in fields exactly
+            # k bits wide, where those one bit past a byte boundary are the
+            # ones a byte-rounded field left 7 bits of slack
+            need = _need(terms, n, bits)
+            hits += need > 64 and need % 8 == 1
+            rows += need > 64
             assert _law(*terms) == _law_oracle(*terms), (shape, bits)
-    assert hits
+    assert hits and rows
 
 
 @pytest.mark.parametrize("shape", [[(1, 0, 0)], [(1, 0, 0)] * 3])
@@ -249,17 +265,79 @@ def test_law_kernel_with_mixed_denominators():
     assert out == _law_oracle(*terms)
 
 
+def _mixed_terms(shape, n, sign):
+    """Random terms of ``shape`` whose operands have pairwise different
+    denominators; the term signs alternate, starting at ``sign``."""
+    rng = stream(50, "kernels-paths", n, len(shape), sign)
+    dens = iter((3, 4, 6, 10, 1, 7, 9, 5, 2, 11, 13, 8))
+    terms = []
+    for t, flags in enumerate(shape):
+        c, a, b = (SquareMatrix._of((rand_invertible(rng, n).ints, next(dens)))
+                   if flag else None for flag in flags)
+        f = Bilinear._of((rand_bilinear(rng, n).ints, next(dens)))
+        terms.append((sign * (-1) ** t, c, f, a, b))
+    return terms
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("sign", [1, -1])
-def test_law_kernel_raises_when_its_width_is_too_small(monkeypatch, sign):
-    # with every operand reported 0 bits wide, the fields are far too narrow
-    # for wide entries of either sign: the unpack must raise, not return
-    # wrong fields
-    n = 8
+def test_both_law_paths_match_the_fraction_loops(n, sign):
+    for shape in _SHAPES:
+        terms = _mixed_terms(shape, n, sign)
+        k, (planes, rows) = _paths(*terms)
+        assert k <= 64, shape  # so the 64-bit lanes hold every entry
+        assert planes == rows == _law_oracle(*terms), shape
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_law_kernel_packs_planes_up_to_a_64_bit_width(monkeypatch, n):
+    # every entry reaches the bound k is computed from: with k = 65 some
+    # entry needs 64 bits and a sign, which no 64-bit lane holds; past
+    # _PLANE_N the rows path serves every width
+    taken = []
+
+    def spy(kernel):
+        def call(*args):
+            taken.append(kernel.__name__)
+            return kernel(*args)
+        return call
+
+    for name in ("_law_planes", "_law_rows"):
+        monkeypatch.setattr(sc, name, spy(getattr(sc, name)))
+    planes = "_law_planes" if n <= sc._PLANE_N else "_law_rows"
+    cases = {64: [], 65: []}
+    for shape in _SHAPES:
+        for bits in range(1, 65):
+            for sign in (1, -1):
+                terms = _edge_terms(shape, n, bits, sign)
+                if _need(terms, n, bits) in cases:
+                    cases[_need(terms, n, bits)].append(terms)
+    assert cases[64] and cases[65]
+    wide = False
+    for need, path in ((64, planes), (65, "_law_rows")):
+        for terms in cases[need]:
+            taken.clear()
+            out = _law(*terms)
+            assert taken == [path] and out == _law_oracle(*terms)
+            wide |= max(abs(e) for plane in out.ints for e in plane) >= 1 << 63
+    assert wide
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_law_kernel_raises_when_its_width_is_too_small(monkeypatch, n, sign):
+    # with every operand reported 0 bits wide, the plane path is taken up to
+    # _PLANE_N and the rows path past it has fields far too narrow; entries
+    # of either sign far past 64 bits overflow both: the unpack must raise,
+    # not return wrong lanes or fields
     x = _product(rand_hat2, mul_hat2, stream(48, "kernels-guard", n), n)
-    m, f = _filled(n, sign * ((1 << 40) - 1))
+    wide = (1 << 70) - 1
+    xa = SquareMatrix._of(([[e * wide for e in row] for row in x.a.ints],
+                           x.a.den))
+    m, f = _filled(n, sign * wide)
     monkeypatch.setattr(sc, "_bits", lambda ints: 0)
-    for terms in ([(1, m, f, m, m)], [(sign, x.a, x.f, x.a, None)],
-                  [(1, None, f, None, None), (-1, x.a, x.f, None, None)]):
+    for terms in ([(1, m, f, m, m)], [(sign, xa, x.f, xa, None)],
+                  [(1, None, f, None, None), (-1, xa, x.f, None, None)]):
         with pytest.raises(OverflowError):
             _law(*terms)
 
@@ -341,7 +419,7 @@ def test_every_routed_law_matches_the_public_compositions(n):
     _check_routes(n, 46, post_compose, pre_compose, add, neg)
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_every_routed_law_matches_the_fraction_loops(n):
     _check_routes(n, 47, ref_post, ref_pre, ref_add,
                   lambda f: _term_oracle(-1, None, f, None, None))

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [
     ["tools/verify_jobs.py", "--rounds", "1", "--trials", "2", "--json"],
-    ["tools/law_sweep.py", "--json"],
+    ["tools/law_sweep.py", "--n", "1", "--json"],
     ["tools/startup.py", "--runs", "1", "--json"],
 ], ids=["verify_jobs", "law_sweep", "startup"])
 def test_tool_exits_0_with_a_json_report(argv):
@@ -37,6 +37,12 @@ def _report(argv: tuple[str, ...]):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def test_law_sweep_times_only_the_dimensions_asked_for():
+    doc = _report(("tools/law_sweep.py", "--n", "1", "--json"))
+    cells = [row for ops in doc["median_us"].values() for row in ops.values()]
+    assert len(cells) == 20 and all(list(row) == ["1"] for row in cells)
 
 
 def test_verify_jobs_reports_the_share_of_process_time_in_items():

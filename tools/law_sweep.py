@@ -3,18 +3,19 @@
 Times the kernel laws ``mul_hat2``, ``inv_hat2``, ``conj_hat2``,
 ``mul_t1n``, ``mul_tilde2``, ``inv_tilde2`` and ``decompose_hat2``, and the
 independent second routes ``left_act_diffeo``, ``g2_law_via_jets`` and
-``mul_t1n_coordinate``, at n = 1, 2, 4, 8, 12 on two kinds of input:
-``draw``, single generator draws (the coefficient size the suites use), and
-``product``, products of three draws (the wider coefficients of library use;
-the action's frame and jet are built as the ops-large benchmark builds
-them).  The timing loop is the benchmark's layer sweep (``perfbench.sweep``):
-each sample repeats the call until it lasts at least ``MIN_SAMPLE_S`` there,
-and the median of its ``K`` samples is reported.  Every timed call is checked
-once against its exact identity, the same identity as in ops-large.
+``mul_t1n_coordinate``, at n = 1, 2, 4, 8, 12 (or the ``--n`` values) on two
+kinds of input: ``draw``, single generator draws (the coefficient size the
+suites use), and ``product``, products of three draws (the wider
+coefficients of library use; the action's frame and jet are built as the
+ops-large benchmark builds them).  The timing loop is the benchmark's layer
+sweep (``perfbench.sweep``): each sample repeats the call until it lasts at
+least ``MIN_SAMPLE_S`` there, and the median of its ``K`` samples is
+reported.  Every timed call is checked once against its exact identity, the
+same identity as in ops-large.
 
 Run from the root of a checkout::
 
-    PYTHONPATH=src python3 tools/law_sweep.py [--seed 42] [--json]
+    PYTHONPATH=src python3 tools/law_sweep.py [--seed 42] [--n 3 4 5] [--json]
 
 Pointing ``PYTHONPATH`` at another checkout's ``src`` times that tree with
 the same inputs, which is how two versions are compared.
@@ -93,10 +94,10 @@ def _check(x, y, s, t, p, r, q, jet, u, v) -> None:
         raise SystemExit(f"wrong result at n = {x.n}")
 
 
-def sweep(seed: int) -> dict:
+def sweep(seed: int, ns=NS) -> dict:
     table = {}
     for kind in KINDS:
-        for n in NS:
+        for n in ns:
             calls, values = _inputs(seed, kind, n)
             _check(*values)
             for op in OPS:
@@ -108,18 +109,23 @@ def sweep(seed: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--n", type=int, nargs="+", default=NS, dest="ns",
+                        metavar="N", help="the dimensions to time "
+                        f"(default: {' '.join(map(str, NS))})")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of the table")
     args = parser.parse_args(argv)
-    table = sweep(args.seed)
+    if min(args.ns) < 1:
+        parser.error("--n takes dimensions >= 1")
+    table = sweep(args.seed, args.ns)
     if args.json:
         print(json.dumps({"seed": args.seed, "unit": "us", "median_us": table}))
         return 0
     print(f"median us per call, seed {args.seed}")
-    print(f"{'kind':8} {'op':18}" + "".join(f"{f'n={n}':>10}" for n in NS))
+    print(f"{'kind':8} {'op':18}" + "".join(f"{f'n={n}':>10}" for n in args.ns))
     for kind, ops in table.items():
         for op, row in ops.items():
-            print(f"{kind:8} {op:18}" + "".join(f"{row[n]:>10}" for n in NS))
+            print(f"{kind:8} {op:18}" + "".join(f"{row[n]:>10}" for n in args.ns))
     return 0
 
 

@@ -31,20 +31,22 @@ pass: each group law and inverse passes all its terms at once (a conjugation
 makes two calls), and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``
 and ``s_add`` are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and
 ``s_skew`` work entrywise, with no contraction to pack.  It packs by
-Kronecker substitution and adds the terms while packed: small laws put each
-output plane in one integer of 64-bit lanes, the others each row of a plane
-in one integer of fields k bits wide, k an exact bound on the output
-entries (proved at ``s_law``).  A result past the bound raises
-``OverflowError``; nothing is approximate.
+Kronecker substitution and adds the terms while packed, k an exact bound
+on the bit length of the output entries with their sign (proved at
+``s_law``): small laws put each output plane in one integer of lanes w bits
+wide, w the smallest of 8, 16, 32 and 64 with w >= k, so every entry,
+below 2^(k-1) <= 2^(w-1) in magnitude, fits its lane; the others put each
+row of a plane in one integer of fields exactly k bits wide.  A result past
+the bound raises ``OverflowError``; nothing is approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from math import gcd, lcm, prod
-from operator import add, lshift, mul, neg, sub
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, floordiv, lshift, mul, neg, sub
 from struct import Struct
 from typing import Optional, Sequence
 
@@ -74,23 +76,18 @@ def sbil(coeffs) -> Bil:
     return smat([tuple(_flat(plane)) for plane in coeffs])
 
 
-def _common(den: int, rows) -> int:
-    """gcd of ``den`` and every int in ``rows``, stopping once it is 1."""
-    for row in rows:
-        den = gcd(den, *row)
-        if den == 1:
-            break
-    return den
-
-
 def reduce(s: Mat) -> Mat:
     """Canonical form of a scaled matrix or bilinear map: a tuple of int
-    tuples, gcd(ints, den) = 1."""
+    tuples, gcd(ints, den) = 1.  The gcd pass stops at the first row that
+    brings it to 1."""
     ints, den = s
-    g = _common(den, ints)
-    if g == 1:
-        return tuple(map(tuple, ints)), den
-    return tuple(tuple(e // g for e in row) for row in ints), den // g
+    g = den
+    for row in ints:
+        g = gcd(g, *row)
+        if g == 1:
+            return tuple(map(tuple, ints)), den
+    gs = repeat(g)
+    return tuple(tuple(map(floordiv, row, gs)) for row in ints), den // g
 
 
 def mat_entries(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
@@ -223,17 +220,17 @@ def s_law(*terms: Term) -> Bil:
     paths, chosen by operand size:
 
     Planes (k <= 64 and n <= ``_PLANE_N``, ``_law_planes``).  Each plane of
-    n^2 entries is one integer of 64-bit lanes: out[i][j] sits in lane
-    n i + j.  Row p of a is packed over i as Q_a(p) = sum_i a[p][i]
-    2^(64 n i) and row q of b over j as P_b(q) = sum_j b[q][j] 2^(64 j) (an
-    identity slot is the plain power of two).  With T[p][q] = Q_a(p) P_b(q),
-    the contraction of a plane g of f is the one sum sum_{p,q} g[p][q]
-    T[p][q], the c contraction is one sum per output plane, and the terms
-    are added as one integer per plane.  Since k <= 64, every |out| < 2^63,
-    so y = x + sum_l 2^63 2^(64 l) holds each out + 2^63 in its own lane,
-    in [0, 2^64) and carrying into no other; y xor the same offset holds
-    each out as a 64-bit two's complement lane, which one ``Struct`` unpack
-    reads.
+    n^2 entries is one integer of w-bit lanes, w the smallest of 8, 16, 32
+    and 64 with w >= k: out[i][j] sits in lane n i + j.  Row p of a is
+    packed over i as Q_a(p) = sum_i a[p][i] 2^(w n i) and row q of b over j
+    as P_b(q) = sum_j b[q][j] 2^(w j) (an identity slot is the plain power
+    of two).  With T[p][q] = Q_a(p) P_b(q), the contraction of a plane g of
+    f is the one sum sum_{p,q} g[p][q] T[p][q], the c contraction is one
+    sum per output plane, and the terms are added as one integer per plane.
+    Since k <= w, every |out| < 2^(k-1) <= 2^(w-1), so y = x + sum_l
+    2^(w-1) 2^(w l) holds each out + 2^(w-1) in its own lane, in [0, 2^w)
+    and carrying into no other; y xor the same offset holds each out as a
+    w-bit two's complement lane, which one ``Struct`` unpack reads.
 
     Rows (otherwise, ``_law_rows``).  The last index j is packed with the
     exact width k: a vector (v_0, ..., v_{n-1}) is held as the one integer
@@ -252,32 +249,45 @@ def s_law(*terms: Term) -> Bil:
     n = len(terms[0][2][0])
     k, den, prepared = _prepare(n, terms)
     if k <= 64 and n <= _PLANE_N:
-        return _law_planes(n, prepared), den
+        # the smallest lane width w in (8, 16, 32, 64) with w >= k
+        return _law_planes(n, max(8, 1 << (k - 1).bit_length()), prepared), den
     return _law_rows(n, k, prepared), den
 
 
 def _prepare(n: int, terms: Sequence[Term]) -> tuple[int, int, list]:
     """The width k of ``s_law``, the common denominator and the terms as
-    (scale, c, a, b, f) ints; refuses operands whose dimension is not n."""
+    (scale, c, a, b, f) ints; refuses operands whose dimension is not n.
+    One pass over each term's operands forms its denominator product and
+    its bit lengths."""
     log_n = (n - 1).bit_length()
-    dens = [prod(m[1] for m in term[1:] if m is not None) for term in terms]
-    den = lcm(*dens)
+    den = 1
+    parts = []
+    for sign, c, f, a, b in terms:
+        fi, d = f
+        bits = _bits(_flat(fi))
+        if c is not None:
+            c, e = c
+            d *= e
+            bits += _bits(_flat(c)) + log_n
+        if a is not None:
+            a, e = a
+            d *= e
+            bits += _bits(_flat(a)) + log_n
+        if b is not None:
+            b, e = b
+            d *= e
+            bits += _bits(_flat(b)) + log_n
+        for m in fi, c, a, b:
+            if m is not None and len(m) != n:
+                raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
+        den = lcm(den, d)
+        parts.append((sign, d, bits, c, a, b, fi))
     prepared = []
     width = 0
-    for (sign, c, f, a, b), d in zip(terms, dens):
-        mats = [m if m is None else m[0] for m in (c, a, b)]
-        fi = f[0]
-        if len(fi) != n:
-            raise ValueError(f"dimension mismatch: {n} vs {len(fi)}")
-        scale = sign * (den // d)
-        bits = (abs(scale) - 1).bit_length() + _bits(_flat(fi))
-        for m in mats:
-            if m is not None:
-                if len(m) != n:
-                    raise ValueError(f"dimension mismatch: {n} vs {len(m)}")
-                bits += _bits(_flat(m)) + log_n
-        width = max(width, bits)
-        prepared.append((scale, *mats, fi))
+    for sign, d, bits, c, a, b, fi in parts:
+        scale = den // d
+        width = max(width, (scale - 1).bit_length() + bits)
+        prepared.append((sign * scale, c, a, b, fi))
     return 1 + (len(terms) - 1).bit_length() + width, den, prepared
 
 
@@ -286,28 +296,40 @@ def _prepare(n: int, terms: Sequence[Term]) -> tuple[int, int, list]:
 # its n^2 lanes make each multiply too wide (``tools/law_sweep.py --n``)
 _PLANE_N = 6
 
+# the ``struct`` format of one signed lane of each width
+_LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
 
 @cache
-def _lanes(n: int):
-    """The plane path's constants at n: the lane shifts of the first output
-    index and of the last, the lane offset, the plane width in bits and the
-    unpack of one plane."""
+def _lanes(n: int, w: int):
+    """The plane path's constants for n^2 lanes of w bits, w in (8, 16, 32,
+    64): the lane shifts of the first output index and of the last, the
+    lane offset sum_l 2^(w-1) 2^(w l), the plane width in bits, the unpack
+    of one plane, and the packed identity's rows Q_I, rows P_I and table.
+    The offset puts every |out| < 2^(w-1) in [0, 2^w), inside its lane."""
     nn = n * n
-    return (range(0, 64 * nn, 64 * n), range(0, 64 * n, 64),
-            sum(1 << s for s in range(63, 64 * nn, 64)), 64 * nn,
-            Struct(f"<{nn}q").unpack)
+    outer, inner = range(0, w * nn, w * n), range(0, w * n, w)
+    eye_q = tuple(1 << s for s in outer)
+    eye_p = tuple(1 << s for s in inner)
+    return (outer, inner, sum(1 << s for s in range(w - 1, w * nn, w)),
+            w * nn, Struct(f"<{nn}{_LANE_FORMATS[w]}").unpack, eye_q, eye_p,
+            tuple(x * y for x in eye_q for y in eye_p))
 
 
-def _law_planes(n: int, prepared: list) -> list[tuple[int, ...]]:
-    """The plane path of ``s_law``: exact when every |out| < 2^63."""
-    outer, inner, offset, top, unpack = _lanes(n)
+def _law_planes(n: int, w: int, prepared: list) -> list[tuple[int, ...]]:
+    """The plane path of ``s_law`` in w-bit lanes: exact when every |out| <
+    2^(w-1)."""
+    outer, inner, offset, top, unpack, eye_q, eye_p, eye = _lanes(n, w)
     total = None
     for scale, c, a, b, fi in prepared:
-        qa = [1 << s for s in outer] if a is None else [
-            sum(map(lshift, row, outer)) for row in a]
-        pb = [1 << s for s in inner] if b is None else [
-            sum(map(lshift, row, inner)) for row in b]
-        table = [x * y for x in qa for y in pb]
+        if a is None and b is None:
+            table = eye
+        else:
+            qa = eye_q if a is None else [
+                sum(map(lshift, row, outer)) for row in a]
+            pb = eye_p if b is None else [
+                sum(map(lshift, row, inner)) for row in b]
+            table = [x * y for x in qa for y in pb]
         planes = [sum(map(mul, fk, table)) for fk in fi]
         if c is not None:
             planes = [sum(map(mul, crow, planes)) for crow in c]
@@ -394,9 +416,15 @@ def s_neg(f: Bil) -> Bil:
     return [list(map(neg, plane)) for plane in ints], den
 
 
+@cache
+def _columns(n: int) -> tuple[slice, ...]:
+    """The slices ``i::n`` that read column i of a flat n x n plane."""
+    return tuple(slice(i, None, n) for i in range(n))
+
+
 def swapped(plane: Sequence[int], n: int) -> tuple[int, ...]:
     """``plane`` with its argument indices swapped: row i is ``plane[i::n]``."""
-    return tuple(_flat(plane[i::n] for i in range(n)))
+    return tuple(_flat(map(plane.__getitem__, _columns(n))))
 
 
 def s_sym(f: Bil) -> Bil:

@@ -163,7 +163,10 @@ class Scaled(Value):
         ``ints``, and the shape is the kernel's, so it is not checked."""
         ints, den = sc.reduce(s)
         obj = object.__new__(cls)
-        obj._set(len(ints), ints, den)
+        object.__setattr__(obj, "n", len(ints))
+        object.__setattr__(obj, "ints", ints)
+        object.__setattr__(obj, "den", den)
+        object.__setattr__(obj, "_view", None)
         return obj
 
     @property

@@ -4,9 +4,10 @@ The random inputs are products of three random elements, so their
 coefficients are much wider than the suites' single-digit draws; the pivot
 cases are written out by hand.  The fused law kernel ``s_law`` is checked at
 the edge of its packing width (every entry at +-(2^b - 1), one sign, so no
-sum cancels), with mixed denominators, on each of its two packings (64-bit
-lanes per plane, fields of the exact width per row) and where it chooses
-between them, and law by law against the public compositions.
+sum cancels), with mixed denominators, on each of its two packings (lanes
+of 8, 16, 32 or 64 bits per plane, fields of the exact width per row), where
+it chooses between them and the lane width, on every call of a suite run,
+and law by law against the public compositions.
 """
 
 from fractions import Fraction
@@ -32,6 +33,7 @@ from jetframes import (
 )
 from jetframes import _scaled as sc
 from jetframes import groups as G
+from jetframes import suites
 from jetframes.frames import act_nonhol
 from jetframes.groups import mul_g2, mul_hat2, mul_tilde2
 from jetframes.randgen import (
@@ -175,12 +177,17 @@ def _law(*terms):
     return Bilinear._of(sc.s_law(*_scaled_terms(terms)))
 
 
+def _lane_width(k):
+    """The plane path's lane width for a law of width k <= 64."""
+    return min(w for w in (8, 16, 32, 64) if w >= k)
+
+
 def _paths(*terms):
     """The width k of ``s_law`` on the terms, and the plane path's and the
     rows path's results, each called directly."""
     n = terms[0][2].n
     k, den, prepared = sc._prepare(n, _scaled_terms(terms))
-    return k, (Bilinear._of((sc._law_planes(n, prepared), den)),
+    return k, (Bilinear._of((sc._law_planes(n, _lane_width(k), prepared), den)),
                Bilinear._of((sc._law_rows(n, k, prepared), den)))
 
 
@@ -289,38 +296,107 @@ def test_both_law_paths_match_the_fraction_loops(n, sign):
         assert planes == rows == _law_oracle(*terms), shape
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_law_kernel_packs_planes_up_to_a_64_bit_width(monkeypatch, n):
-    # every entry reaches the bound k is computed from: with k = 65 some
-    # entry needs 64 bits and a sign, which no 64-bit lane holds; past
-    # _PLANE_N the rows path serves every width
+def _spied(monkeypatch):
+    """The paths ``s_law`` takes from now on, in call order: the lane width
+    of each plane-path call, "rows" for each rows-path call."""
     taken = []
+    planes, rows = sc._law_planes, sc._law_rows
 
-    def spy(kernel):
-        def call(*args):
-            taken.append(kernel.__name__)
-            return kernel(*args)
-        return call
+    def spy_planes(n, w, prepared):
+        taken.append(w)
+        return planes(n, w, prepared)
 
-    for name in ("_law_planes", "_law_rows"):
-        monkeypatch.setattr(sc, name, spy(getattr(sc, name)))
-    planes = "_law_planes" if n <= sc._PLANE_N else "_law_rows"
-    cases = {64: [], 65: []}
+    def spy_rows(n, k, prepared):
+        taken.append("rows")
+        return rows(n, k, prepared)
+
+    monkeypatch.setattr(sc, "_law_planes", spy_planes)
+    monkeypatch.setattr(sc, "_law_rows", spy_rows)
+    return taken
+
+
+def _width_cases(n, needs):
+    """The edge terms at n, of either sign, whose packing width is each of
+    ``needs``."""
+    cases = {need: [] for need in needs}
     for shape in _SHAPES:
         for bits in range(1, 65):
             for sign in (1, -1):
                 terms = _edge_terms(shape, n, bits, sign)
                 if _need(terms, n, bits) in cases:
                     cases[_need(terms, n, bits)].append(terms)
+    return cases
+
+
+def _widest(out):
+    return max(abs(e) for plane in out.ints for e in plane)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_law_kernel_packs_planes_up_to_a_64_bit_width(monkeypatch, n):
+    # every entry reaches the bound k is computed from: with k = 65 some
+    # entry needs 64 bits and a sign, which no 64-bit lane holds; past
+    # _PLANE_N the rows path serves every width
+    taken = _spied(monkeypatch)
+    planes = 64 if n <= sc._PLANE_N else "rows"
+    cases = _width_cases(n, (64, 65))
     assert cases[64] and cases[65]
     wide = False
-    for need, path in ((64, planes), (65, "_law_rows")):
+    for need, path in ((64, planes), (65, "rows")):
         for terms in cases[need]:
             taken.clear()
             out = _law(*terms)
             assert taken == [path] and out == _law_oracle(*terms)
-            wide |= max(abs(e) for plane in out.ints for e in plane) >= 1 << 63
+            wide |= _widest(out) >= 1 << 63
     assert wide
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("w", [8, 16, 32])
+def test_law_kernel_sizes_its_lanes_to_the_width(monkeypatch, w, n):
+    # a law of width k = w takes w-bit lanes; at k = w + 1 some entry needs
+    # w bits and a sign, which no w-bit lane holds, and the next width, 2w,
+    # serves it
+    taken = _spied(monkeypatch)
+    cases = _width_cases(n, (w, w + 1))
+    for need in cases:
+        signs = {terms[0][2].ints[0][0] > 0 for terms in cases[need]}
+        assert signs == {True, False}, need
+    wide = False
+    for need, lanes in ((w, w), (w + 1, 2 * w)):
+        for terms in cases[need]:
+            taken.clear()
+            out = _law(*terms)
+            assert taken == [lanes] and out == _law_oracle(*terms)
+            wide |= _widest(out) >= 1 << (w - 1)
+    assert wide
+
+
+def test_both_law_paths_agree_on_the_suites_traffic(monkeypatch):
+    # every s_law call of a suite run, on both paths: the plane path in the
+    # lanes s_law chooses and the rows path in fields exactly k bits wide; a
+    # lane too narrow would carry into its neighbour without an error
+    calls = []
+    law = sc.s_law
+
+    def capture(*terms):
+        calls.append(terms)
+        return law(*terms)
+
+    monkeypatch.setattr(sc, "s_law", capture)
+    monkeypatch.setattr(suites, "_cores", lambda: 1)
+    suites.run_suites(suites.ALL_SUITE_NAMES, (1, 2, 3, 4), 1, 42)
+    taken = _spied(monkeypatch)
+    chosen = []
+    for terms in calls:
+        n = len(terms[0][2][0])
+        k, den, prepared = sc._prepare(n, terms)
+        out = sc.reduce(law(*terms))
+        chosen.append(taken[-1])
+        if chosen[-1] != "rows":
+            assert chosen[-1] == _lane_width(k)
+            assert sc.reduce((sc._law_rows(n, k, prepared), den)) == out
+    assert len(calls) > 500 and {8, 16, 32, 64, "rows"} <= set(chosen)
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])

@@ -22,8 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["tools/verify_jobs.py", "--rounds", "1", "--trials", "2", "--json"],
     ["tools/law_sweep.py", "--n", "1", "--json"],
+    ["tools/law_sweep.py", "--suite-calls", "--json"],
     ["tools/startup.py", "--runs", "1", "--json"],
-], ids=["verify_jobs", "law_sweep", "startup"])
+], ids=["verify_jobs", "law_sweep", "law_sweep_suite_calls", "startup"])
 def test_tool_exits_0_with_a_json_report(argv):
     assert _report(tuple(argv))
 
@@ -43,6 +44,14 @@ def test_law_sweep_times_only_the_dimensions_asked_for():
     doc = _report(("tools/law_sweep.py", "--n", "1", "--json"))
     cells = [row for ops in doc["median_us"].values() for row in ops.values()]
     assert len(cells) == 20 and all(list(row) == ["1"] for row in cells)
+
+
+def test_law_sweep_replays_the_suite_calls_in_place_of_the_sweep():
+    doc = _report(("tools/law_sweep.py", "--suite-calls", "--json"))
+    assert "median_us" not in doc
+    row = doc["suite_calls"]
+    q1, q3 = row["quartiles_ms"]
+    assert row["calls"] > 0 and 0 < q1 <= row["median_ms"] <= q3
 
 
 def test_verify_jobs_reports_the_share_of_process_time_in_items():

@@ -13,9 +13,17 @@ least ``MIN_SAMPLE_S`` there, and the median of its ``K`` samples is
 reported.  Every timed call is checked once against its exact identity, the
 same identity as in ops-large.
 
+With ``--suite-calls`` it times the kernel layer on the suites' own
+traffic in place of the sweep: it captures the operands of every
+``_scaled.s_law`` call of one ``run_suites(all, (1, 2, 3, 4), 1, seed)`` in
+this process, pinned to one core (so the runner forks no worker), then
+replays ``reduce(s_law(*terms))`` over all of them ``SUITE_RUNS`` times and
+reports the median and the quartiles of the replay's wall time.
+
 Run from the root of a checkout::
 
     PYTHONPATH=src python3 tools/law_sweep.py [--seed 42] [--n 3 4 5] [--json]
+    PYTHONPATH=src python3 tools/law_sweep.py --suite-calls [--seed 42] [--json]
 
 Pointing ``PYTHONPATH`` at another checkout's ``src`` times that tree with
 the same inputs, which is how two versions are compared.
@@ -25,10 +33,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
-from jetframes import bilinear, frames, jets, matrices
+from jetframes import _scaled, bilinear, frames, jets, matrices, suites
 from jetframes import groups as G
 from jetframes import randgen as rg
 
@@ -39,6 +50,8 @@ OPS = ("mul_hat2", "inv_hat2", "conj_hat2", "mul_t1n", "mul_tilde2",
        "inv_tilde2", "decompose_hat2", "left_act_diffeo", "g2_law_via_jets",
        "mul_t1n_coordinate")
 KINDS = ("draw", "product")
+SUITE_NS = (1, 2, 3, 4)
+SUITE_RUNS = 21
 
 
 def _inputs(seed: int, kind: str, n: int):
@@ -106,6 +119,40 @@ def sweep(seed: int, ns=NS) -> dict:
     return table
 
 
+def captured_calls(seed: int) -> list:
+    """The terms of every ``s_law`` call of one suite run at ``SUITE_NS``
+    with one trial, in call order.  Pins this process to one core, so the
+    runner forks no worker and every call is made here."""
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[-1:])
+    calls = []
+    law = _scaled.s_law
+
+    def capture(*terms):
+        calls.append(terms)
+        return law(*terms)
+
+    _scaled.s_law = capture
+    try:
+        suites.run_suites(suites.ALL_SUITE_NAMES, SUITE_NS, 1, seed)
+    finally:
+        _scaled.s_law = law
+    return calls
+
+
+def time_suite_calls(seed: int) -> dict:
+    calls = captured_calls(seed)
+    law, reduce, perf = _scaled.s_law, _scaled.reduce, time.perf_counter
+    samples = []
+    for _ in range(SUITE_RUNS + 1):  # the first replay warms the caches
+        start = perf()
+        for terms in calls:
+            reduce(law(*terms))
+        samples.append((perf() - start) * 1e3)
+    q1, median, q3 = statistics.quantiles(samples[1:], n=4)
+    return {"calls": len(calls), "runs": SUITE_RUNS, "median_ms": round(median, 2),
+            "quartiles_ms": [round(q1, 2), round(q3, 2)]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42)
@@ -114,9 +161,21 @@ def main(argv=None) -> int:
                         f"(default: {' '.join(map(str, NS))})")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object instead of the table")
+    parser.add_argument("--suite-calls", action="store_true",
+                        help="time the s_law + reduce calls of one suite "
+                        "run in place of the sweep")
     args = parser.parse_args(argv)
     if min(args.ns) < 1:
         parser.error("--n takes dimensions >= 1")
+    if args.suite_calls:
+        row = time_suite_calls(args.seed)
+        if args.json:
+            print(json.dumps({"seed": args.seed, "unit": "ms", "suite_calls": row}))
+        else:
+            print(f"seed {args.seed}: {row['calls']} s_law + reduce calls, "
+                  f"median {row['median_ms']} ms over {row['runs']} replays "
+                  f"(quartiles {row['quartiles_ms'][0]}-{row['quartiles_ms'][1]} ms)")
+        return 0
     table = sweep(args.seed, args.ns)
     if args.json:
         print(json.dumps({"seed": args.seed, "unit": "us", "median_us": table}))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import neg
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import _scaled as sc
 from .matrices import Scaled, SquareMatrix, value_type
@@ -42,12 +42,7 @@ class Bilinear(Scaled):
     den: int
     _rank = 3
     _misshapen = "coeffs must form an {n}^3 array"
-
-    def __init__(self, n: int, coeffs: Sequence[Sequence[Sequence[Fraction]]]) -> None:
-        self._check_shape(n, coeffs)
-        # reduced fractions scale to a canonical form already
-        ints, den = sc.sbil(coeffs)
-        self._set(n, tuple(map(tuple, ints)), den)
+    _scale = staticmethod(sc.sbil)
 
     @property
     def coeffs(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -60,14 +55,11 @@ class Bilinear(Scaled):
         return cls(len(data), data)
 
     @classmethod
-    def zero(cls, n: int) -> "Bilinear":
-        cls._check_dim(n)
-        return cls._of(([[0] * (n * n) for _ in range(n)], 1))
-
-    @classmethod
     def single(cls, n: int, k: int, i: int, j: int, value=1) -> "Bilinear":
         """Map with one nonzero coefficient; handy in tests and examples."""
         cls._check_dim(n)
+        if not all(0 <= index < n for index in (k, i, j)):
+            raise ValueError(f"indices must lie in 0..{n - 1}")
         val = Fraction(value)
         return cls._of(([[val.numerator if (kk, m) == (k, i * n + j) else 0
                           for m in range(n * n)] for kk in range(n)],

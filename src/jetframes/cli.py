@@ -149,13 +149,12 @@ def _cmd_gen(args) -> int:
     check_n(args.n, "--n")
     rng = rg.stream(args.seed, "gen", args.kind, args.n)
     value = getattr(rg, f"rand_{args.kind}")(rng, args.n)
-    if args.origin:
-        pinned = {key: (Fraction(0),) * args.n  # the base point fields
-                  for key in ("x", "base", "value") if key in value.__match_args__}
-        if not pinned:
+    if args.origin:  # pin the base points, the tuple parts
+        parts, origin = value.parts, (Fraction(0),) * args.n
+        if not any(isinstance(part, tuple) for part in parts):
             raise ParseError("--origin only applies to frames and jets")
-        fields = dict(zip(value.__match_args__, value.parts))
-        value = type(value)(**fields | pinned)  # the constructor checks it
+        value = type(value)(*(origin if isinstance(part, tuple) else part
+                              for part in parts))  # the constructor checks it
     _emit(to_doc(value))
     return 0
 

@@ -7,25 +7,29 @@ and matrix-vector action is the usual ``(a v)^j = sum_i entries[j][i] v^i``.
 A matrix is stored in canonical scaled form: integers ``ints`` (a tuple of
 n row tuples) and a denominator ``den`` with den > 0 and gcd(all ints,
 den) = 1, so the value is ints/den entrywise.  The form is unique, so
-equality and hashing compare the stored ints.  ``SquareMatrix(n, entries)``
-converts rationals into this form once; operations hand ``scaled`` to the
-integer kernels of ``_scaled``, which check that their operands share n,
-and build their result with the private ``_of``, which only reduces by the
-common gcd, and so does the document reader after the constructor's shape
-check.  ``entries`` is the ``Fraction`` view, built on first access and then
-kept (library callers and the plain-fraction cross-checks read it,
-documents do not; values whose view is never read never hold one).
+equality and hashing compare the stored ints.  Operations hand ``scaled`` to
+the integer kernels of ``_scaled``, which check that their operands share n.
+``entries`` is the ``Fraction`` view, built on first access and then kept.
 
 ``Value`` gives every value type of the package (the matrices, bilinear
 maps, group elements, frames, jets and group tags) its value semantics, and
 ``Checked`` is the base of the element, frame and jet types: the one check
-of their invariants, and a trusted builder for results that satisfy them by
-construction.
+of their invariants.  Four builders make every value:
+
+* ``Value.__init__``, the checked constructor: library callers, the reader
+  of element, frame and jet documents, and the second routes;
+* ``Scaled.__init__(n, array)``, a matrix or bilinear map from exact
+  rationals, checked: library callers, ``from_rows`` and ``from_coeffs``;
+* ``Value._trusted(*fields)``, unchecked: results of a law, an inverse or a
+  projection, and the generators' draws;
+* ``Scaled._of(s)``, kernel output reduced to canonical form: every
+  operation on matrices and bilinear maps, and the document reader.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -53,8 +57,9 @@ class Value:
     Construction (by position or by name, as ``dataclasses.replace`` calls
     it), equality, hashing, ``repr`` and pickling all read those fields in
     order, and ``__post_init__`` checks the invariants after construction.
-    A field cannot be assigned or deleted; private builders set fields with
-    ``object.__setattr__``.  A subclass is declared with ``value_type``.
+    A field cannot be assigned or deleted: the builders set fields with
+    ``__setstate__``, the one field loop (``_of`` sets its own).  A subclass
+    is declared with ``value_type``.
     """
 
     __slots__ = ()
@@ -102,6 +107,13 @@ class Value:
         for name, value in zip(self.__match_args__, state):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *fields):
+        """An instance with ``fields``, in field order, unchecked."""
+        obj = object.__new__(cls)
+        obj.__setstate__(fields)
+        return obj
+
 
 def value_type(cls: type) -> type:
     """Declare a ``Value`` subclass with at least two fields, its annotated
@@ -115,19 +127,32 @@ def value_type(cls: type) -> type:
     return type(cls)(cls.__name__, cls.__bases__, body)
 
 
+def _require_exact(values: Iterable, what: str) -> None:
+    if not all(map(isinstance, values, repeat((int, Fraction)))):
+        raise TypeError(f"{what} must be exact rationals (int or Fraction)")
+
+
 class Scaled(Value):
     """The storage shared by ``SquareMatrix`` and ``Bilinear``.
 
     A subclass is a value type with the fields ``n``, ``ints`` and ``den``,
-    ``ints`` a tuple of n flat int tuples (rows, or row-major planes), and
-    names the rank of the arrays its constructor takes in ``_rank`` and its
-    rejection of a misshapen array in ``_misshapen``.  The cache ``_view``
-    is a slot here, not a field, so it is not part of the value.
+    ``ints`` a tuple of n flat int tuples (rows, or row-major planes).  Its
+    constructor takes arrays of rank ``_rank``, refuses a misshapen one with
+    ``_misshapen`` and converts with ``_scale``.  The cache ``_view`` is a
+    slot here, not a field, so it is not part of the value.
     """
 
     __slots__ = ("_view",)
     _rank: int
     _misshapen: str
+    _scale: Callable
+
+    def __init__(self, n: int, array: Sequence) -> None:
+        rows = self._check_shape(n, array)
+        _require_exact(chain.from_iterable(rows), f"{type(self).__name__} entries")
+        # reduced fractions scale to a canonical form already
+        ints, den = self._scale(array)
+        self.__setstate__((n, tuple(map(tuple, ints)), den))
 
     @staticmethod
     def _check_dim(n: int) -> None:
@@ -135,10 +160,10 @@ class Scaled(Value):
             raise ValueError("dimension must be >= 1")
 
     @classmethod
-    def _check_shape(cls, n: int, array) -> None:
-        """Raise ``ValueError`` unless ``array`` holds n entries at each of
-        its ``_rank`` levels: the one shape check of the constructor and of
-        the document reader, which builds with ``_of``."""
+    def _check_shape(cls, n: int, array) -> list:
+        """The rows of ``array``, once it holds n entries at each of its
+        ``_rank`` levels (``ValueError`` if not): the one shape check of the
+        constructor and of the document reader, which builds with ``_of``."""
         cls._check_dim(n)
         level = [array]
         for depth in range(cls._rank):
@@ -146,15 +171,11 @@ class Scaled(Value):
                 level = [e for a in level for e in a]
             if set(map(len, level)) != {n}:
                 raise ValueError(cls._misshapen.format(n=n))
-
-    def _set(self, n: int, ints, den: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ints", ints)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_view", None)
+        return level
 
     def __setstate__(self, state) -> None:
-        self._set(*state)
+        Value.__setstate__(self, state)
+        object.__setattr__(self, "_view", None)
 
     @classmethod
     def _of(cls, s):
@@ -162,12 +183,18 @@ class Scaled(Value):
         canonical form by ``_scaled.reduce``; its n is the number of rows of
         ``ints``, and the shape is the kernel's, so it is not checked."""
         ints, den = sc.reduce(s)
+        # sets its slots itself: through ``_trusted`` the suites ran 2-4% slower
         obj = object.__new__(cls)
         object.__setattr__(obj, "n", len(ints))
         object.__setattr__(obj, "ints", ints)
         object.__setattr__(obj, "den", den)
         object.__setattr__(obj, "_view", None)
         return obj
+
+    @classmethod
+    def zero(cls, n: int) -> "Scaled":
+        cls._check_dim(n)
+        return cls._of(([[0] * n ** (cls._rank - 1)] * n, 1))
 
     @property
     def scaled(self):
@@ -190,12 +217,7 @@ class SquareMatrix(Scaled):
     den: int
     _rank = 2
     _misshapen = "entries must form an {n}x{n} array"
-
-    def __init__(self, n: int, entries: Sequence[Sequence[Fraction]]) -> None:
-        self._check_shape(n, entries)
-        # reduced fractions scale to a canonical form already
-        ints, den = sc.smat(entries)
-        self._set(n, tuple(map(tuple, ints)), den)
+    _scale = staticmethod(sc.smat)
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -210,11 +232,6 @@ class SquareMatrix(Scaled):
     def identity(cls, n: int) -> "SquareMatrix":
         cls._check_dim(n)
         return cls._of(([[int(i == j) for i in range(n)] for j in range(n)], 1))
-
-    @classmethod
-    def zero(cls, n: int) -> "SquareMatrix":
-        cls._check_dim(n)
-        return cls._of(([[0] * n for _ in range(n)], 1))
 
     def is_identity(self) -> bool:
         return self.den == 1 and all(
@@ -254,11 +271,11 @@ class Checked(Value):
     points, matrices, then a last part (a bilinear map, but none in a linear
     frame and an element in an extension class).  The constructor checks,
     in this order: every part has the dimension ``n`` of the first part that
-    is not a base point (a base point by its length), every matrix is
-    invertible unless the type declares ``_invertible = False``, and the
-    last part satisfies the predicate of ``_rule`` where a type declares it
-    with its message (``bilinear`` imports this module, so this module
-    cannot import ``is_symmetric``).
+    is not a base point (a base point by its length, and its coordinates are
+    exact), every matrix is invertible unless the type declares
+    ``_invertible = False``, and the last part satisfies the predicate of
+    ``_rule`` where a type declares it with its message (``bilinear``
+    imports this module, so this module cannot import ``is_symmetric``).
 
     A build checks whatever it takes that is not already a checked value:
     the public constructors (hence the parsers), the builds from a caller's
@@ -294,6 +311,7 @@ class Checked(Value):
             if isinstance(part, tuple):
                 if len(part) != n:
                     raise ValueError("base point has wrong dimension")
+                _require_exact(part, "base point coordinates")
             elif part.n != n:
                 raise ValueError("dimension mismatch between components")
         if self._invertible:
@@ -302,11 +320,3 @@ class Checked(Value):
                     require_invertible(part, f"matrix part {name}")
         if self._rule is not None and not self._rule[0](parts[-1]):
             raise ValueError(self._rule[1])
-
-    @classmethod
-    def _trusted(cls, *parts):
-        """An instance with fields ``parts``, in field order, unchecked."""
-        obj = object.__new__(cls)
-        for name, value in zip(cls.__match_args__, parts):
-            object.__setattr__(obj, name, value)
-        return obj

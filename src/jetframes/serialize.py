@@ -14,8 +14,9 @@ so round-trips are bit-exact.  Schemas:
 
 One reader checks every document.  ``_leaves`` requires a JSON array of at
 most ``MAX_N`` entries at every level of a vector, matrix or bilinear array;
-``_LAYOUT`` gives the key of each field of each type; a tag must be a string
-and ``n`` a JSON integer (``check_n``).  Every fault is reported in document
+a type's fields sit under their own names, except where ``_LAYOUT`` names
+other keys (tilde22's (l, h) under "a" and "f"); a tag must be a string and
+``n`` a JSON integer (``check_n``).  Every fault is reported in document
 order: the leaves before a misshapen level are read first.
 
 Matrix and bilinear arrays go between text and the stored ``(ints, den)``
@@ -62,12 +63,8 @@ _TYPES = {"group": {tag: group.type for tag, group in GROUPS.items()},
                    "hol": HolFrame, "lin": LinFrame}}
 _TAGS = {key: {cls: tag for tag, cls in types.items()} for key, types in _TYPES.items()}
 
-# the document key of each field, in field order; tilde22's (l, h) are "a", "f"
-_LAYOUT = {
-    **dict.fromkeys(_TAGS["group"], "af"), GTilde2: "abf",
-    NonHolFrame: "xabf", SemiHolFrame: "xaf", HolFrame: "xaf", LinFrame: "xa",
-    Map2Jet: ("base", "value", "jac", "hess"),
-}
+# the document keys of a type whose keys are not its field names
+_LAYOUT = {GTilde22: ("a", "f")}
 
 
 def check_n(n: Any, what: str) -> None:
@@ -174,17 +171,18 @@ _READ = {1: vector_from_doc, 2: matrix_from_doc, 3: _coeffs_from_doc}
 
 def _to_doc(obj: Any, doc: dict[str, Any]) -> dict[str, Any]:
     """``doc`` followed by each field of ``obj`` under its document key."""
-    for key, name in zip(_LAYOUT[type(obj)], obj.__match_args__):
-        doc[key] = _WRITE[_RANK[key]](getattr(obj, name))
+    for key, part in zip(_LAYOUT.get(type(obj), obj.__match_args__), obj.parts):
+        doc[key] = _WRITE[_RANK[key]](part)
     return doc
 
 
 def _from_doc(doc: dict[str, Any], cls: type, what: str) -> Any:
     """The ``cls`` whose fields ``doc`` holds under their document keys."""
-    missing = [key for key in _LAYOUT[cls] if key not in doc]
+    keys = _LAYOUT.get(cls, cls.__match_args__)
+    missing = [key for key in keys if key not in doc]
     if missing:
         raise ParseError(f"{what} missing field {missing[0]!r}")
-    return _make(cls, *(_READ[_RANK[key]](doc[key]) for key in _LAYOUT[cls]))
+    return _make(cls, *(_READ[_RANK[key]](doc[key]) for key in keys))
 
 
 def _tagged_to_doc(obj: Any, key: str, what: str) -> dict[str, Any]:

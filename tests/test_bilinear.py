@@ -156,3 +156,9 @@ def test_shape_validation():
         Bilinear(2, ((((Fraction(1),),),)))
     with pytest.raises(ValueError):
         Bilinear.from_coeffs([[[1, 2], [3, 4]], [[5, 6]]])
+
+
+@pytest.mark.parametrize("k, i, j", [(5, 0, 0), (0, -1, 0), (0, 0, 2), (-1, 1, 1)])
+def test_single_refuses_an_index_out_of_range(k, i, j):
+    with pytest.raises(ValueError, match=r"indices must lie in 0\.\.1"):
+        Bilinear.single(2, k, i, j)

@@ -22,8 +22,17 @@ from jetframes.serialize import (
 )
 import jetframes
 from jetframes import groups
-from jetframes.frames import embed_hol, embed_semihol, proj_hat22, proj_pi
+from jetframes.frames import (
+    LinFrame,
+    NonHolFrame,
+    embed_hol,
+    embed_semihol,
+    proj_hat22,
+    proj_pi,
+)
 from jetframes.groups import GROUPS, GHat2, mul_t1n_coordinate
+from jetframes.jets import Map2Jet
+from jetframes.matrices import SquareMatrix
 from jetframes.randgen import rand_hol, rand_map2jet, rand_nonhol, rand_t1n, stream
 
 
@@ -376,6 +385,38 @@ def test_oracle_compose_refuses_a_malformed_jet(capsys, tmp_path, field, value,
     path = write_doc(tmp_path, "f.json", doc)
     code, out, err = run_cli(capsys, "oracle", "compose", path, path)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _refused_docs() -> dict:
+    """Documents that each make an ``oracle`` or ``classify`` call fail
+    past the reader: every jet and frame is at the origin, so only the
+    dimension, the Jacobian or the frame kind can be at fault."""
+    rng = stream(97, "refused")
+    origin2, origin3 = (0, 0), (0, 0, 0)
+    j2 = rand_map2jet(rng, 2, base=origin2, value=origin2)
+    q = rand_nonhol(rng, 2)
+    singular = SquareMatrix.from_rows([[1, 2], [2, 4]])
+    return {"j2": jet_to_doc(j2),
+            "j3": jet_to_doc(rand_map2jet(rng, 3, base=origin3, value=origin3)),
+            "q2": frame_to_doc(NonHolFrame(origin2, q.a, q.b, q.f)),
+            "singular": jet_to_doc(Map2Jet(origin2, origin2, singular, j2.hess)),
+            "lin": frame_to_doc(LinFrame(origin2, q.a))}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "compose", "j2", "j3"), "jets of different dimension"),
+    (("oracle", "compose", "j3", "j2"), "jets of different dimension"),
+    (("oracle", "act", "j3", "q2"), "jet and frame dimensions differ"),
+    (("oracle", "act", "singular", "q2"), "jet is not a local diffeomorphism"),
+    (("oracle", "act", "j2", "lin"), "oracle act needs a second-order frame"),
+    (("classify", "lin"), "classify needs a second-order frame"),
+], ids=["compose-2-3", "compose-3-2", "act-3-2", "act-singular", "act-lin",
+        "classify-lin"])
+def test_refused_inputs_exit_2_with_one_error_line(capsys, tmp_path, argv, message):
+    docs = _refused_docs()
+    argv = [write_doc(tmp_path, f"{a}.json", docs[a]) if a in docs else a
+            for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

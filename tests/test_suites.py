@@ -143,6 +143,34 @@ def test_a_run_forks_one_worker_per_item_up_to_the_cores(monkeypatch):
     assert len(forks) == 1
 
 
+def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
+    """An interrupt of this process while a worker runs propagates, and the
+    worker is killed and reaped first: no child is left, not even a zombie."""
+    parent, fork, forks = os.getpid(), os.fork, []
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def interrupted(*args):
+        if os.getpid() != parent:  # the worker runs until it is killed
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(suites, "_pull", interrupted)
+    monkeypatch.setattr(suites, "_cores", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suites(["prel1"], (1, 2), 1, 0)
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert len(forks) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(forks[0], 0)
+
+
 def test_items_are_taken_largest_n_first(monkeypatch):
     """The queue holds the items largest n first and in (suite, property)
     order within an n, so the costliest items start first; with one core,

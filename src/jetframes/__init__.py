@@ -96,7 +96,7 @@ from .jets import (
     left_act_diffeo,
 )
 from .matrices import SquareMatrix, det, mat_inv, mat_mul
-from .rational import Rational, rat, rat_from_str, rat_to_str
+from .rational import rat_from_str, rat_to_str
 
 __version__ = "0.1.0"
 

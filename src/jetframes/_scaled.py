@@ -30,14 +30,9 @@ forms sum_t +-c_t o f_t(a_t, b_t) over one common denominator in a single
 pass: each group law and inverse passes all its terms at once (a conjugation
 makes two calls), and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``
 and ``s_add`` are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and
-``s_skew`` work entrywise, with no contraction to pack.  It packs by
-Kronecker substitution and adds the terms while packed, k an exact bound
-on the bit length of the output entries with their sign (proved at
-``s_law``): small laws put each output plane in one integer of lanes w bits
-wide, w the smallest of 8, 16, 32 and 64 with w >= k, so every entry,
-below 2^(k-1) <= 2^(w-1) in magnitude, fits its lane; the others put each
-row of a plane in one integer of fields exactly k bits wide.  A result past
-the bound raises ``OverflowError``; nothing is approximate.
+``s_skew`` work entrywise, with no contraction to pack.  ``s_law`` states
+how it packs its terms by Kronecker substitution and the exact bound that
+sizes the packing.
 """
 
 from __future__ import annotations
@@ -159,14 +154,8 @@ def _eliminate(m: list[list[int]], jordan: bool) -> int:
 def s_det(a: Mat) -> Fraction:
     """Determinant of ints/den: det(ints) / den^n."""
     ints, den = a
-    n = len(ints)
-    if n == 1:
-        d = ints[0][0]
-    elif n == 2:
-        d = ints[0][0] * ints[1][1] - ints[0][1] * ints[1][0]
-    else:
-        d = _eliminate([list(row) for row in ints], jordan=False)
-    return Fraction(d, den ** n)
+    return Fraction(_eliminate(list(map(list, ints)), jordan=False),
+                    den ** len(ints))
 
 
 def s_matinv(a: Mat) -> Mat:

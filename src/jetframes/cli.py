@@ -103,8 +103,7 @@ _OPS = {
 _PROJECT = {
     "pi": (NonHolFrame, "a nonhol frame", lambda q: to_doc(proj_pi(q))),
     "hat22": ((SemiHolFrame, HolFrame), "a semihol (or hol) frame",
-              lambda q: to_doc(proj_hat22(
-                  embed_hol(q) if isinstance(q, HolFrame) else q))),
+              lambda q: to_doc(proj_hat22(q))),
     "tilde22": (NonHolFrame, "a nonhol frame", lambda q: to_doc(proj_tilde22(q))),
     "21": ((NonHolFrame, SemiHolFrame, HolFrame), "a second-order frame",
            lambda q: to_doc(proj_21(q))),
@@ -130,8 +129,7 @@ def _read_doc(path: str) -> Any:
 
 
 def _emit(doc: Any) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _tagged(path: str, tag: str):

@@ -138,7 +138,7 @@ def proj_pi(q: NonHolFrame) -> SemiHolFrame:
     return SemiHolFrame._trusted(q.x, q.a, contract_second(q.f, q.a))
 
 
-def proj_hat22(q: SemiHolFrame) -> HolFrame:
+def proj_hat22(q: SemiHolFrame | HolFrame) -> HolFrame:
     """Symmetrize the bilinear part: (x, a, f) -> (x, a, sym_part(f))."""
     return HolFrame._trusted(q.x, q.a, sym_part(q.f))
 

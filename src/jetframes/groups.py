@@ -14,21 +14,9 @@ different dimensions raise ``ValueError`` in the kernels ``s_law`` and
 The element types are ``matrices.Checked`` value types whose fields are
 their parts in order, matrices first, so one check serves every constructor:
 one dimension, invertible matrices, and a symmetric bilinear part where the
-type declares it (``G2``, ``QuotClassHat``).  The types:
-
-* ``GTilde2``  -- triples (a, b, f); law (aa', bb', a o f' + f(a', b')).
-* ``GHat2``    -- pairs (a, f) with f unrestricted; law
-  (aa', a o f' + f(a', a')).
-* ``G2``       -- pairs (a, f) with f symmetric; same law as ``GHat2``,
-  closed because symmetrization commutes with both compositions.
-* ``GTilde21`` -- pairs (a, f); law (aa', f' + f(I, a')).
-* ``GTilde22`` -- pairs (l, h); the same law as ``GTilde21`` on (l, h).
-  Canonical elements carry skew h, but the law does not preserve skewness
-  (pre-composing a skew map on one slot only breaks the symmetry type), so
-  products may leave the skew subset; construction therefore does not
-  enforce it.  ``GTilde22.is_canonical`` reports it.
-* ``T1nL1n``   -- pairs (a, f); law (aa', f(a', I) + a o f'(I, a^-1)),
-  isomorphic to ``GHat2`` through ``tau``.
+type declares it (``G2``, ``QuotClassHat``).  Each type's docstring states
+its law: ``GTilde2``, ``GHat2``, ``G2``, ``GTilde21``, ``GTilde22`` and
+``T1nL1n``.
 
 ``GROUPS`` declares, once for each group tag, the element type, the product
 and the inverse; serialization, the CLI and the suites read it.
@@ -95,7 +83,8 @@ class GHat2(_Element):
 
 @value_type
 class G2(_Element):
-    """A pair (a, f) with f symmetric; the law of ``GHat2``."""
+    """A pair (a, f) with f symmetric; the law of ``GHat2``, closed because
+    symmetrization commutes with both compositions."""
 
     a: SquareMatrix
     f: Bilinear
@@ -115,7 +104,12 @@ class GTilde21(_Element):
 
 @value_type
 class GTilde22(_Element):
-    """A pair (l, h); the law of ``GTilde21``, canonical when h is skew."""
+    """A pair (l, h); the law of ``GTilde21``, canonical when h is skew.
+
+    The law does not preserve skewness (pre-composing a skew map on one slot
+    only breaks the symmetry type), so products may leave the skew subset
+    and construction does not enforce it; ``is_canonical`` reports it.
+    """
 
     l: SquareMatrix
     h: Bilinear
@@ -126,7 +120,8 @@ class GTilde22(_Element):
 
 @value_type
 class T1nL1n(_Element):
-    """A pair (a, f); law (aa', f(a', I) + a o f'(I, a^-1))."""
+    """A pair (a, f); law (aa', f(a', I) + a o f'(I, a^-1)), isomorphic to
+    ``GHat2`` through ``tau``."""
 
     a: SquareMatrix
     f: Bilinear

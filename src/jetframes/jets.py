@@ -17,13 +17,10 @@ matrices may be singular (``_invertible = False``); ``left_act_diffeo`` and
 ``frame_from_fm_map``, which need them invertible, raise ``NotAFrameError``.
 
 Everything here re-derives compositions and frame actions from the chain
-rule with its own code over the stored integers (``ints``/``den``) of
-matrices and bilinear maps, whose plane k holds [l][j] at l*n + j: a product
-of matrices takes one inner product per entry, and the second-order term
-``_chain_rule`` carries the last index j packed into one integer (proved
-exact there).  It intentionally does not call the contraction kernels of
-the core algebra, so agreement between this module and the group laws is a
-genuine cross-check of two implementations.
+rule (``_chain_rule``) with its own code over the stored integers
+(``ints``/``den``) of matrices and bilinear maps.  It intentionally does not
+call the contraction kernels of the core algebra, so agreement between this
+module and the group laws is a genuine cross-check of two implementations.
 """
 
 from __future__ import annotations

@@ -139,7 +139,8 @@ class Scaled(Value):
     ``ints`` a tuple of n flat int tuples (rows, or row-major planes).  Its
     constructor takes arrays of rank ``_rank``, refuses a misshapen one with
     ``_misshapen`` and converts with ``_scale``.  The cache ``_view`` is a
-    slot here, not a field, so it is not part of the value.
+    slot here, not a field, so it is not part of the value; it stays unset
+    until the first read of the view.
     """
 
     __slots__ = ("_view",)
@@ -161,21 +162,19 @@ class Scaled(Value):
 
     @classmethod
     def _check_shape(cls, n: int, array) -> list:
-        """The rows of ``array``, once it holds n entries at each of its
-        ``_rank`` levels (``ValueError`` if not): the one shape check of the
-        constructor and of the document reader, which builds with ``_of``."""
+        """The rows of ``array``, once each of its ``_rank`` levels is lists
+        or tuples of n entries (``ValueError`` if not): the one shape check
+        of the constructor and of the document reader, which builds with
+        ``_of``."""
         cls._check_dim(n)
         level = [array]
         for depth in range(cls._rank):
             if depth:
                 level = [e for a in level for e in a]
-            if set(map(len, level)) != {n}:
+            if not all(map(isinstance, level, repeat((list, tuple)))) or set(
+                    map(len, level)) != {n}:
                 raise ValueError(cls._misshapen.format(n=n))
         return level
-
-    def __setstate__(self, state) -> None:
-        Value.__setstate__(self, state)
-        object.__setattr__(self, "_view", None)
 
     @classmethod
     def _of(cls, s):
@@ -188,7 +187,6 @@ class Scaled(Value):
         object.__setattr__(obj, "n", len(ints))
         object.__setattr__(obj, "ints", ints)
         object.__setattr__(obj, "den", den)
-        object.__setattr__(obj, "_view", None)
         return obj
 
     @classmethod
@@ -203,9 +201,11 @@ class Scaled(Value):
 
     def _fractions(self, convert):
         """The ``Fraction`` view, built by ``convert`` on first access."""
-        if self._view is None:
+        try:
+            return self._view
+        except AttributeError:  # the slot is unset until the first read
             object.__setattr__(self, "_view", convert(self.scaled))
-        return self._view
+            return self._view
 
 
 @value_type
@@ -271,11 +271,12 @@ class Checked(Value):
     points, matrices, then a last part (a bilinear map, but none in a linear
     frame and an element in an extension class).  The constructor checks,
     in this order: every part has the dimension ``n`` of the first part that
-    is not a base point (a base point by its length, and its coordinates are
-    exact), every matrix is invertible unless the type declares
-    ``_invertible = False``, and the last part satisfies the predicate of
-    ``_rule`` where a type declares it with its message (``bilinear``
-    imports this module, so this module cannot import ``is_symmetric``).
+    is a ``Value``, every other part being a base point (a tuple whose
+    dimension is its length, with exact coordinates), every matrix is
+    invertible unless the type declares ``_invertible = False``, and the
+    last part satisfies the predicate of ``_rule`` where a type declares it
+    with its message (``bilinear`` imports this module, so this module
+    cannot import ``is_symmetric``).
 
     A build checks whatever it takes that is not already a checked value:
     the public constructors (hence the parsers), the builds from a caller's
@@ -299,16 +300,19 @@ class Checked(Value):
 
     @property
     def n(self) -> int:
-        """The dimension of the first part that is not a base point."""
+        """The dimension of the first part that is a ``Value``."""
         for part in self.parts:
-            if not isinstance(part, tuple):
+            if isinstance(part, Value):
                 return part.n
 
     def __post_init__(self) -> None:
         """Raise when an invariant fails."""
         names, parts, n = self.__match_args__, self.parts, self.n
         for part in parts:
-            if isinstance(part, tuple):
+            if not isinstance(part, Value):
+                if not isinstance(part, tuple):
+                    raise TypeError("base point must be a tuple of exact "
+                                    "rationals (int or Fraction)")
                 if len(part) != n:
                     raise ValueError("base point has wrong dimension")
                 _require_exact(part, "base point coordinates")

@@ -5,11 +5,11 @@ precision, always in lowest terms with a positive denominator, with exact
 arithmetic.  This module adds the string form used by every JSON document:
 ``"p/q"``, or just ``"p"`` when the denominator is 1, in one grammar.
 
-``rat_from_str``/``rat_to_str`` convert one ``Fraction`` (base points, and
-the public API); ``rats_from_strs``/``rats_to_strs`` convert whole arrays of
-strings to and from ints, with no ``Fraction``.  A number past the
-interpreter's limit on the digits of an int's text is refused: the readers
-raise ``ParseError``, the writers ``JetFramesError``.
+``rat_from_str``/``rat_to_str`` convert one ``Fraction`` (the public API,
+and the writer of base points); ``rats_from_strs``/``rats_to_strs``
+convert whole arrays of strings to and from ints, with no ``Fraction``.  A
+number past the interpreter's limit on the digits of an int's text is
+refused: the readers raise ``ParseError``, the writers ``JetFramesError``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import JetFramesError, ParseError, echo
-
-Rational = Fraction
 
 # the grammar of one rational string, and a space that does not begin one
 # ended by a space or the end of the text.  A search of a join of strings, led
@@ -43,13 +41,6 @@ def _in_grammar(text: str, count: int) -> bool:
     join passes with no more spaces than separators only when every string
     is in the grammar on its own."""
     return text.count(" ") == count - 1 and re.search(_NOT_RAT, " " + text) is None
-
-
-def rat(value: int | str | Fraction, den: int | None = None) -> Fraction:
-    """Coerce to an exact rational; ``rat(3, 4)`` is shorthand for 3/4."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 def _text(p: int, q: int) -> str:
@@ -111,8 +102,6 @@ def rats_to_strs(ints, den: int) -> list[str]:
     """The rational strings of ``ints`` over ``den`` > 0, each in lowest
     terms as ``rat_to_str`` writes it: one gcd per entry."""
     try:
-        if den == 1:
-            return list(map(str, ints))
         return [_text(e // (g := gcd(e, den)), den // g) for e in ints]
     except ValueError as exc:  # beyond the interpreter's digit limit
         raise JetFramesError(_TOO_LONG) from exc

@@ -25,11 +25,12 @@ denominators as ints (``rats_from_strs``), checks its shape as the
 constructors do, rescales once to the lcm of the denominators as written
 (refused past ``MAX_DEN_DIGITS`` digits) and reduces with ``_of``; the
 writer prints each stored int over ``den`` with one gcd (``rats_to_strs``).
-Base points stay ``Fraction`` tuples.
+Base points are read by ``rats_from_strs`` too, and stay ``Fraction`` tuples.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Any
@@ -40,7 +41,7 @@ from .frames import HolFrame, LinFrame, NonHolFrame, Point, SemiHolFrame
 from .groups import GROUPS, G2, GHat2, GTilde2, GTilde21, GTilde22, Pair, T1nL1n
 from .jets import Map2Jet
 from .matrices import Scaled, SquareMatrix
-from .rational import rat_from_str, rat_to_str, rats_from_strs, rats_to_strs
+from .rational import rat_to_str, rats_from_strs, rats_to_strs
 
 #: Largest dimension a document (or ``gen``/``verify --n``) may have.  A
 #: bilinear map holds n^3 coefficients and a contraction costs n^4 products,
@@ -131,7 +132,7 @@ def vector_to_doc(x: Point) -> list[str]:
 
 
 def vector_from_doc(doc: Any) -> Point:
-    return tuple(map(rat_from_str, _leaves(doc, 1, "vector")))
+    return tuple(map(Fraction, *rats_from_strs(_leaves(doc, 1, "vector"))))
 
 
 def matrix_to_doc(m: SquareMatrix) -> list[list[str]]:

@@ -156,6 +156,8 @@ def test_shape_validation():
         Bilinear(2, ((((Fraction(1),),),)))
     with pytest.raises(ValueError):
         Bilinear.from_coeffs([[[1, 2], [3, 4]], [[5, 6]]])
+    with pytest.raises(ValueError, match=r"coeffs must form an 1\^3 array"):
+        Bilinear(1, [[1]])  # nested too shallowly
 
 
 @pytest.mark.parametrize("k, i, j", [(5, 0, 0), (0, -1, 0), (0, 0, 2), (-1, 1, 1)])

@@ -110,6 +110,8 @@ def test_singular_with_late_zero_pivot():
     [[0, 1, 0], [1, 0, 0], [0, 0, 2]],  # only the next row can swap in
     [[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 1], [1, 0, 1, Fraction(1, 2)]],
     [[2, 1, 0], [1, -1, 1], [0, 1, 1]],  # no swap: the last pivot is < 0
+    [[0, 1], [1, 0]],  # n = 2: a row swap, det -1
+    [[-2]],  # n = 1
 ])
 def test_negative_determinant_and_row_swaps(rows):
     a = SquareMatrix.from_rows(rows)

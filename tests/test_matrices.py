@@ -83,6 +83,11 @@ def test_shape_validation():
         SquareMatrix(2, ((Fraction(1),),))
     with pytest.raises(ValueError):
         SquareMatrix.from_rows([[1, 2], [3]])
+    # nested too shallowly: a level that is not an array has no length
+    with pytest.raises(ValueError, match=r"entries must form an 1x1 array"):
+        SquareMatrix(1, [1])
+    with pytest.raises(ValueError, match=r"entries must form an 2x2 array"):
+        SquareMatrix(2, 5)
 
 
 def test_zero_pivot_needs_row_swap():
@@ -119,6 +124,7 @@ INEXACT = {  # each type that takes a base point, with a float coordinate
     "Map2Jet-base": lambda x: J.Map2Jet(x, (0,), I1, F1),
     "Map2Jet-value": lambda x: J.Map2Jet((Fraction(0),), x, I1, F1),
     "FMJetData": lambda x: J.FMJetData(x, I1, I1, F1),
+    "Map2Jet.identity": J.Map2Jet.identity,
 }
 
 
@@ -129,6 +135,13 @@ def test_a_float_base_point_is_refused(build):
         build((0.5,))
     assert build((Fraction(1, 2),)) == build((Fraction(1, 2),))
     build((1,))
+
+
+@pytest.mark.parametrize("build", INEXACT.values(), ids=INEXACT)
+def test_a_base_point_that_is_not_a_tuple_is_refused(build):
+    with pytest.raises(TypeError, match=r"base point must be a tuple of exact "
+                       r"rationals \(int or Fraction\)"):
+        build([Fraction(0)])
 
 
 @pytest.mark.parametrize("cls, array", [

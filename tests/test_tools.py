@@ -5,6 +5,7 @@ A measurement recorded in a ``BENCH_*.json`` can only be repeated while the
 script that took it still runs; a refactor that breaks one fails here.
 """
 
+import ast
 import functools
 import json
 import os
@@ -70,8 +71,24 @@ def test_startup_reports_the_line_and_byte_counts():
     paths = sorted((ROOT / "src" / "jetframes").glob("*.py"))
     lines = {path.stem: len(path.read_text().splitlines()) for path in paths}
     assert {name: row["lines"] for name, row in doc["modules"].items()} == lines
+    code = {path.stem: _code_lines(path.read_text()) for path in paths}
+    assert {name: row["code_lines"] for name, row in doc["modules"].items()} == code
     assert doc["package"] == {"lines": sum(lines.values()),
+                              "code_lines": sum(code.values()),
                               "bytes": sum(path.stat().st_size for path in paths)}
+
+
+def _code_lines(text: str) -> int:
+    """The lines of ``text`` outside its docstrings (every statement that is
+    a string alone), its comments and its blank lines."""
+    lines = text.splitlines()
+    skip = {number for number, line in enumerate(lines, 1)
+            if line.lstrip()[:1] in ("", "#")}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) \
+                and isinstance(node.value.value, str):
+            skip.update(range(node.lineno, node.end_lineno + 1))
+    return len(lines) - len(skip)
 
 
 def test_startup_times_each_process_by_wall_and_cpu():

@@ -1,17 +1,18 @@
 """What a ``jetframes`` process spends on start-up, module by module.
 
-Per package module: its lines and bytes (and the package's totals of both),
-the median ms of compiling it, the KB that compile adds to a fresh
-interpreter's peak RSS, and the median ms of executing its compiled body
-once the package is imported (so the modules it imports are loaded, and
-what is timed is its own class statements, function definitions and
-tables; ``__main__`` is not executed, since it runs the CLI).  Per fresh
-process (one that imports ``jetframes.cli``, one ``gen hat2 --n 2``): the
-median wall ms, the median CPU ms (user plus system time from ``wait4``),
-the ``wait4`` peak RSS, the package modules it loads, and the other modules
-it loads beyond a bare ``python -c pass``, so a heavy import that comes
-back shows.  Children run in the environment as given,
-with this checkout's ``src`` first on ``PYTHONPATH`` (with
+Per package module: its lines, its code lines (those left without
+docstrings, comments and blank lines) and its bytes (and the package's
+totals of the three), the median ms of compiling it, the KB that compile
+adds to a fresh interpreter's peak RSS, and the median ms of executing its
+compiled body once the package is imported (so the modules it imports are
+loaded, and what is timed is its own class statements, function definitions
+and tables; ``__main__`` is not executed, since it runs the CLI).  Per
+fresh process (one that imports ``jetframes.cli``, one ``gen hat2 --n 2``):
+the median wall ms, the median CPU ms (user plus system time from
+``wait4``), the ``wait4`` peak RSS, the package modules it loads, and the
+other modules it loads beyond a bare ``python -c pass``, so a heavy import
+that comes back shows.  Children run in the environment as given, with this
+checkout's ``src`` first on ``PYTHONPATH`` (with
 ``PYTHONDONTWRITEBYTECODE`` set, every process compiles the package).  This
 process compiles none of it, so its own peak, which Linux also counts in a
 spawned child's, stays below the children's.
@@ -28,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,6 +65,26 @@ print(json.dumps([statistics.median(ms), rss,
 
 PROCESSES = {"import jetframes.cli": ["-c", "import jetframes.cli"],
              "gen hat2 --n 2": ["-m", "jetframes", "gen", "hat2", "--n", "2"]}
+
+
+_SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+         tokenize.ENCODING}
+
+
+def _code_lines(path: Path) -> int:
+    """The lines of ``path`` that hold a token of a statement, where a
+    statement of strings alone (a docstring) holds none."""
+    lines, statement = set(), []
+    with open(path, "rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if any(t.type != tokenize.STRING for t in statement):
+                    for t in statement:
+                        lines.update(range(t.start[0], t.end[0] + 1))
+                statement = []
+            elif tok.type not in _SKIP:
+                statement.append(tok)
+    return len(lines)
 
 
 def _loaded(argv: list[str]) -> set[str]:
@@ -107,6 +129,7 @@ def main() -> int:
                              capture_output=True, text=True).stdout
         compile_ms, rss, exec_ms = json.loads(out)
         modules[path.stem] = {"lines": len(path.read_bytes().splitlines()),
+                              "code_lines": _code_lines(path),
                               "bytes": path.stat().st_size,
                               "compile_ms": round(compile_ms, 2),
                               "compile_rss_kb": rss,
@@ -116,7 +139,7 @@ def main() -> int:
            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
            "modules": modules,
            "package": {key: sum(row[key] for row in modules.values())
-                       for key in ("lines", "bytes")},
+                       for key in ("lines", "code_lines", "bytes")},
            "processes": {name: _process(argv, args.runs, bare)
                          for name, argv in PROCESSES.items()}}
     if args.json:

@@ -32,7 +32,9 @@ makes two calls), and ``s_post``, ``s_pre``, ``s_pre_left``, ``s_pre_right``
 and ``s_add`` are the one-term (or plain-sum) cases; ``s_neg``, ``s_sym`` and
 ``s_skew`` work entrywise, with no contraction to pack.  ``s_law`` states
 how it packs its terms by Kronecker substitution and the exact bound that
-sizes the packing.
+sizes the packing: a law whose width k is at most 64 bits packs each output
+plane in lanes of 8, 16, 32 or 64 bits, and a wider one packs rows in
+fields of exactly k bits.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, floordiv, lshift, mul, neg, sub
 from struct import Struct
+from struct import error as struct_error
 from typing import Optional, Sequence
 
 from .errors import SingularMatrixError
@@ -203,25 +206,38 @@ def s_law(*terms: Term) -> Bil:
         k >= 1 + ceil(log2 T)
                + max_t [ceil(log2 |s_t|) + bits(f) + sum_m (bits(m) + ceil(log2 n))].
 
-    k is exactly this bound.  The work is Kronecker-packed (P is additive
-    and P(v) * m = P(m v), so a packed result equals the packing of the
-    output exactly, whatever the intermediate values hold) on one of two
-    paths, chosen by operand size:
+    k is exactly this bound; every operand entry is below 2^(k-1) in
+    magnitude too, since its bits are one of the bound's summands.  The work
+    is Kronecker-packed (P is additive and P(v) * m = P(m v), so a packed
+    result equals the packing of the output exactly, whatever the
+    intermediate values hold) on one of two paths, chosen by k alone:
 
-    Planes (k <= 64 and n <= ``_PLANE_N``, ``_law_planes``).  Each plane of
-    n^2 entries is one integer of w-bit lanes, w the smallest of 8, 16, 32
-    and 64 with w >= k: out[i][j] sits in lane n i + j.  Row p of a is
-    packed over i as Q_a(p) = sum_i a[p][i] 2^(w n i) and row q of b over j
-    as P_b(q) = sum_j b[q][j] 2^(w j) (an identity slot is the plain power
-    of two).  With T[p][q] = Q_a(p) P_b(q), the contraction of a plane g of
-    f is the one sum sum_{p,q} g[p][q] T[p][q], the c contraction is one
-    sum per output plane, and the terms are added as one integer per plane.
-    Since k <= w, every |out| < 2^(k-1) <= 2^(w-1), so y = x + sum_l
-    2^(w-1) 2^(w l) holds each out + 2^(w-1) in its own lane, in [0, 2^w)
-    and carrying into no other; y xor the same offset holds each out as a
-    w-bit two's complement lane, which one ``Struct`` unpack reads.
+    Planes (k <= 64, ``_law_planes``).  Each plane of n^2 entries is one
+    integer of w-bit lanes, w the smallest of 8, 16, 32 and 64 with w >= k:
+    out[i][j] sits in lane n i + j.  Row q of b is packed over j as P_b(q) =
+    sum_j b[q][j] 2^(w j) and row p of a over i as Q_a(p) = sum_i a[p][i]
+    2^(w n i) (an identity slot is the plain power of two).  How f(a, b) is
+    formed depends on n.  Up to ``_PLANE_N`` the table T[p][q] = Q_a(p)
+    P_b(q) makes the contraction of a plane g of f the one sum sum_{p,q}
+    g[p][q] T[p][q].  Past it the table's n^2 entries of n^2 lanes cost
+    O(n^5) digit work, so f(a, b) is formed as on the rows path, one packed
+    row per output index i, in w-bit lanes, and the n rows of a plane are
+    shifted into it.  Either way the c contraction is one sum per output
+    plane and the terms are added as one integer per plane.  Since k <= w,
+    every |out| < 2^(k-1) <= 2^(w-1), so y = x + sum_l 2^(w-1) 2^(w l)
+    holds each out + 2^(w-1) in its own lane, in [0, 2^w) and carrying into
+    no other; y xor the same offset holds each out as a w-bit two's
+    complement lane, which one ``Struct`` unpack reads.
 
-    Rows (otherwise, ``_law_rows``).  The last index j is packed with the
+    The operands are packed by ``Struct`` too.  Each entry e is written as a
+    w-bit two's complement lane and the bytes read back unsigned, which
+    gives x = sum_l (e_l mod 2^w) 2^(s_l) over the lane starts s_l.  As
+    |e_l| < 2^(k-1) <= 2^(w-1), a lane's top bit is set exactly when e_l <
+    0, and then the lane holds e_l + 2^w; so with S = sum_l 2^(w-1) 2^(s_l)
+    the packed value is x - ((x & S) << 1), one borrow correction per
+    integer.  An entry that no w-bit lane holds raises ``OverflowError``.
+
+    Rows (k > 64, ``_law_rows``).  The last index j is packed with the
     exact width k: a vector (v_0, ..., v_{n-1}) is held as the one integer
     P(v) = sum_j v_j 2^(k j).  Each row of b becomes P(b[q]) (with b = I the
     rows of f are packed directly), and the f, a and c contractions are
@@ -237,7 +253,7 @@ def s_law(*terms: Term) -> Bil:
     """
     n = len(terms[0][2][0])
     k, den, prepared = _prepare(n, terms)
-    if k <= 64 and n <= _PLANE_N:
+    if k <= 64:
         # the smallest lane width w in (8, 16, 32, 64) with w >= k
         return _law_planes(n, max(8, 1 << (k - 1).bit_length()), prepared), den
     return _law_rows(n, k, prepared), den
@@ -280,46 +296,89 @@ def _prepare(n: int, terms: Sequence[Term]) -> tuple[int, int, list]:
     return 1 + (len(terms) - 1).bit_length() + width, den, prepared
 
 
-# the largest n at which ``s_law`` packs whole planes: on single draws the
-# plane path is faster up to n = 6, about even at 7 and slower at 8, where
-# its n^2 lanes make each multiply too wide (``tools/law_sweep.py --n``)
+# the largest n at which the plane path forms f(a, b) from the table of
+# packed argument rows, and past which from packed rows.  Timed with both
+# forms in one process on the ops-large operations' laws of width k <= 64
+# (one core, x86_64, CPython 3.11), packed rows take 1.15-1.42x the
+# table's time at n = 1..5, 1.02x (on products of three draws) and 1.15x
+# (on single draws) at 6, 0.96x and 1.02x at 7, and 0.68x and 0.89x at 8
 _PLANE_N = 6
 
 # the ``struct`` format of one signed lane of each width
 _LANE_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
 
 
+def _packer(w: int, starts: range):
+    """P(v) = sum_l v_l 2^(s_l) over the lane starts s_l of ``starts`` by one
+    ``Struct`` pack of w-bit lanes and one borrow correction (``s_law``); an
+    entry outside [-2^(w-1), 2^(w-1)) raises ``OverflowError``."""
+    lane = _LANE_FORMATS[w]
+    gap = f"{(starts.step - w) >> 3}x"
+    pack = Struct("<" + (lane + gap) * (len(starts) - 1) + lane).pack
+    signs = sum(1 << (s + w - 1) for s in starts)
+    from_bytes = int.from_bytes
+
+    def packed(values: Sequence[int]) -> int:
+        try:
+            data = pack(*values)
+        except struct_error:
+            raise OverflowError("s_law: an operand exceeds its lane") from None
+        x = from_bytes(data, "little")
+        return x - ((x & signs) << 1)
+
+    return packed
+
+
 @cache
 def _lanes(n: int, w: int):
     """The plane path's constants for n^2 lanes of w bits, w in (8, 16, 32,
-    64): the lane shifts of the first output index and of the last, the
-    lane offset sum_l 2^(w-1) 2^(w l), the plane width in bits, the unpack
-    of one plane, and the packed identity's rows Q_I, rows P_I and table.
-    The offset puts every |out| < 2^(w-1) in [0, 2^w), inside its lane."""
+    64): the lane shifts of the first output index, the lane offset sum_l
+    2^(w-1) 2^(w l), the plane width in bits, the unpack of one plane, the
+    packings of a plane, of a row over the last index (P) and of a row over
+    the first (Q), and the packed identity's rows Q_I and P_I.  The offset
+    puts every |out| < 2^(w-1) in [0, 2^w), inside its lane."""
     nn = n * n
     outer, inner = range(0, w * nn, w * n), range(0, w * n, w)
-    eye_q = tuple(1 << s for s in outer)
-    eye_p = tuple(1 << s for s in inner)
-    return (outer, inner, sum(1 << s for s in range(w - 1, w * nn, w)),
-            w * nn, Struct(f"<{nn}{_LANE_FORMATS[w]}").unpack, eye_q, eye_p,
-            tuple(x * y for x in eye_q for y in eye_p))
+    return (outer, sum(1 << s for s in range(w - 1, w * nn, w)), w * nn,
+            Struct(f"<{nn}{_LANE_FORMATS[w]}").unpack,
+            _packer(w, range(0, w * nn, w)), _packer(w, inner),
+            _packer(w, outer), tuple(1 << s for s in outer),
+            tuple(1 << s for s in inner))
+
+
+def _rows(n: int, pack, fi, a, b) -> list[list[int]]:
+    """f(a, b) as packed rows: rows[k][i] packs out[k][i][j] over j, with
+    ``pack`` packing a row of b (or of f, when b is the identity) the same
+    way; n^3 multiply-adds per present matrix."""
+    starts = range(0, n * n, n)
+    if b is None:
+        rows = [[pack(fk[r:r + n]) for r in starts] for fk in fi]
+    else:
+        packed = list(map(pack, b))
+        rows = [[sum(map(mul, fk[r:r + n], packed)) for r in starts]
+                for fk in fi]
+    if a is not None:
+        acols = list(zip(*a))
+        rows = [[sum(map(mul, acol, rk)) for acol in acols] for rk in rows]
+    return rows
 
 
 def _law_planes(n: int, w: int, prepared: list) -> list[tuple[int, ...]]:
     """The plane path of ``s_law`` in w-bit lanes: exact when every |out| <
     2^(w-1)."""
-    outer, inner, offset, top, unpack, eye_q, eye_p, eye = _lanes(n, w)
+    outer, offset, top, unpack, pack, pack_p, pack_q, eye_q, eye_p = _lanes(n, w)
     total = None
     for scale, c, a, b, fi in prepared:
         if a is None and b is None:
-            table = eye
-        else:
-            qa = eye_q if a is None else [
-                sum(map(lshift, row, outer)) for row in a]
-            pb = eye_p if b is None else [
-                sum(map(lshift, row, inner)) for row in b]
+            planes = list(map(pack, fi))
+        elif n <= _PLANE_N:
+            qa = eye_q if a is None else list(map(pack_q, a))
+            pb = eye_p if b is None else list(map(pack_p, b))
             table = [x * y for x in qa for y in pb]
-        planes = [sum(map(mul, fk, table)) for fk in fi]
+            planes = [sum(map(mul, fk, table)) for fk in fi]
+        else:
+            planes = [sum(map(lshift, rk, outer))
+                      for rk in _rows(n, pack_p, fi, a, b)]
         if c is not None:
             planes = [sum(map(mul, crow, planes)) for crow in c]
         if scale != 1:
@@ -337,20 +396,10 @@ def _law_planes(n: int, w: int, prepared: list) -> list[tuple[int, ...]]:
 
 def _law_rows(n: int, k: int, prepared: list) -> list[list[int]]:
     """The rows path of ``s_law``: exact when every |out| < 2^(k-1)."""
-    starts = range(0, n * n, n)
     shifts = range(0, k * n, k)
     total = None
     for scale, c, a, b, fi in prepared:
-        if b is None:
-            rows = [[sum(map(lshift, fk[r:r + n], shifts)) for r in starts]
-                    for fk in fi]
-        else:
-            packed = [sum(map(lshift, brow, shifts)) for brow in b]
-            rows = [[sum(map(mul, fk[r:r + n], packed)) for r in starts]
-                    for fk in fi]
-        if a is not None:
-            acols = list(zip(*a))
-            rows = [[sum(map(mul, acol, rk)) for acol in acols] for rk in rows]
+        rows = _rows(n, lambda v: sum(map(lshift, v, shifts)), fi, a, b)
         if c is not None:
             cols = list(zip(*rows))
             rows = [[sum(map(mul, crow, col)) for col in cols] for crow in c]

@@ -28,10 +28,11 @@ of their invariants.  Four builders make every value:
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_origin
 
 from . import _scaled as sc
 from .errors import SingularMatrixError
@@ -270,13 +271,15 @@ class Checked(Value):
     A subclass is a value type whose fields are its parts in order: base
     points, matrices, then a last part (a bilinear map, but none in a linear
     frame and an element in an extension class).  The constructor checks,
-    in this order: every part has the dimension ``n`` of the first part that
-    is a ``Value``, every other part being a base point (a tuple whose
-    dimension is its length, with exact coordinates), every matrix is
-    invertible unless the type declares ``_invertible = False``, and the
-    last part satisfies the predicate of ``_rule`` where a type declares it
-    with its message (``bilinear`` imports this module, so this module
-    cannot import ``is_symmetric``).
+    in this order: every part is an instance of its declared class in
+    ``_kinds`` (a base point, declared ``Point``, is a tuple), or it raises
+    ``TypeError`` naming the part; every part has the dimension ``n`` of
+    the first part that is a ``Value`` (a base point's dimension is its
+    length, and its coordinates are exact); every matrix is invertible
+    unless the type declares ``_invertible = False``; and the last part
+    satisfies the predicate of ``_rule`` where a type declares it with its
+    message (``bilinear`` imports this module, so this module cannot import
+    ``is_symmetric``).
 
     A build checks whatever it takes that is not already a checked value:
     the public constructors (hence the parsers), the builds from a caller's
@@ -292,6 +295,16 @@ class Checked(Value):
     __slots__ = ()
     _invertible = True
     _rule: tuple[Callable[[object], bool], str] | None = None
+    _kinds: tuple[type, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Work out ``_kinds`` once per class: the class each field's
+        annotation names in the defining module, ``tuple`` for ``Point``."""
+        super().__init_subclass__(**kwargs)
+        space = vars(sys.modules[cls.__module__])
+        hints = (space[hint] if isinstance(hint, str) else hint
+                 for hint in cls.__annotations__.values())
+        cls._kinds = tuple(get_origin(hint) or hint for hint in hints)
 
     @property
     def parts(self) -> tuple:
@@ -307,12 +320,16 @@ class Checked(Value):
 
     def __post_init__(self) -> None:
         """Raise when an invariant fails."""
-        names, parts, n = self.__match_args__, self.parts, self.n
-        for part in parts:
-            if not isinstance(part, Value):
-                if not isinstance(part, tuple):
+        names, kinds, parts = self.__match_args__, self._kinds, self.parts
+        for name, kind, part in zip(names, kinds, parts):
+            if not isinstance(part, kind):
+                if kind is tuple:
                     raise TypeError("base point must be a tuple of exact "
                                     "rationals (int or Fraction)")
+                raise TypeError(f"part {name} must be a {kind.__name__}")
+        n = self.n
+        for kind, part in zip(kinds, parts):
+            if kind is tuple:
                 if len(part) != n:
                     raise ValueError("base point has wrong dimension")
                 _require_exact(part, "base point coordinates")

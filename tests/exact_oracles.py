@@ -50,9 +50,14 @@ def ref_post(a: SquareMatrix, f: Bilinear) -> Bilinear:
 
 
 def ref_pre(f: Bilinear, a: SquareMatrix, b: SquareMatrix) -> Bilinear:
+    """out[k][i][j] = sum_p a[p][i] (sum_q f[k][p][q] b[q][j]), one index at a
+    time, so n = 12 costs 2 n^4 products rather than n^5."""
     n = f.n
-    out = [[[sum((f.coeffs[k][p][q] * a.entries[p][i] * b.entries[q][j]
-                  for p in range(n) for q in range(n)), Fraction(0))
+    fb = [[[sum((f.coeffs[k][p][q] * b.entries[q][j] for q in range(n)),
+                Fraction(0))
+            for j in range(n)] for p in range(n)] for k in range(n)]
+    out = [[[sum((a.entries[p][i] * fb[k][p][j] for p in range(n)),
+                 Fraction(0))
              for j in range(n)] for i in range(n)] for k in range(n)]
     return Bilinear.from_coeffs(out)
 

@@ -109,6 +109,31 @@ def test_part_of_another_dimension_is_refused(cls, slot):
         cls(*fields)
 
 
+def _as_lists(part):
+    """The nested lists of a matrix's entries or a bilinear map's coeffs."""
+    if isinstance(part, SquareMatrix):
+        return [list(row) for row in part.entries]
+    return [[list(row) for row in plane] for plane in part.coeffs]
+
+
+PART_SLOTS = [(cls, i) for cls, i in SLOTS if TYPES[cls][0][i] != "x"]
+ONE = (Fraction(0),), SquareMatrix.identity(1), Bilinear.zero(1)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    *((cls, _with(cls, slot, _as_lists(_valid(cls)[slot]))) for cls, slot in PART_SLOTS),
+    (fr.NonHolFrame, [ONE[0], [[1]], ONE[1], ONE[2]]),
+    (fr.LinFrame, [ONE[0], [[1]]]),
+], ids=[*_ids(PART_SLOTS), "NonHolFrame-n1", "LinFrame-n1"])
+def test_a_part_that_is_not_its_declared_type_is_refused_by_name(cls, fields):
+    """A matrix or bilinear part given as nested lists is not a base point:
+    the error names the part, whichever other parts are values."""
+    slot = next(i for i, part in enumerate(fields) if isinstance(part, list))
+    name = cls.__match_args__[slot]
+    with pytest.raises(TypeError, match=f"^part {name} must be a "):
+        cls(*fields)
+
+
 @pytest.mark.parametrize("cls, slot", MATRIX_SLOTS, ids=_ids(MATRIX_SLOTS))
 def test_dimension_is_checked_before_the_determinant(cls, slot):
     """A singular matrix of another dimension is a dimension error: no

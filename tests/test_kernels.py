@@ -288,7 +288,7 @@ def _mixed_terms(shape, n, sign):
     return terms
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_both_law_paths_match_the_fraction_loops(n, sign):
     for shape in _SHAPES:
@@ -334,17 +334,16 @@ def _widest(out):
     return max(abs(e) for plane in out.ints for e in plane)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
 def test_law_kernel_packs_planes_up_to_a_64_bit_width(monkeypatch, n):
     # every entry reaches the bound k is computed from: with k = 65 some
-    # entry needs 64 bits and a sign, which no 64-bit lane holds; past
-    # _PLANE_N the rows path serves every width
+    # entry needs 64 bits and a sign, which no 64-bit lane holds; on both
+    # sides of _PLANE_N the width alone chooses the path
     taken = _spied(monkeypatch)
-    planes = 64 if n <= sc._PLANE_N else "rows"
     cases = _width_cases(n, (64, 65))
     assert cases[64] and cases[65]
     wide = False
-    for need, path in ((64, planes), (65, "rows")):
+    for need, path in ((64, 64), (65, "rows")):
         for terms in cases[need]:
             taken.clear()
             out = _law(*terms)
@@ -353,7 +352,7 @@ def test_law_kernel_packs_planes_up_to_a_64_bit_width(monkeypatch, n):
     assert wide
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 9), 12])
 @pytest.mark.parametrize("w", [8, 16, 32])
 def test_law_kernel_sizes_its_lanes_to_the_width(monkeypatch, w, n):
     # a law of width k = w takes w-bit lanes; at k = w + 1 some entry needs
@@ -401,13 +400,14 @@ def test_both_law_paths_agree_on_the_suites_traffic(monkeypatch):
     assert len(calls) > 500 and {8, 16, 32, 64, "rows"} <= set(chosen)
 
 
-@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_law_kernel_raises_when_its_width_is_too_small(monkeypatch, n, sign):
-    # with every operand reported 0 bits wide, the plane path is taken up to
-    # _PLANE_N and the rows path past it has fields far too narrow; entries
-    # of either sign far past 64 bits overflow both: the unpack must raise,
-    # not return wrong lanes or fields
+    # with every operand reported 0 bits wide, the plane path is taken in
+    # 8-bit lanes and the rows path, called with the same k, has fields far
+    # too narrow; entries of either sign far past 64 bits overflow both:
+    # the plane packing or unpack and the rows unpack must raise, not
+    # return wrong lanes or fields
     x = _product(rand_hat2, mul_hat2, stream(48, "kernels-guard", n), n)
     wide = (1 << 70) - 1
     xa = SquareMatrix._of(([[e * wide for e in row] for row in x.a.ints],
@@ -418,6 +418,9 @@ def test_law_kernel_raises_when_its_width_is_too_small(monkeypatch, n, sign):
                   [(1, None, f, None, None), (-1, xa, x.f, None, None)]):
         with pytest.raises(OverflowError):
             _law(*terms)
+        k, _, prepared = sc._prepare(n, _scaled_terms(terms))
+        with pytest.raises(OverflowError, match="a field exceeds its width"):
+            sc._law_rows(n, k, prepared)
 
 
 @pytest.mark.parametrize("n", [8, 12])

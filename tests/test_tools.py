@@ -55,6 +55,19 @@ def test_law_sweep_replays_the_suite_calls_in_place_of_the_sweep():
     assert row["calls"] > 0 and 0 < q1 <= row["median_ms"] <= q3
 
 
+def test_law_sweep_compares_two_trees_cell_by_cell():
+    # this tree against itself: every cell has both medians and their ratio
+    src = str(Path(jetframes.__file__).parents[1])
+    doc = _report(("tools/law_sweep.py", "--n", "1", "--compare", src,
+                   "--rounds", "2", "--json"))
+    assert doc["compare"] == src and doc["rounds"] == 2
+    cells = [row["1"] for ops in doc["median_us"].values() for row in ops.values()]
+    assert len(cells) == 20
+    for cell in cells:
+        assert cell["this"] > 0 and cell["other"] > 0
+        assert cell["ratio"] == round(cell["this"] / cell["other"], 3)
+
+
 def test_verify_jobs_reports_the_share_of_process_time_in_items():
     # the summed item time over (wall time x processes): items run inside
     # the processes' lifetimes, so the share is at most 1

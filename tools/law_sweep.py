@@ -20,13 +20,21 @@ this process, pinned to one core (so the runner forks no worker), then
 replays ``reduce(s_law(*terms))`` over all of them ``SUITE_RUNS`` times and
 reports the median and the quartiles of the replay's wall time.
 
+With ``--compare SRC`` it sizes a change: for each n it runs the sweep of
+that n in one subprocess on this tree (the ``src`` the package is imported
+from here) and in one on the package under ``SRC``, ``--rounds`` times,
+the two sides alternating and each round starting with the other side.  It
+reports, for every cell, the median of each side's rounds and their ratio
+(this tree over ``SRC``, below 1 when this tree is faster).  Two sweeps run
+one after the other cannot size a change on a shared machine: the load
+moves cells that the change does not touch.
+
 Run from the root of a checkout::
 
     PYTHONPATH=src python3 tools/law_sweep.py [--seed 42] [--n 3 4 5] [--json]
     PYTHONPATH=src python3 tools/law_sweep.py --suite-calls [--seed 42] [--json]
-
-Pointing ``PYTHONPATH`` at another checkout's ``src`` times that tree with
-the same inputs, which is how two versions are compared.
+    PYTHONPATH=src python3 tools/law_sweep.py --compare OTHER/src [--rounds 3]
+        [--seed 42] [--n 8 12] [--json]
 """
 
 from __future__ import annotations
@@ -35,10 +43,12 @@ import argparse
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import jetframes
 from jetframes import _scaled, bilinear, frames, jets, matrices, suites
 from jetframes import groups as G
 from jetframes import randgen as rg
@@ -119,6 +129,41 @@ def sweep(seed: int, ns=NS) -> dict:
     return table
 
 
+def _sweep_in(src: str, seed: int, n: int) -> dict:
+    """The sweep of one n in a fresh process that imports the package from
+    ``src``."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--seed", str(seed), "--n", str(n), "--json"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True)
+    return json.loads(proc.stdout)["median_us"]
+
+
+def compare(seed: int, ns, other: str, rounds: int) -> dict:
+    """Every cell on this tree and on the package under ``other``, timed in
+    alternating subprocesses: {kind: {op: {n: {"this", "other", "ratio"}}}}."""
+    sides = {"this": str(Path(jetframes.__file__).resolve().parents[1]),
+             "other": other}
+    samples = {}
+    for r in range(rounds):
+        for n in ns:
+            for side in sorted(sides, reverse=r % 2 == 1):
+                for kind, ops in _sweep_in(sides[side], seed, n).items():
+                    for op, row in ops.items():
+                        cell = samples.setdefault(kind, {}).setdefault(
+                            op, {}).setdefault(n, {"this": [], "other": []})
+                        cell[side].append(row[str(n)])
+    table = {}
+    for kind, ops in samples.items():
+        for op, row in ops.items():
+            for n, cell in row.items():
+                mine, theirs = (statistics.median(cell[s]) for s in sides)
+                table.setdefault(kind, {}).setdefault(op, {})[n] = {
+                    "this": mine, "other": theirs,
+                    "ratio": round(mine / theirs, 3)}
+    return table
+
+
 def captured_calls(seed: int) -> list:
     """The terms of every ``s_law`` call of one suite run at ``SUITE_NS``
     with one trial, in call order.  Pins this process to one core, so the
@@ -164,9 +209,35 @@ def main(argv=None) -> int:
     parser.add_argument("--suite-calls", action="store_true",
                         help="time the s_law + reduce calls of one suite "
                         "run in place of the sweep")
+    parser.add_argument("--compare", metavar="SRC",
+                        help="time every cell on this tree and on the package "
+                        "under SRC in alternating subprocesses")
+    parser.add_argument("--rounds", type=int, default=3,
+                        help="with --compare, the subprocesses per side and n "
+                        "(default: 3)")
     args = parser.parse_args(argv)
     if min(args.ns) < 1:
         parser.error("--n takes dimensions >= 1")
+    if args.rounds < 1:
+        parser.error("--rounds takes a count >= 1")
+    if args.compare and args.suite_calls:
+        parser.error("--compare times the sweep, not --suite-calls")
+    if args.compare:
+        table = compare(args.seed, args.ns, args.compare, args.rounds)
+        if args.json:
+            print(json.dumps({"seed": args.seed, "unit": "us",
+                              "compare": args.compare, "rounds": args.rounds,
+                              "median_us": table}))
+            return 0
+        print(f"median us per call, seed {args.seed}, {args.rounds} rounds: "
+              f"this tree / {args.compare} = ratio")
+        print(f"{'kind':8} {'op':18}" + "".join(f"{f'n={n}':>24}" for n in args.ns))
+        for kind, ops in table.items():
+            for op, row in ops.items():
+                print(f"{kind:8} {op:18}" + "".join(
+                    f"{row[n]['this']:>9} /{row[n]['other']:>9} ={row[n]['ratio']:>5}"
+                    for n in args.ns))
+        return 0
     if args.suite_calls:
         row = time_suite_calls(args.seed)
         if args.json:
